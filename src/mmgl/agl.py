@@ -51,44 +51,84 @@ def _cosine_normalize(tape, z):
 
 
 def learned_adjacency(tape, h, params):
-    """Differentiable adjacency node: relu(weighted cosine), unit diagonal."""
-    z = tape.leaf(params.w_a).T @ h
-    zn = _cosine_normalize(tape, z)
-    a_hat = zn.T @ zn
-    n = a_hat.value.shape[0]
-    off = 1.0 - np.eye(n)
-    return nc.relu(a_hat) * off + np.eye(n), a_hat
+    """Differentiable adjacency node relu(Zn^T Zn) with a unit diagonal, where
+    Zn is the column-normalised projection W_a^T H. Returns (A, Zn).
+
+    A is one tape node whose backward pass reads the ReLU mask back from A:
+    off the diagonal, A > 0 exactly where Zn^T Zn > 0.
+    """
+    zn = _cosine_normalize(tape, tape.leaf(params.w_a).T @ h)
+    znv = zn.value
+    a = znv.T @ znv
+    np.maximum(a, 0.0, out=a)
+    np.fill_diagonal(a, 1.0)
+
+    def vjp(g):
+        gm = np.where(a > 0, g, 0.0)
+        np.fill_diagonal(gm, 0.0)
+        return (znv @ gm + znv @ gm.T,)
+
+    return tape._record(a, (zn,), vjp), zn
 
 
 def learned_graph(h, params):
     """Non-differentiable wrapper: numpy features in, LearnedGraph out."""
     tape = nc.Tape()
-    a, a_hat = learned_adjacency(tape, tape.const(np.asarray(h, dtype=np.float64)), params)
-    return LearnedGraph(a.value, "learned", a_hat.value)
+    a, zn = learned_adjacency(tape, tape.const(np.asarray(h, dtype=np.float64)), params)
+    return LearnedGraph(a.value, "learned", zn.value.T @ zn.value)
 
 
 def smoothness_loss(tape, h, a):
-    """Dirichlet energy of the node features over the graph, / (2 N^2)."""
-    n = a.value.shape[0]
-    if h.value.shape[1] != n:
-        raise DimensionError(f"H has {h.value.shape[1]} columns but A is {a.value.shape}")
-    sq = nc.sum_axis(h * h, axis=0)  # (1, N)
-    gram = h.T @ h
-    pairwise = sq + sq.T - 2.0 * gram  # ||h_i - h_j||^2
-    return nc.sum_all(a * pairwise) / (2.0 * n * n)
+    """Dirichlet energy sum_ij a_ij ||h_i - h_j||^2 / (2 N^2).
+
+    Uses the trace form sum_ij a_ij (sq_i + sq_j) - 2 sum(H o H A^T), so no
+    pairwise N x N matrix is built; A need not be symmetric.
+    """
+    hv, av = h.value, a.value
+    n = av.shape[0]
+    if hv.shape[1] != n:
+        raise DimensionError(f"H has {hv.shape[1]} columns but A is {av.shape}")
+    scale = 1.0 / (2.0 * n * n)
+    sq = np.einsum("ij,ij->j", hv, hv)  # ||h_i||^2
+    deg = av.sum(axis=1) + av.sum(axis=0)  # row plus column sums
+    hat = hv @ av.T
+    value = (sq @ deg - 2.0 * np.vdot(hv, hat)) * scale
+
+    def vjp(g):
+        c = float(g) * scale
+        ga = hv.T @ hv  # the Gram buffer becomes c * ||h_i - h_j||^2 in place
+        ga *= -2.0
+        ga += sq[:, None]
+        ga += sq[None, :]
+        ga *= c
+        gh = (2.0 * c) * (hv * deg - hat - hv @ av)
+        return gh, ga
+
+    return tape._record(value, (h, a), vjp)
 
 
 def connectivity_loss(tape, a):
     """Log-barrier on node degrees; zero when every degree is one."""
-    n = a.value.shape[0]
-    deg = nc.sum_axis(a, axis=1)  # (N, 1)
-    return -nc.sum_all(nc.log(deg + DEGREE_GUARD)) / n
+    av = a.value
+    n = av.shape[0]
+    deg = av.sum(axis=1) + DEGREE_GUARD
+
+    def vjp(g):
+        # every entry of row i moves degree i alike: a broadcast view suffices
+        return (np.broadcast_to((-float(g) / n / deg)[:, None], av.shape),)
+
+    return tape._record(-np.log(deg).sum() / n, (a,), vjp)
 
 
 def sparsity_reg(tape, a):
     """Mean squared edge weight (Frobenius norm squared over N^2)."""
-    n = a.value.shape[0]
-    return nc.sum_all(a * a) / (n * n)
+    av = a.value
+    n = av.shape[0]
+
+    def vjp(g):
+        return ((2.0 * float(g) / (n * n)) * av,)
+
+    return tape._record(np.vdot(av, av) / (n * n), (a,), vjp)
 
 
 def graph_loss(tape, h, a, alpha, beta):
@@ -136,11 +176,6 @@ def meta_graph(meta, threshold):
     a = np.where(agree >= threshold, agree / n_meta, 0.0)
     np.fill_diagonal(a, 1.0)
     return LearnedGraph(a, "meta")
-
-
-def dense_graph(n):
-    """Fully-connected unit-weight graph (trivial fallback)."""
-    return LearnedGraph(np.ones((n, n)), "dense")
 
 
 def identity_graph(n):

@@ -12,6 +12,7 @@ import json
 import os
 import sys
 import tempfile
+import zipfile
 from dataclasses import replace
 from datetime import datetime, timezone
 
@@ -19,10 +20,10 @@ import numpy as np
 
 from . import __version__
 from .data import (
-    ModalitySchema, MultiModalDataset, SynthConfig, impute_mean, load_csv,
-    save_dataset, synth_generate, zscore,
+    ModalitySchema, SynthConfig, impute_mean, load_csv, read_table, save_dataset,
+    synth_generate, zscore,
 )
-from .errors import ConfigError, DataError, ParameterError, ParseError, SchemaError, TrainingDiverged
+from .errors import ConfigError, DataError, ParameterError, TrainingDiverged
 from .numcore import softmax_rows_values
 from .train import (
     Model, TrainConfig, accuracy, auc, fit, predict_inductive_batch, run_ablation,
@@ -135,6 +136,13 @@ def save_model(model, labels, stats, path):
 def load_model(path):
     if not os.path.exists(path):
         raise DataError(f"model artifact not found: {path}")
+    try:
+        return _read_model(path)
+    except (OSError, ValueError, KeyError, zipfile.BadZipFile, ConfigError) as exc:
+        raise DataError(f"unreadable model artifact {path}: {exc}") from exc
+
+
+def _read_model(path):
     with np.load(path, allow_pickle=False) as z:
         schema = ModalitySchema.from_dict(json.loads(str(z["schema_json"])))
         cfg = TrainConfig.from_dict(json.loads(str(z["config_json"])))
@@ -279,30 +287,7 @@ def cmd_export(args):
 
 def _load_new_patients(path, schema):
     """Feature table for unseen patients; the label column is optional."""
-    if not os.path.exists(path):
-        raise DataError(f"missing input file: {path}")
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader)
-        rows = list(reader)
-    cols = list(range(len(header)))
-    if schema.label_column in header:
-        cols.remove(header.index(schema.label_column))
-    if len(cols) != schema.d_in:
-        raise SchemaError(f"expected {schema.d_in} feature columns, got {len(cols)}")
-    n = len(rows)
-    x = np.zeros((schema.d_in, n))
-    miss = np.zeros((schema.d_in, n), dtype=bool)
-    for r, row in enumerate(rows):
-        for j, c in enumerate(cols):
-            cell = row[c].strip()
-            if cell == "":
-                miss[j, r] = True
-            else:
-                try:
-                    x[j, r] = float(cell)
-                except ValueError:
-                    raise ParseError(f"row {r + 2}, column {header[c]!r}: non-numeric {cell!r}")
+    x, miss, _, _ = read_table(path, schema, require_label=False)
     return x, miss
 
 

@@ -75,8 +75,16 @@ class ModalitySchema:
 
     @classmethod
     def load(cls, path):
+        return cls.from_dict(read_json(path, SchemaError))
+
+
+def read_json(path, error):
+    """Parsed JSON from `path`; an unreadable or malformed file raises `error`."""
+    try:
         with open(path) as f:
-            return cls.from_dict(json.load(f))
+            return json.load(f)
+    except (OSError, ValueError) as exc:  # ValueError covers JSON and UTF-8 decoding
+        raise error(f"cannot read {path}: {exc}") from exc
 
 
 @dataclass
@@ -138,19 +146,26 @@ class MultiModalDataset:
         return np.array(rows)
 
 
-def load_csv(features_path, schema_path):
-    """Load a feature table; empty cells become missing entries."""
-    schema = ModalitySchema.load(schema_path)
-    with open(features_path, newline="") as f:
-        reader = csv.reader(f)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"empty features file: {features_path}")
-        rows = list(reader)
-    if schema.label_column not in header:
-        raise SchemaError(f"label column {schema.label_column!r} missing from {features_path}")
-    label_idx = header.index(schema.label_column)
+def read_table(path, schema, require_label=True):
+    """Parse a feature CSV against `schema`; empty cells become missing entries.
+
+    Returns (values (d_in, N), missing mask, raw label strings, feature column
+    names). The raw labels are None when the label column is absent, which is
+    an error unless `require_label` is false.
+    """
+    try:
+        with open(path, newline="") as f:
+            reader = csv.reader(f)
+            header = next(reader, None)
+            rows = list(reader)
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+    if header is None:
+        raise DataError(f"empty features file: {path}")
+    has_label = schema.label_column in header
+    if require_label and not has_label:
+        raise SchemaError(f"label column {schema.label_column!r} missing from {path}")
+    label_idx = header.index(schema.label_column) if has_label else None
     feat_cols = [i for i in range(len(header)) if i != label_idx]
     if len(feat_cols) != schema.d_in:
         raise SchemaError(
@@ -158,14 +173,15 @@ def load_csv(features_path, schema_path):
         )
     n = len(rows)
     if n == 0:
-        raise DataError(f"no data rows in {features_path}")
+        raise DataError(f"no data rows in {path}")
     values = np.zeros((schema.d_in, n))
     missing = np.zeros((schema.d_in, n), dtype=bool)
     raw_labels = []
     for r, row in enumerate(rows):
         if len(row) != len(header):
             raise ParseError(f"row {r + 2}: expected {len(header)} cells, got {len(row)}")
-        raw_labels.append(row[label_idx].strip())
+        if has_label:
+            raw_labels.append(row[label_idx].strip())
         for j, c in enumerate(feat_cols):
             cell = row[c].strip()
             if cell == "":
@@ -177,11 +193,17 @@ def load_csv(features_path, schema_path):
                     raise ParseError(
                         f"row {r + 2}, column {header[c]!r}: non-numeric cell {cell!r}"
                     )
+    return values, missing, raw_labels if has_label else None, [header[c] for c in feat_cols]
+
+
+def load_csv(features_path, schema_path):
+    """Load a labelled feature table and its schema into a dataset."""
+    schema = ModalitySchema.load(schema_path)
+    values, missing, raw_labels, fnames = read_table(features_path, schema)
     labels = _encode_labels(raw_labels, schema)
     offsets = np.cumsum([0] + schema.dims)
     mods = [values[offsets[i]:offsets[i + 1]] for i in range(schema.n_modalities)]
     masks = [missing[offsets[i]:offsets[i + 1]] for i in range(schema.n_modalities)]
-    fnames = [header[c] for c in feat_cols]
     per_mod_names = [fnames[offsets[i]:offsets[i + 1]] for i in range(schema.n_modalities)]
     return MultiModalDataset(schema, mods, labels, masks, per_mod_names)
 
@@ -209,10 +231,12 @@ def _encode_labels(raw, schema):
         return np.array([lut[v] for v in raw], dtype=np.int64)
 
 
-def impute_mean(ds):
-    """Replace every missing entry by its feature's observed mean."""
+def impute_mean(ds, train_idx=None):
+    """Replace every missing entry by its feature's observed mean; the means
+    come from the `train_idx` columns if given."""
     if not ds.has_missing:
         return replace(ds, missing=None)
+    ref = np.ones(ds.n, dtype=bool) if train_idx is None else np.isin(np.arange(ds.n), train_idx)
     mods, names = [], ds.feature_names
     for m, (x, mask) in enumerate(zip(ds.modalities, ds.missing)):
         x = x.copy()
@@ -220,9 +244,10 @@ def impute_mean(ds):
             miss = mask[j]
             if not miss.any():
                 continue
-            if miss.all():
+            observed = ref & ~miss
+            if not observed.any():
                 raise DataError(f"feature {names[m][j]!r} has no observed values to impute from")
-            x[j, miss] = x[j, ~miss].mean()
+            x[j, miss] = x[j, observed].mean()
         mods.append(x)
     return replace(ds, modalities=mods, missing=None)
 
@@ -340,8 +365,7 @@ class SynthConfig:
 
     @classmethod
     def load(cls, path):
-        with open(path) as f:
-            return cls.from_dict(json.load(f))
+        return cls.from_dict(read_json(path, ConfigError))
 
 
 def _synth_schema(cfg):

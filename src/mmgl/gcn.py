@@ -26,15 +26,30 @@ def init_gcn(d, d_h, n_classes, rng):
 
 
 def normalize_adj(tape, a, add_self_loops=False):
-    """Symmetric degree normalisation D^-1/2 A D^-1/2 (optionally A + I)."""
-    n = a.value.shape[0]
-    if a.value.shape[1] != n:
-        raise DimensionError(f"adjacency must be square, got {a.value.shape}")
+    """Symmetric degree normalisation D^-1/2 A D^-1/2 (optionally A + I), one node."""
+    av = a.value
+    n = av.shape[0]
+    if av.shape[1] != n:
+        raise DimensionError(f"adjacency must be square, got {av.shape}")
     if add_self_loops:
-        a = a + np.eye(n)
-    deg = nc.maximum(nc.sum_axis(a, axis=1), 1e-12)  # (N, 1)
-    s = 1.0 / nc.sqrt(deg)
-    return a * s * s.T
+        av = av + np.eye(n)
+    deg = av.sum(axis=1)
+    live = deg > 1e-12  # the degree floor passes no gradient
+    s = 1.0 / np.sqrt(np.maximum(deg, 1e-12))
+    out = av * s[:, None]
+    out *= s
+
+    def vjp(g):
+        # out_ij = a_ij s_i s_j, s = deg^-1/2: the degree term of row i is
+        # -s_i^2 / 2 times row i plus column i of g o out
+        buf = np.multiply(g, out)
+        t = (buf.sum(axis=1) + buf.sum(axis=0)) * (-0.5 * s * s * live)
+        np.multiply(g, s[:, None], out=buf)
+        buf *= s
+        buf += t[:, None]
+        return (buf,)
+
+    return tape._record(out, (a,), vjp)
 
 
 def normalize_adj_np(a, add_self_loops=False):

@@ -3,16 +3,26 @@ evaluation, the ablation grid, and metrics (accuracy, rank-based AUC)."""
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field, replace
+from numbers import Integral, Real
 
 import numpy as np
 
 from . import agl, gcn, maff, numcore as nc
-from .data import impute_mean, stratified_kfold, zscore
+from .data import impute_mean, read_json, stratified_kfold, zscore
 from .errors import ConfigError, ParameterError, TrainingDiverged
 
 FUSIONS = ("maff", "mlp", "concat")
 GRAPHS = ("learned", "knn", "meta", "identity")
+_FIELD_TYPES = {"float": Real, "int": Integral, "str": str, "bool": bool}
+
+
+def _finite(x):
+    try:
+        return math.isfinite(x)
+    except OverflowError:  # an int too large for a float
+        return False
 
 
 @dataclass(frozen=True)
@@ -42,20 +52,30 @@ class TrainConfig:
     per_fold_stats: bool = False  # per-fold imputation/normalisation statistics
 
     def __post_init__(self):
-        if self.lr <= 0:
-            raise ConfigError(f"lr must be positive, got {self.lr}")
-        if self.epochs < 1:
-            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
+        for name, f in self.__dataclass_fields__.items():
+            v = getattr(self, name)
+            kind = _FIELD_TYPES[f.type]
+            if not isinstance(v, kind) or (kind is not bool and isinstance(v, bool)):
+                raise ConfigError(f"{name} must be of type {f.type}, got {v!r}")
+            if kind is Real and not _finite(v):
+                raise ConfigError(f"{name} must be finite, got {v!r}")
+        for name in ("lr", "rbf_sigma"):
+            if getattr(self, name) <= 0:
+                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
+        for name in ("epochs", "d_f", "d_h", "heads", "knn_k", "meta_threshold"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name in ("d", "d_a", "seed", "patience"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
         if min(self.lam, self.alpha, self.beta) < 0:
             raise ConfigError("loss weights lam/alpha/beta must be >= 0")
-        if self.fusion not in FUSIONS:
-            raise ConfigError(f"fusion must be one of {FUSIONS}, got {self.fusion!r}")
-        if self.graph not in GRAPHS:
-            raise ConfigError(f"graph must be one of {GRAPHS}, got {self.graph!r}")
-        if self.eval_mode not in ("transductive", "inductive"):
-            raise ConfigError(f"eval_mode must be transductive|inductive, got {self.eval_mode!r}")
-        if self.phase_a_loss not in ("total", "graph-only"):
-            raise ConfigError(f"phase_a_loss must be total|graph-only, got {self.phase_a_loss!r}")
+        choices = {"fusion": FUSIONS, "graph": GRAPHS, "attention_axis": ("column", "row"),
+                   "eval_mode": ("transductive", "inductive"),
+                   "phase_a_loss": ("total", "graph-only")}
+        for name, allowed in choices.items():
+            if getattr(self, name) not in allowed:
+                raise ConfigError(f"{name} must be one of {allowed}, got {getattr(self, name)!r}")
         if self.d_f % self.heads != 0:
             raise ConfigError(f"d_f={self.d_f} not divisible by heads={self.heads}")
         if not 0.0 <= self.dropout < 1.0:
@@ -71,6 +91,8 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, obj):
+        if not isinstance(obj, dict):
+            raise ConfigError(f"config must be a JSON object, got {type(obj).__name__}")
         known = set(cls.__dataclass_fields__)
         unknown = set(obj) - known
         if unknown:
@@ -79,10 +101,7 @@ class TrainConfig:
 
     @classmethod
     def load(cls, path):
-        import json
-
-        with open(path) as f:
-            return cls.from_dict(json.load(f))
+        return cls.from_dict(read_json(path, ConfigError))
 
     def to_dict(self):
         return {k: getattr(self, k) for k in self.__dataclass_fields__}
@@ -387,8 +406,8 @@ class CvResult:
 
 
 def _preprocess(dataset, train_idx=None):
-    ds = impute_mean(dataset)
-    return zscore(ds, train_idx)
+    """Impute and z-score; both statistics come from `train_idx` if given."""
+    return zscore(impute_mean(dataset, train_idx), train_idx)
 
 
 def _run_fold(dataset, clean, cfg, f, train_idx, test_idx, collect_models):

@@ -4,7 +4,7 @@ import pytest
 
 from mmgl import numcore as nc
 from mmgl.agl import (
-    AglParams, connectivity_loss, dense_graph, graph_loss, identity_graph,
+    DEGREE_GUARD, NORM_GUARD, AglParams, connectivity_loss, graph_loss, identity_graph,
     init_agl, knn_graph_rbf, learned_adjacency, learned_graph, meta_graph,
     smoothness_loss, sparsity_reg,
 )
@@ -228,6 +228,148 @@ def test_graph_loss_descent_decreases():
         params.w_a.value -= 1e-4 * params.w_a.grad
 
 
+# ------------------------------------------- composed-op reference oracle
+# The graph block composed of one numcore op per step: the reference whose
+# values and gradients the fused primitives must reproduce.
+
+def ref_adjacency(tape, h, params):
+    z = tape.leaf(params.w_a).T @ h
+    norm = nc.sqrt(nc.maximum(nc.sum_axis(z * z, axis=0), NORM_GUARD * NORM_GUARD))
+    zn = z / norm
+    a_hat = zn.T @ zn
+    n = a_hat.value.shape[0]
+    return nc.relu(a_hat) * (1.0 - np.eye(n)) + np.eye(n), a_hat
+
+
+def ref_smoothness(tape, h, a):
+    n = a.value.shape[0]
+    sq = nc.sum_axis(h * h, axis=0)
+    pairwise = sq + sq.T - 2.0 * (h.T @ h)
+    return nc.sum_all(a * pairwise) / (2.0 * n * n)
+
+
+def ref_connectivity(tape, a):
+    n = a.value.shape[0]
+    return -nc.sum_all(nc.log(nc.sum_axis(a, axis=1) + DEGREE_GUARD)) / n
+
+
+def ref_sparsity(tape, a):
+    n = a.value.shape[0]
+    return nc.sum_all(a * a) / (n * n)
+
+
+def rel_err(x, ref):
+    return float(np.abs(np.asarray(x) - ref).max() / np.abs(ref).max())
+
+
+def value_and_grads(build, params):
+    """(forward value, [grad of each param]) of the scalar `build` returns."""
+    for p in params:
+        p.zero_grad()
+    tape = nc.Tape()
+    loss, value = build(tape)
+    tape.backward(loss)
+    return np.array(value), [p.grad.copy() for p in params]
+
+
+def assert_matches_reference(fused, ref, params):
+    v, grads = value_and_grads(fused, params)
+    v_ref, grads_ref = value_and_grads(ref, params)
+    assert rel_err(v, v_ref) < 1e-12
+    for p, g, g_ref in zip(params, grads, grads_ref):
+        assert rel_err(g, g_ref) < 1e-12, p.name
+
+
+def test_fused_adjacency_matches_reference_mixed_signs():
+    rng = np.random.default_rng(20)
+    params = init_agl(4, 3, rng)
+    h = nc.Param(rng.normal(size=(4, 9)), "H")
+    weights = rng.normal(size=(9, 9))  # a non-symmetric upstream gradient
+    t = nc.Tape()
+    a_hat = ref_adjacency(t, t.const(h.value), params)[1].value
+    off = ~np.eye(9, dtype=bool)
+    assert (a_hat[off] > 0).any() and (a_hat[off] < 0).any()
+
+    def fused(tape):
+        a, _ = learned_adjacency(tape, tape.leaf(h), params)
+        return nc.sum_all(a * weights), a.value
+
+    def ref(tape):
+        a, _ = ref_adjacency(tape, tape.leaf(h), params)
+        return nc.sum_all(a * weights), a.value
+
+    assert_matches_reference(fused, ref, [params.w_a, h])
+    assert np.allclose(learned_graph(h.value, params).pre_relu, a_hat, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("term", ["smoothness", "connectivity", "sparsity"])
+def test_fused_loss_terms_match_reference_non_symmetric(term):
+    rng = np.random.default_rng(21)
+    h = nc.Param(rng.normal(size=(3, 7)), "H")
+    a = nc.Param(np.abs(rng.normal(size=(7, 7))) + 0.05, "A")
+    assert not np.allclose(a.value, a.value.T)
+    if term == "smoothness":
+        fns, params = (smoothness_loss, ref_smoothness), [h, a]
+    else:
+        pair = {"connectivity": (connectivity_loss, ref_connectivity),
+                "sparsity": (sparsity_reg, ref_sparsity)}[term]
+        fns, params = [lambda t, h, a, f=f: f(t, a) for f in pair], [a]
+
+    def build(fn):
+        def run(tape):
+            loss = fn(tape, tape.leaf(h), tape.leaf(a))
+            return 3.0 * loss, loss.value
+        return run
+
+    assert_matches_reference(build(fns[0]), build(fns[1]), params)
+
+
+def test_fused_graph_loss_matches_reference_through_w_a():
+    rng = np.random.default_rng(22)
+    params = init_agl(5, 4, rng)
+    h = nc.Param(rng.normal(size=(5, 11)), "H")
+
+    def fused(tape):
+        hn = tape.leaf(h)
+        a, _ = learned_adjacency(tape, hn, params)
+        total, *_ = graph_loss(tape, hn, a, 0.7, 0.3)
+        return total, total.value
+
+    def ref(tape):
+        hn = tape.leaf(h)
+        a, _ = ref_adjacency(tape, hn, params)
+        total = (ref_smoothness(tape, hn, a) + 0.7 * ref_connectivity(tape, a)
+                 + 0.3 * ref_sparsity(tape, a))
+        return total, total.value
+
+    assert_matches_reference(fused, ref, [params.w_a, h])
+
+
+@pytest.mark.parametrize("term", ["adjacency", "smoothness", "connectivity", "sparsity"])
+def test_fused_primitive_grad_check(term):
+    rng = np.random.default_rng(23)
+    h = nc.Param(rng.normal(size=(3, 6)), "H")
+    a = nc.Param(np.abs(rng.normal(size=(6, 6))) + 0.1, "A")  # non-symmetric
+    weights = rng.normal(size=(6, 6))
+    params = init_agl(3, 3, rng)
+    if term == "adjacency":
+        def build(tape):
+            adj, _ = learned_adjacency(tape, tape.leaf(h), params)
+            return nc.sum_all(adj * weights)
+        checked = [params.w_a, h]
+    elif term == "smoothness":
+        def build(tape):
+            return smoothness_loss(tape, tape.leaf(h), tape.leaf(a))
+        checked = [h, a]
+    else:
+        fn = connectivity_loss if term == "connectivity" else sparsity_reg
+
+        def build(tape):
+            return fn(tape, tape.leaf(a))
+        checked = [a]
+    assert nc.grad_check(build, checked, rng=rng) < 1e-6
+
+
 # ------------------------------------------------------------------- knn
 
 def test_knn_fully_connected_at_max_k():
@@ -297,7 +439,6 @@ def test_meta_threshold_validation():
 # -------------------------------------------------------------- fallbacks
 
 def test_dense_and_identity_graphs():
-    assert np.array_equal(dense_graph(3).a, np.ones((3, 3)))
     assert np.array_equal(identity_graph(3).a, np.eye(3))
 
 

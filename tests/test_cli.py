@@ -1,12 +1,17 @@
 """End-to-end command-line behaviour: artifacts, determinism, exit codes."""
 import csv
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from mmgl.cli import main
 from mmgl.data import load_csv
+from mmgl.train import TrainConfig
 
 
 def run(*argv):
@@ -88,6 +93,62 @@ def test_train_bad_config_exit_2(tmp_path, synth_dir):
     bad.write_text(json.dumps({"epochs": 0}))
     assert run("train", "--config", str(bad), "--data", str(synth_dir),
                "--out", str(tmp_path / "o")) == 2
+
+
+@pytest.mark.parametrize("text", [
+    json.dumps({"heads": 0}),
+    json.dumps({"epochs": "5"}),
+    '{"epochs": 3,',
+    json.dumps(5),
+])
+def test_train_invalid_config_exit_2(tmp_path, synth_dir, text):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    assert run("train", "--config", str(bad), "--data", str(synth_dir),
+               "--out", str(tmp_path / "o")) == 2
+
+
+CONFIG_JUNK = st.one_of(
+    st.none(), st.floats(allow_nan=True, allow_infinity=True), st.text(max_size=4),
+    st.lists(st.integers(-1, 3), max_size=2),
+)
+CONFIG_TYPED = {
+    "int": st.integers(-1, 5), "float": st.floats(-0.5, 2.0), "bool": st.booleans(),
+    "str": st.sampled_from(["column", "row", "maff", "mlp", "concat", "learned", "knn", "meta",
+                            "identity", "transductive", "inductive", "total", "graph-only"]),
+}
+
+
+def config_item(key):
+    """A (key, value) pair; the value mostly has the field's own type."""
+    field = TrainConfig.__dataclass_fields__.get(key)
+    typed = CONFIG_TYPED[field.type] if field else st.integers()
+    value = st.integers(0, 3).flatmap(lambda i: CONFIG_JUNK if i == 0 else typed)
+    return st.tuples(st.just(key), value)
+
+
+CONFIG_OBJECT = st.lists(
+    st.sampled_from(sorted(TrainConfig.__dataclass_fields__) + ["mystery"]).flatmap(config_item),
+    max_size=4,
+).map(
+    # small defaults keep each accepted config to a fraction of a second
+    lambda items: json.dumps({"epochs": 2, "d_f": 4, "heads": 2, "d_h": 4} | dict(items)).encode())
+CONFIG_BYTES = st.one_of(
+    CONFIG_OBJECT, CONFIG_OBJECT, CONFIG_OBJECT,
+    st.text(max_size=12).map(lambda t: t.encode("utf-8", "surrogatepass")) | st.binary(max_size=12),
+)
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(raw=CONFIG_BYTES)
+def test_cv_exit_code_contract_fuzzed_config(synth_dir, raw):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.json"
+        path.write_bytes(raw)
+        code = run("cv", "--config", str(path), "--data", str(synth_dir),
+                   "--out", str(Path(tmp) / "o"), "--folds", "2")
+    assert code in (0, 2, 3, 4)
 
 
 def test_train_divergence_exit_4(tmp_path, synth_dir):
@@ -237,6 +298,36 @@ def test_predict_probabilities(tmp_path, trained, synth_dir):
         probs = np.array([float(v) for v in r[2:]])
         assert probs.size == 2 and np.all(probs >= 0)
         assert probs.sum() == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("case", ["empty", "header_only", "ragged"])
+def test_predict_unusable_features_exit_3(tmp_path, trained, synth_dir, case):
+    header, first = (synth_dir / "features.csv").read_text().splitlines()[:2]
+    bad = tmp_path / "bad.csv"
+    bad.write_text({"empty": "", "header_only": f"{header}\n",
+                    "ragged": f"{header}\n{first.rsplit(',', 2)[0]}\n"}[case])  # two cells short
+    out = tmp_path / "p.csv"
+    assert run("predict", "--model", str(trained / "model.npz"),
+               "--features", str(bad), "--out", str(out)) == 3
+    assert not out.exists()
+
+
+def test_predict_non_npz_model_exit_3(tmp_path, synth_dir):
+    bogus = tmp_path / "model.npz"
+    bogus.write_text("not an archive")
+    assert run("predict", "--model", str(bogus), "--features",
+               str(synth_dir / "features.csv"), "--out", str(tmp_path / "p.csv")) == 3
+
+
+def test_predict_artifact_with_invalid_config_exit_3(tmp_path, trained, synth_dir):
+    with np.load(trained / "model.npz") as z:
+        arrays = dict(z)
+    cfg = json.loads(str(arrays["config_json"]))
+    arrays["config_json"] = np.array(json.dumps(cfg | {"heads": 0}))
+    bad = tmp_path / "bad.npz"
+    np.savez(bad, **arrays)
+    assert run("predict", "--model", str(bad), "--features",
+               str(synth_dir / "features.csv"), "--out", str(tmp_path / "p.csv")) == 3
 
 
 def test_predict_wrong_width_exit_3(tmp_path, trained):

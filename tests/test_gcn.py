@@ -82,6 +82,63 @@ def test_normalize_gradient():
     assert nc.grad_check(build2, [p], rng=rng) < 1e-4
 
 
+# ------------------------------------------- composed-op reference oracle
+# normalize_adj composed of one numcore op per step: the reference whose
+# values and gradients the fused node must reproduce.
+
+def ref_normalize(tape, a, add_self_loops=False):
+    n = a.value.shape[0]
+    if add_self_loops:
+        a = a + np.eye(n)
+    deg = nc.maximum(nc.sum_axis(a, axis=1), 1e-12)
+    s = 1.0 / nc.sqrt(deg)
+    return a * s * s.T
+
+
+def rel_err(x, ref):
+    return float(np.abs(x - ref).max() / np.abs(ref).max())
+
+
+def normalize_value_and_grad(fn, a, weights, self_loops):
+    a.zero_grad()
+    tape = nc.Tape()
+    out = fn(tape, tape.leaf(a), self_loops)
+    tape.backward(nc.sum_all(out * weights))
+    return out.value, a.grad.copy()
+
+
+@pytest.mark.parametrize("self_loops", [False, True])
+@pytest.mark.parametrize("case", ["symmetric", "non_symmetric", "zero_row", "isolated"])
+def test_fused_normalize_matches_reference(case, self_loops):
+    rng = np.random.default_rng(13)
+    a_np = np.abs(rng.normal(size=(7, 7)))
+    if case == "symmetric":
+        a_np = (a_np + a_np.T) / 2
+    elif case == "zero_row":
+        a_np[2] = 0.0  # degree 0 hits the 1e-12 floor unless self-loops are added
+    elif case == "isolated":
+        a_np[2] = 0.0
+        a_np[:, 2] = 0.0
+    a = nc.Param(a_np, "A")
+    weights = rng.normal(size=(7, 7))
+    out, grad = normalize_value_and_grad(normalize_adj, a, weights, self_loops)
+    out_ref, grad_ref = normalize_value_and_grad(ref_normalize, a, weights, self_loops)
+    assert rel_err(out, out_ref) < 1e-12
+    assert rel_err(grad, grad_ref) < 1e-12
+
+
+@pytest.mark.parametrize("self_loops", [False, True])
+def test_fused_normalize_grad_check_non_symmetric(self_loops):
+    rng = np.random.default_rng(14)
+    p = nc.Param(np.abs(rng.normal(size=(5, 5))) + 0.1, "a")
+    weights = rng.normal(size=(5, 5))
+
+    def build(tape):
+        return nc.sum_all(normalize_adj(tape, tape.leaf(p), self_loops) * weights)
+
+    assert nc.grad_check(build, [p], rng=rng) < 1e-6
+
+
 # ------------------------------------------------------------ gcn_forward
 
 def random_gcn(d, d_h, c, seed=0):

@@ -1,5 +1,6 @@
 """Joint objective, two-phase training, CV harness, metrics, inductive mode."""
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mmgl import numcore as nc
-from mmgl.data import SynthConfig, synth_generate, zscore
+from mmgl.data import SynthConfig, stratified_kfold, synth_generate, zscore
 from mmgl.errors import ConfigError, ParameterError, TrainingDiverged
 from mmgl.train import (
-    Metrics, Model, TrainConfig, accuracy, auc, evaluate, fallback_meta, fit,
+    Metrics, Model, TrainConfig, _preprocess, accuracy, auc, evaluate, fallback_meta, fit,
     predict_inductive, predict_inductive_batch, run_ablation, run_cv,
     total_loss, train_epoch, write_ablation_csv, write_history_csv,
     write_metrics_csv,
@@ -328,6 +329,23 @@ def test_run_cv_per_fold_stats():
                                     missing_rate=0.1, seed=11))
     res = run_cv(ds, tiny_cfg(epochs=2, per_fold_stats=True), k=2)
     assert len(res.folds) == 2
+
+
+def test_per_fold_preprocess_ignores_test_fold_cells():
+    # imputation means and z-score statistics both come from the training
+    # fold, so editing held-out cells leaves every training input unchanged
+    ds = synth_generate(SynthConfig(n=24, classes=2, modality_dims=(3, 3),
+                                    missing_rate=0.2, seed=11))
+    train_idx, test_idx = stratified_kfold(ds.labels, 3, 0).folds[0]
+    assert any(m[:, train_idx].any() for m in ds.missing)
+    edited = [x.copy() for x in ds.modalities]
+    for x in edited:
+        x[:, test_idx] += 100.0
+    base = _preprocess(ds, train_idx)
+    moved = _preprocess(replace(ds, modalities=edited), train_idx)
+    for a, b in zip(base.modalities, moved.modalities):
+        assert np.array_equal(a[:, train_idx], b[:, train_idx])
+        assert not np.array_equal(a[:, test_idx], b[:, test_idx])
 
 
 # ------------------------------------------------------------- ablation

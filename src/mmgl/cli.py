@@ -148,19 +148,26 @@ def _read_model(path):
         cfg = TrainConfig.from_dict(json.loads(str(z["config_json"])))
         n_classes = int(z["n_classes"])
         model = Model(schema, n_classes, cfg)
-        if "meta_adj" in z:
-            model.meta_adj = z["meta_adj"]
+        labels = z["labels"]
+        n = labels.shape[0] if labels.ndim == 1 else None
+        m, d_in = schema.n_modalities, schema.d_in
+        shapes = {"labels": (n,), "H": (cfg.dim_fused, n), "A": (n, n), "logits": (n, n_classes),
+                  "impute_means": (d_in,), "z_mu": (d_in,), "z_sd": (d_in,),
+                  "fuse_map": (m, m), "meta_adj": (n, n)}
+        arrays = {key: z[key] for key in shapes if key in z}
+        for key, value in arrays.items():
+            if value.shape != shapes[key]:
+                raise DataError(f"artifact array {key!r} has shape {value.shape}, "
+                                f"expected {shapes[key]}")
+        if "meta_adj" in arrays:
+            model.meta_adj = arrays["meta_adj"]
         for p in model.all_params():
             p.value[...] = z["param:" + p.name]
-        model.cache = {"H": z["H"], "A": z["A"], "logits": z["logits"], "maps": None}
-        if "fuse_map" in z:
-            model.cache["fuse_map"] = z["fuse_map"]
-        extras = {
-            "labels": z["labels"],
-            "impute_means": z["impute_means"],
-            "z_mu": z["z_mu"],
-            "z_sd": z["z_sd"],
-        }
+        model.cache = {"H": arrays["H"], "A": arrays["A"], "logits": arrays["logits"],
+                       "maps": None}
+        if "fuse_map" in arrays:
+            model.cache["fuse_map"] = arrays["fuse_map"]
+        extras = {key: arrays[key] for key in ("labels", "impute_means", "z_mu", "z_sd")}
     return model, extras
 
 

@@ -4,12 +4,41 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import warnings
 from dataclasses import dataclass, field, replace
+from numbers import Integral, Real
 
 import numpy as np
 
 from .errors import ConfigError, DataError, ParameterError, ParseError, SchemaError
+
+_FIELD_TYPES = {"float": Real, "int": Integral, "str": str, "bool": bool}
+
+
+def _is_int(x):
+    return isinstance(x, Integral) and not isinstance(x, bool)
+
+
+def _finite(x):
+    try:
+        return math.isfinite(x)
+    except OverflowError:  # an int too large for a float
+        return False
+
+
+def check_field_types(cfg):
+    """Raise ConfigError unless each dataclass field annotated float, int, str
+    or bool holds that type (a bool is not a number here) and is finite."""
+    for name, f in cfg.__dataclass_fields__.items():
+        kind = _FIELD_TYPES.get(f.type)
+        if kind is None:
+            continue
+        v = getattr(cfg, name)
+        if not isinstance(v, kind) or (kind is not bool and isinstance(v, bool)):
+            raise ConfigError(f"{name} must be of type {f.type}, got {v!r}")
+        if kind is Real and not _finite(v):
+            raise ConfigError(f"{name} must be finite, got {v!r}")
 
 
 @dataclass(frozen=True)
@@ -336,31 +365,44 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_field_types(self)
+        dims = self.modality_dims
+        if not isinstance(dims, (tuple, list)) or not dims or \
+                not all(_is_int(d) and d >= 1 for d in dims):
+            raise ConfigError(f"modality_dims must be a non-empty list of ints >= 1, got {dims!r}")
+        if isinstance(self.pattern, str):
+            if self.pattern not in ("all", "none", "complementary"):
+                raise ConfigError(f"unknown pattern {self.pattern!r}")
+        elif not isinstance(self.pattern, (tuple, list)) or \
+                not all(isinstance(p, str) or _is_int(p) for p in self.pattern):
+            raise ConfigError(
+                f"pattern must be a keyword or a list of modality names/indices, got {self.pattern!r}")
         if self.separation < 0:
-            raise ParameterError(f"separation must be >= 0, got {self.separation}")
+            raise ConfigError(f"separation must be >= 0, got {self.separation}")
         if self.noise <= 0:
-            raise ParameterError(f"noise must be > 0, got {self.noise}")
+            raise ConfigError(f"noise must be > 0, got {self.noise}")
         if self.classes < 2:
-            raise ParameterError(f"need >= 2 classes, got {self.classes}")
+            raise ConfigError(f"need >= 2 classes, got {self.classes}")
         if self.n < self.classes:
-            raise ParameterError(f"n={self.n} smaller than class count {self.classes}")
+            raise ConfigError(f"n={self.n} smaller than class count {self.classes}")
         if not 0.0 <= self.missing_rate < 1.0:
-            raise ParameterError(f"missing_rate must be in [0, 1), got {self.missing_rate}")
+            raise ConfigError(f"missing_rate must be in [0, 1), got {self.missing_rate}")
         if self.corruption < 0:
-            raise ParameterError(f"corruption must be >= 0, got {self.corruption}")
-        if self.pattern == "complementary" and len(self.modality_dims) < 2:
-            raise ParameterError("complementary pattern needs at least 2 modalities")
+            raise ConfigError(f"corruption must be >= 0, got {self.corruption}")
+        for name in ("meta_dims", "seed"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if self.pattern == "complementary" and len(dims) < 2:
+            raise ConfigError("complementary pattern needs at least 2 modalities")
 
     @classmethod
     def from_dict(cls, obj):
+        if not isinstance(obj, dict):
+            raise ConfigError(f"synthetic config must be a JSON object, got {type(obj).__name__}")
+        obj = {k: tuple(v) if isinstance(v, list) else v for k, v in obj.items()}
         try:
-            obj = dict(obj)
-            if "modality_dims" in obj:
-                obj["modality_dims"] = tuple(int(d) for d in obj["modality_dims"])
-            if "pattern" in obj and isinstance(obj["pattern"], list):
-                obj["pattern"] = tuple(obj["pattern"])
             return cls(**obj)
-        except TypeError as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad synthetic config: {exc}") from exc
 
     @classmethod
@@ -478,7 +520,8 @@ def save_dataset(ds, features_path, schema_path):
     with open(features_path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(names + [ds.schema.label_column])
-        for i in range(ds.n):
-            row = ["" if mask[j, i] else repr(float(flat[j, i])) for j in range(flat.shape[0])]
+        # csv writes a Python float as its repr, the shortest round-trip form
+        for i, (values, missed) in enumerate(zip(flat.T.tolist(), mask.T.tolist())):
+            row = ["" if m else v for v, m in zip(values, missed)]
             row.append(classes[ds.labels[i]] if classes else str(int(ds.labels[i])))
             w.writerow(row)

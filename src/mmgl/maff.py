@@ -4,7 +4,7 @@ Per patient, each modality is projected to query/key/value vectors of a common
 width, an inter-modal score matrix is softmax-normalised into an attention map,
 and values are aggregated across modalities with a residual connection before
 two projection layers produce the fused feature. Everything is vectorised over
-patients; the attention map is patient-specific.
+patients, heads and modality pairs; the attention map is patient-specific.
 """
 from __future__ import annotations
 
@@ -74,99 +74,62 @@ class AttentionMaps:
         return self.tensor.mean(axis=(0, 3))
 
 
-def project(tape, xs, params):
-    """Per-modality q/k/v projections for a batch given as (d_m, N) blocks."""
-    if len(xs) != len(params.w_q):
-        raise DimensionError(f"expected {len(params.w_q)} modalities, got {len(xs)}")
-    qs, ks, vs = [], [], []
-    for x, wq, wk, wv in zip(xs, params.w_q, params.w_k, params.w_v):
-        x = x if isinstance(x, nc.Node) else tape.const(np.atleast_2d(x))
-        if x.value.shape[0] != wq.value.shape[0]:
-            raise DimensionError(
-                f"modality rows {x.value.shape[0]} do not match projection rows "
-                f"{wq.value.shape[0]}"
-            )
-        qs.append(tape.leaf(wq).T @ x)
-        ks.append(tape.leaf(wk).T @ x)
-        vs.append(tape.leaf(wv).T @ x)
-    return qs, ks, vs
-
-
-def _attention_rows(qs, ks, params):
-    """Attention coefficients P[m][j] as 1 x N nodes, per head.
-
-    Returns (coeff, tensor) where coeff[h][(m, j)] multiplies modality j's
-    values in modality m's aggregation, and tensor is the detached
-    (heads, M, M, N) score map.
-    """
-    m_count = len(qs)
-    heads, dh = params.heads, params.d_f // params.heads
-    tau = params.tau
-    coeff = []
-    tensor = np.empty((heads, m_count, m_count, qs[0].value.shape[1]))
-    for h in range(heads):
-        qh = [nc.slice_rows(q, h * dh, (h + 1) * dh) for q in qs]
-        kh = [nc.slice_rows(k, h * dh, (h + 1) * dh) for k in ks]
-        scores = [
-            [nc.sum_axis(qh[i] * kh[j], axis=0) for j in range(m_count)]
-            for i in range(m_count)
-        ]
-        rows = {}
-        if params.attention_axis == "column":
-            # normalise over the query index i, separately per key j
-            for j in range(m_count):
-                col = nc.softmax_columns(
-                    nc.concat_rows([scores[i][j] for i in range(m_count)]), tau
-                )
-                tensor[h, :, j, :] = col.value
-                for m in range(m_count):
-                    rows[(m, j)] = nc.slice_rows(col, m, m + 1)
-        else:
-            # conventional: normalise over keys j, separately per query i
-            for i in range(m_count):
-                row = nc.softmax_columns(
-                    nc.concat_rows([scores[i][j] for j in range(m_count)]), tau
-                )
-                tensor[h, i, :, :] = row.value
-                for j in range(m_count):
-                    rows[(i, j)] = nc.slice_rows(row, j, j + 1)
-        coeff.append(rows)
-    return coeff, tensor
-
-
 def fuse_batch(tape, xs, params):
-    """Fuse per-modality feature blocks (d_m, N) into (H: d x N, AttentionMaps)."""
-    qs, ks, vs = project(tape, xs, params)
-    m_count = len(xs)
-    heads, dh = params.heads, params.d_f // params.heads
-    coeff, tensor = _attention_rows(qs, ks, params)
-    vhats = []
-    for m in range(m_count):
-        head_parts = []
-        for h in range(heads):
-            vh = [nc.slice_rows(v, h * dh, (h + 1) * dh) for v in vs]
-            agg = vh[m]  # residual
-            for j in range(m_count):
-                agg = agg + coeff[h][(m, j)] * vh[j]
-            head_parts.append(agg)
-        merged = head_parts[0] if heads == 1 else nc.concat_rows(head_parts)
-        vhats.append(tape.leaf(params.w_m[m]).T @ merged)
-    h_out = tape.leaf(params.w_h).T @ nc.concat_rows(vhats)
-    return h_out, AttentionMaps(tensor)
+    """Fuse per-modality feature blocks (d_m, N) into (H: d x N, AttentionMaps).
+
+    Recorded as one tape node whose parents are the 4M+1 weight leaves and the
+    M inputs. Q, K and V are stacked as (M, heads, d_h, N); the scores
+    S[h, i, j] = <q_i, k_j> / tau are softmax-normalised over the queries i
+    ("column") or the keys j ("row"); modality m aggregates v_m + sum_j P[h, m, j] v_j.
+    """
+    m_count, heads, d_f = len(params.w_q), params.heads, params.d_f
+    if len(xs) != m_count:
+        raise DimensionError(f"expected {m_count} modalities, got {len(xs)}")
+    wants_grad = [isinstance(x, nc.Node) for x in xs]
+    xs = [x if isinstance(x, nc.Node) else tape.const(np.atleast_2d(x)) for x in xs]
+    n = xs[0].value.shape[1]
+    for x, w in zip(xs, params.w_q):
+        if x.value.shape != (w.value.shape[0], n):
+            raise DimensionError(
+                f"modality block {x.value.shape} does not match projection rows "
+                f"{w.value.shape[0]} and {n} patients"
+            )
+    leaves = [tape.leaf(p) for p in params.all_params()]
+    xv = [x.value for x in xs]
+    wq, wk, wv = ([w.value for w in ws] for ws in (params.w_q, params.w_k, params.w_v))
+    shape = (m_count, heads, d_f // heads, n)
+    q, k, v = (np.stack([w.T @ x for w, x in zip(ws, xv)]).reshape(shape)
+               for ws in (wq, wk, wv))
+    tau = params.tau
+    axis = 1 if params.attention_axis == "column" else 2
+    s = np.einsum("ihcn,jhcn->hijn", q, k) / tau
+    e = np.exp(s - s.max(axis=axis, keepdims=True))
+    p = e / e.sum(axis=axis, keepdims=True)  # (heads, M, M, N)
+    u = (v + np.einsum("hmjn,jhcn->mhcn", p, v)).reshape(m_count, d_f, n)
+    wm = np.stack([w.value for w in params.w_m])
+    vhat = np.einsum("mab,man->mbn", wm, u).reshape(m_count * d_f, n)
+    wh = params.w_h.value
+
+    def vjp(g):
+        g_vhat = (wh @ g).reshape(m_count, d_f, n)
+        g_u = np.einsum("mab,mbn->man", wm, g_vhat).reshape(shape)
+        g_p = np.einsum("mhcn,jhcn->hmjn", g_u, v)
+        g_s = p * (g_p - (p * g_p).sum(axis=axis, keepdims=True)) / tau
+        gq = np.einsum("hijn,jhcn->ihcn", g_s, k).reshape(m_count, d_f, n)
+        gk = np.einsum("hijn,ihcn->jhcn", g_s, q).reshape(m_count, d_f, n)
+        gv = (g_u + np.einsum("hmjn,mhcn->jhcn", p, g_u)).reshape(m_count, d_f, n)
+        g_w = [x @ gm.T for gs in (gq, gk, gv) for x, gm in zip(xv, gs)]
+        g_w += [*np.einsum("man,mbn->mab", u, g_vhat), vhat @ g.T]
+        # inputs given as arrays became constants here: nothing reads their gradient
+        g_x = [wq[m] @ gq[m] + wk[m] @ gk[m] + wv[m] @ gv[m] if wants_grad[m] else None
+               for m in range(m_count)]
+        return (*g_w, *g_x)
+
+    h = tape._record(wh.T @ vhat, (*leaves, *xs), vjp)
+    return h, AttentionMaps(p)
 
 
 def fuse_one(tape, x_cols, params):
     """Fuse a single patient given per-modality vectors; returns (d x 1, maps)."""
     xs = [np.asarray(x, dtype=np.float64).reshape(-1, 1) for x in x_cols]
     return fuse_batch(tape, xs, params)
-
-
-def attention_map(tape, x_cols, params):
-    """Head-averaged M x M attention map of one patient."""
-    _, maps = fuse_one(tape, x_cols, params)
-    return maps.per_patient(0)
-
-
-def global_attention_map(maps):
-    """Dataset-level map: mean over heads, then over patients."""
-    return maps.global_map()

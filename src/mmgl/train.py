@@ -3,26 +3,16 @@ evaluation, the ablation grid, and metrics (accuracy, rank-based AUC)."""
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass, field, replace
-from numbers import Integral, Real
 
 import numpy as np
 
 from . import agl, gcn, maff, numcore as nc
-from .data import impute_mean, read_json, stratified_kfold, zscore
+from .data import check_field_types, impute_mean, read_json, stratified_kfold, zscore
 from .errors import ConfigError, ParameterError, TrainingDiverged
 
 FUSIONS = ("maff", "mlp", "concat")
 GRAPHS = ("learned", "knn", "meta", "identity")
-_FIELD_TYPES = {"float": Real, "int": Integral, "str": str, "bool": bool}
-
-
-def _finite(x):
-    try:
-        return math.isfinite(x)
-    except OverflowError:  # an int too large for a float
-        return False
 
 
 @dataclass(frozen=True)
@@ -52,13 +42,7 @@ class TrainConfig:
     per_fold_stats: bool = False  # per-fold imputation/normalisation statistics
 
     def __post_init__(self):
-        for name, f in self.__dataclass_fields__.items():
-            v = getattr(self, name)
-            kind = _FIELD_TYPES[f.type]
-            if not isinstance(v, kind) or (kind is not bool and isinstance(v, bool)):
-                raise ConfigError(f"{name} must be of type {f.type}, got {v!r}")
-            if kind is Real and not _finite(v):
-                raise ConfigError(f"{name} must be finite, got {v!r}")
+        check_field_types(self)
         for name in ("lr", "rbf_sigma"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")

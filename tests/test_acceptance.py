@@ -3,7 +3,7 @@
 Each test prints a single `criterion N PASS/FAIL: ...` line directly to the
 terminal (bypassing capture) so the gate's outcome is visible in any log.
 Criterion 6 trains 200 cross-validated models and dominates the runtime of
-the whole suite (465 s single-threaded on a shared 2-core x86-64 VM).
+the whole suite (394 s single-threaded on a shared 2-core x86-64 VM).
 """
 import csv
 import json

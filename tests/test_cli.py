@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from mmgl.cli import main
-from mmgl.data import load_csv
+from mmgl.data import SynthConfig, load_csv
 from mmgl.train import TrainConfig
 
 
@@ -149,6 +149,50 @@ def test_cv_exit_code_contract_fuzzed_config(synth_dir, raw):
         code = run("cv", "--config", str(path), "--data", str(synth_dir),
                    "--out", str(Path(tmp) / "o"), "--folds", "2")
     assert code in (0, 2, 3, 4)
+
+
+@pytest.mark.parametrize("cfg", [
+    {"modality_dims": ["x"]}, {"seed": -1}, {"meta_dims": "2"}, {"pattern": 5}, {"n": 10.5},
+])
+def test_synth_malformed_config_exit_2(tmp_path, cfg):
+    path = tmp_path / "synth.json"
+    path.write_text(json.dumps(cfg))
+    assert run("synth", "--config", str(path), "--out", str(tmp_path / "o")) == 2
+
+
+SYNTH_TYPED = {
+    "n": st.integers(-1, 30), "classes": st.integers(-1, 4), "meta_dims": st.integers(-1, 3),
+    "seed": st.integers(-1, 5), "modality_dims": st.lists(st.integers(-1, 4), max_size=3),
+    "pattern": st.one_of(
+        st.sampled_from(["all", "none", "complementary", "mod1"]),
+        st.lists(st.one_of(st.sampled_from(["mod1", "mod2"]), st.integers(-1, 2)), max_size=2)),
+}
+
+
+def synth_item(key):
+    """A (key, value) pair; the value mostly has the field's own type."""
+    typed = SYNTH_TYPED.get(key, st.floats(-0.5, 2.0))
+    value = st.integers(0, 3).flatmap(lambda i: CONFIG_JUNK if i == 0 else typed)
+    return st.tuples(st.just(key), value)
+
+
+SYNTH_BYTES = st.one_of(
+    st.lists(
+        st.sampled_from(sorted(SynthConfig.__dataclass_fields__) + ["mystery"]).flatmap(synth_item),
+        max_size=4,
+    ).map(lambda items: json.dumps({"n": 12, "modality_dims": [2, 2]} | dict(items)).encode()),
+    st.text(max_size=12).map(lambda t: t.encode("utf-8", "surrogatepass")) | st.binary(max_size=12),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(raw=SYNTH_BYTES)
+def test_synth_exit_code_contract_fuzzed_config(raw):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "synth.json"
+        path.write_bytes(raw)
+        code = run("synth", "--config", str(path), "--out", str(Path(tmp) / "o"))
+    assert code in (0, 2, 3)
 
 
 def test_train_divergence_exit_4(tmp_path, synth_dir):
@@ -335,3 +379,14 @@ def test_predict_wrong_width_exit_3(tmp_path, trained):
     bad.write_text("a,b\n1,2\n")
     assert run("predict", "--model", str(trained / "model.npz"),
                "--features", str(bad), "--out", str(tmp_path / "p.csv")) == 3
+
+
+@pytest.mark.parametrize("key,trim", [("A", 0), ("H", 1), ("z_mu", 0)])
+def test_predict_shape_inconsistent_artifact_exit_3(tmp_path, trained, synth_dir, key, trim):
+    with np.load(trained / "model.npz") as z:
+        arrays = dict(z)
+    arrays[key] = np.delete(arrays[key], -1, axis=trim)  # one row, column or entry short
+    bad = tmp_path / "bad.npz"
+    np.savez(bad, **arrays)
+    assert run("predict", "--model", str(bad), "--features",
+               str(synth_dir / "features.csv"), "--out", str(tmp_path / "p.csv")) == 3

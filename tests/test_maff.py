@@ -5,10 +5,7 @@ import pytest
 from mmgl import numcore as nc
 from mmgl.data import ModalitySchema
 from mmgl.errors import DimensionError, ParameterError
-from mmgl.maff import (
-    AttentionMaps, MaffParams, attention_map, fuse_batch, fuse_one,
-    global_attention_map, init_maff, project,
-)
+from mmgl.maff import AttentionMaps, MaffParams, fuse_batch, fuse_one, init_maff
 
 
 def schema3(dims=(3, 4, 5)):
@@ -43,43 +40,128 @@ def test_tau_per_head():
     assert p.tau == 2.0  # sqrt(16 / 4)
 
 
-# ---------------------------------------------------------------- project
+# ------------------------------------------------------- loop reference
 
-def test_project_zero_input():
-    p = random_params()
-    t = nc.Tape()
-    qs, ks, vs = project(t, [np.zeros((d, 2)) for d in (3, 4, 5)], p)
-    for q, k, v in zip(qs, ks, vs):
-        assert not q.value.any() and not k.value.any() and not v.value.any()
-
-
-def test_project_identity_weights():
-    p = random_params(dims=(4, 4, 4), d_f=4)
-    for w in (*p.w_q, *p.w_k, *p.w_v):
-        w.value[...] = np.eye(4)
-    x = np.random.default_rng(1).normal(size=(4, 3))
-    qs, _, _ = project(nc.Tape(), [x, x, x], p)
-    for q in qs:
-        assert np.array_equal(q.value, x)
+def loop_project(tape, xs, params):
+    """Per-modality q/k/v projections, one matmul node each."""
+    qs, ks, vs = [], [], []
+    for x, wq, wk, wv in zip(xs, params.w_q, params.w_k, params.w_v):
+        x = x if isinstance(x, nc.Node) else tape.const(np.atleast_2d(x))
+        qs.append(tape.leaf(wq).T @ x)
+        ks.append(tape.leaf(wk).T @ x)
+        vs.append(tape.leaf(wv).T @ x)
+    return qs, ks, vs
 
 
-def test_project_matches_matmul_oracle():
-    rng = np.random.default_rng(2)
-    p = random_params()
-    xs = [rng.normal(size=(d, 6)) for d in (3, 4, 5)]
-    qs, ks, vs = project(nc.Tape(), xs, p)
-    for m in range(3):
-        assert np.allclose(qs[m].value, p.w_q[m].value.T @ xs[m])
-        assert np.allclose(ks[m].value, p.w_k[m].value.T @ xs[m])
-        assert np.allclose(vs[m].value, p.w_v[m].value.T @ xs[m])
+def loop_attention_rows(qs, ks, params):
+    """Per head, the 1 x N coefficient node of each (m, j) pair, plus the
+    detached (heads, M, M, N) score map."""
+    m_count = len(qs)
+    heads, dh = params.heads, params.d_f // params.heads
+    tau = params.tau
+    coeff = []
+    tensor = np.empty((heads, m_count, m_count, qs[0].value.shape[1]))
+    for h in range(heads):
+        qh = [nc.slice_rows(q, h * dh, (h + 1) * dh) for q in qs]
+        kh = [nc.slice_rows(k, h * dh, (h + 1) * dh) for k in ks]
+        scores = [
+            [nc.sum_axis(qh[i] * kh[j], axis=0) for j in range(m_count)]
+            for i in range(m_count)
+        ]
+        rows = {}
+        if params.attention_axis == "column":
+            for j in range(m_count):
+                col = nc.softmax_columns(
+                    nc.concat_rows([scores[i][j] for i in range(m_count)]), tau
+                )
+                tensor[h, :, j, :] = col.value
+                for m in range(m_count):
+                    rows[(m, j)] = nc.slice_rows(col, m, m + 1)
+        else:
+            for i in range(m_count):
+                row = nc.softmax_columns(
+                    nc.concat_rows([scores[i][j] for j in range(m_count)]), tau
+                )
+                tensor[h, i, :, :] = row.value
+                for j in range(m_count):
+                    rows[(i, j)] = nc.slice_rows(row, j, j + 1)
+        coeff.append(rows)
+    return coeff, tensor
+
+
+def loop_fuse_batch(tape, xs, params):
+    """Reference fusion built from composed tape ops, looping over heads and
+    modality pairs."""
+    qs, ks, vs = loop_project(tape, xs, params)
+    m_count = len(xs)
+    heads, dh = params.heads, params.d_f // params.heads
+    coeff, tensor = loop_attention_rows(qs, ks, params)
+    vhats = []
+    for m in range(m_count):
+        head_parts = []
+        for h in range(heads):
+            vh = [nc.slice_rows(v, h * dh, (h + 1) * dh) for v in vs]
+            agg = vh[m]  # residual
+            for j in range(m_count):
+                agg = agg + coeff[h][(m, j)] * vh[j]
+            head_parts.append(agg)
+        merged = head_parts[0] if heads == 1 else nc.concat_rows(head_parts)
+        vhats.append(tape.leaf(params.w_m[m]).T @ merged)
+    h_out = tape.leaf(params.w_h).T @ nc.concat_rows(vhats)
+    return h_out, AttentionMaps(tensor)
+
+
+def assert_rel_close(actual, expect, tol=1e-12):
+    # relative to the largest entry; an all-zero reference must be matched exactly
+    assert np.abs(actual - expect).max() <= tol * np.abs(expect).max()
+
+
+def fused_grads(fuse, xs, p, r):
+    """H, attention tensor and every weight and input gradient of sum(H * r)."""
+    inputs = [nc.Param(x, f"x{m}") for m, x in enumerate(xs)]
+    params = p.all_params() + inputs
+    for q in params:
+        q.zero_grad()
+    tape = nc.Tape()
+    h, maps = fuse(tape, [tape.leaf(x) for x in inputs], p)
+    tape.backward(nc.sum_all(h * r))
+    return h.value, maps.tensor, [q.grad.copy() for q in params]
+
+
+@pytest.mark.parametrize("axis", ["column", "row"])
+@pytest.mark.parametrize("heads", [1, 2, 4])
+@pytest.mark.parametrize("dims,n", [((3, 4, 5), 6), ((3,), 5), ((2, 5), 1)])
+def test_fuse_batch_matches_loop_reference(axis, heads, dims, n):
+    rng = np.random.default_rng(21)
+    p = random_params(dims=dims, d_f=8, d=3, heads=heads, seed=22, axis=axis)
+    xs = [rng.normal(size=(d, n)) for d in dims]
+    r = rng.normal(size=(3, n))
+    h, tensor, grads = fused_grads(fuse_batch, xs, p, r)
+    h_ref, tensor_ref, grads_ref = fused_grads(loop_fuse_batch, xs, p, r)
+    assert_rel_close(h, h_ref)
+    assert_rel_close(tensor, tensor_ref)
+    assert len(grads) == len(grads_ref) == 5 * len(dims) + 1
+    for g, g_ref in zip(grads, grads_ref):
+        assert_rel_close(g, g_ref)
+
+
+def test_fuse_batch_tape_nodes_independent_of_heads():
+    rng = np.random.default_rng(23)
+    xs = [rng.normal(size=(d, 4)) for d in (3, 4, 5)]
+    counts = set()
+    for heads in (1, 2, 4):
+        tape = nc.Tape()
+        fuse_batch(tape, xs, random_params(d_f=8, heads=heads))
+        counts.add(len(tape.nodes))
+    assert counts == {4 * 3 + 1 + 3 + 1}  # weight leaves, input constants, one fused node
 
 
 def test_project_shape_errors():
     p = random_params()
     with pytest.raises(DimensionError):
-        project(nc.Tape(), [np.zeros((3, 2))], p)
+        fuse_batch(nc.Tape(), [np.zeros((3, 2))], p)
     with pytest.raises(DimensionError):
-        project(nc.Tape(), [np.zeros((9, 2)), np.zeros((4, 2)), np.zeros((5, 2))], p)
+        fuse_batch(nc.Tape(), [np.zeros((9, 2)), np.zeros((4, 2)), np.zeros((5, 2))], p)
 
 
 # ---------------------------------------------------------- attention map
@@ -90,7 +172,7 @@ def test_attention_uniform_when_scores_equal():
     for m in range(3):  # identical projections for every modality
         p.w_q[m].value[...] = np.eye(2)
         p.w_k[m].value[...] = np.eye(2)
-    pm = attention_map(nc.Tape(), [x, x, x], p)
+    pm = fuse_one(nc.Tape(), [x, x, x], p)[1].per_patient(0)
     assert np.allclose(pm, 1 / 3)
 
 
@@ -103,7 +185,7 @@ def test_attention_hand_softmax_two_modalities():
     p.w_k[0].value[...] = 1.0
     p.w_k[1].value[...] = 0.0
     assert p.tau == 1.0
-    pm = attention_map(nc.Tape(), [np.ones(1), np.ones(1)], p)
+    pm = fuse_one(nc.Tape(), [np.ones(1), np.ones(1)], p)[1].per_patient(0)
     assert np.allclose(pm[:, 0], [2 / 3, 1 / 3])
     assert np.allclose(pm[:, 1], [0.5, 0.5])
 
@@ -241,7 +323,7 @@ def test_global_map_identical_patients():
     xs = [np.repeat(c, 5, axis=1) for c in x]
     _, maps = fuse_batch(nc.Tape(), xs, p)
     single = maps.per_patient(0)
-    assert np.allclose(global_attention_map(maps), single)
+    assert np.allclose(maps.global_map(), single)
 
 
 def test_global_map_two_patient_mean():
@@ -250,7 +332,7 @@ def test_global_map_two_patient_mean():
     xs = [rng.normal(size=(d, 2)) for d in (3, 4, 5)]
     _, maps = fuse_batch(nc.Tape(), xs, p)
     expect = (maps.per_patient(0) + maps.per_patient(1)) / 2
-    assert np.allclose(global_attention_map(maps), expect)
+    assert np.allclose(maps.global_map(), expect)
 
 
 def test_global_map_empty_errors():

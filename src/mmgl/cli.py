@@ -178,8 +178,8 @@ def cmd_synth(args):
         cfg = SynthConfig.from_dict({k: base[k] for k in SynthConfig.__dataclass_fields__})
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
-    os.makedirs(args.out, exist_ok=True)
     ds = synth_generate(cfg)
+    os.makedirs(args.out, exist_ok=True)
     save_dataset(ds, os.path.join(args.out, "features.csv"), os.path.join(args.out, "schema.json"))
     print(f"wrote {ds.n} patients, {ds.schema.d_in} features, "
           f"{ds.schema.n_modalities} modalities to {args.out}")

@@ -222,6 +222,11 @@ def read_table(path, schema, require_label=True):
                     raise ParseError(
                         f"row {r + 2}, column {header[c]!r}: non-numeric cell {cell!r}"
                     )
+    bad = np.argwhere(~np.isfinite(values.T))  # float() accepts nan and inf
+    if bad.size:
+        r, j = bad[0]
+        raise ParseError(f"row {r + 2}, column {header[feat_cols[j]]!r}: "
+                         f"non-finite cell {rows[r][feat_cols[j]].strip()!r}")
     return values, missing, raw_labels if has_label else None, [header[c] for c in feat_cols]
 
 
@@ -465,6 +470,7 @@ def _is_informative(pattern, m, n_mods):
     return f"mod{m + 1}" in pattern or m in pattern
 
 
+@np.errstate(over="ignore", invalid="ignore")  # non-finite features are refused below
 def synth_generate(cfg):
     """Draw a MultiModalDataset per the generator config; deterministic in seed."""
     schema = _synth_schema(cfg)
@@ -488,6 +494,9 @@ def synth_generate(cfg):
             if hit.any():
                 extra = bad_rng.normal(size=(cfg.modality_dims[m], int(hit.sum())))
                 mods[m][:, hit] += cfg.corruption * cfg.noise * extra
+    if not all(np.isfinite(x).all() for x in mods):
+        raise ConfigError("synthetic config gives non-finite features; "
+                          "lower separation, noise or corruption")
 
     if cfg.meta_dims > 0:
         meta_rng = np.random.default_rng([cfg.seed, 37])

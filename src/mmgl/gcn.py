@@ -1,5 +1,7 @@
 """Two-layer graph convolutional classifier over the learned patient graph,
-plus the single-node graph extension used for inductive prediction."""
+plus numpy twins of the graph extension, normalisation and forward pass that
+spell out inductive prediction for one patient (train.predict_inductive_batch
+computes the same graph in closed form for many)."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -53,7 +55,7 @@ def normalize_adj(tape, a, add_self_loops=False):
 
 
 def normalize_adj_np(a, add_self_loops=False):
-    """Numpy twin of normalize_adj for inference paths."""
+    """Numpy twin of normalize_adj."""
     a = np.asarray(a, dtype=np.float64)
     if add_self_loops:
         a = a + np.eye(a.shape[0])

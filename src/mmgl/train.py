@@ -321,54 +321,89 @@ def evaluate(model, labels, test_idx, probs=None):
     return accuracy(p, labels[test_idx]), auc(p, np.asarray(labels)[test_idx])
 
 
+# Unseen patients are scored in blocks of this many; it bounds the
+# (N, block, d_h) layer-1 buffers.
+PREDICT_BLOCK = 32
+
+
 def predict_inductive(model, x_cols):
     """Class distribution for one unseen patient via single-node graph extension."""
-    cfg = model.cfg
-    if not model.cache:
-        raise ParameterError("model has no cached training state; call fit first")
-    h_train, a_train = model.cache["H"], model.cache["A"]
     xs = [np.asarray(x, dtype=np.float64).reshape(-1, 1) for x in x_cols]
-    if cfg.fusion == "maff":
-        h_new = maff.fuse_one(nc.Tape(), xs, model.maff)[0].value
-    elif cfg.fusion == "mlp":
-        xc = np.concatenate(xs, axis=0)
-        h_new = model.mlp_w2.value.T @ np.maximum(model.mlp_w1.value.T @ xc, 0.0)
-    else:
-        h_new = model.concat_w.value.T @ np.concatenate(xs, axis=0)
+    return predict_inductive_batch(model, xs)[0]
 
+
+def _edge_weights(model, h_new):
+    """(N, B) edge weights between the N training nodes and B fused patients."""
+    cfg, h_train = model.cfg, model.cache["H"]
     if cfg.graph == "learned":
         w = model.agl.w_a.value
-        z_train = w.T @ h_train
-        z_new = (w.T @ h_new)[:, 0]
+        z_train, z_new = w.T @ h_train, w.T @ h_new
         nt = np.maximum(np.linalg.norm(z_train, axis=0), agl.NORM_GUARD)
-        nn_ = max(np.linalg.norm(z_new), agl.NORM_GUARD)
-        sims = np.maximum((z_train.T @ z_new) / (nt * nn_), 0.0)
-    elif cfg.graph == "knn":
-        d2 = ((h_train - h_new) ** 2).sum(axis=0)
+        nn_ = np.maximum(np.linalg.norm(z_new, axis=0), agl.NORM_GUARD)
+        return np.maximum((z_train.T @ z_new) / np.outer(nt, nn_), 0.0)
+    if cfg.graph == "knn":
+        d2 = ((h_train[:, :, None] - h_new[:, None, :]) ** 2).sum(axis=0)
         w = np.exp(-d2 / (2.0 * cfg.rbf_sigma ** 2))
         k = min(cfg.knn_k, h_train.shape[1])
+        nbrs = np.argpartition(w, -k, axis=0)[-k:]
         sims = np.zeros_like(w)
-        nbrs = np.argpartition(w, -k)[-k:]
-        sims[nbrs] = w[nbrs]
-    elif cfg.graph == "identity":
-        sims = np.zeros(h_train.shape[1])
-    else:
-        raise ParameterError("inductive prediction is not supported for meta graphs")
-
-    a_ext = gcn.extend_adjacency(a_train, sims)
-    a_norm = gcn.normalize_adj_np(a_ext, cfg.add_self_loops)
-    h_ext = np.concatenate([h_train, h_new], axis=1)
-    logits = gcn.gcn_forward_np(h_ext, a_norm, model.gcn)
-    return nc.softmax_rows_values(logits[-1:])[0]
+        np.put_along_axis(sims, nbrs, np.take_along_axis(w, nbrs, axis=0), axis=0)
+        return sims
+    if cfg.graph == "identity":
+        return np.zeros((h_train.shape[1], h_new.shape[1]))
+    raise ParameterError("inductive prediction is not supported for meta graphs")
 
 
 def predict_inductive_batch(model, mods):
-    """One-at-a-time inductive prediction for a block of unseen patients."""
+    """Class distributions (B, C) for unseen patients given as (d_m, B) blocks.
+
+    Each patient is scored as if it alone were attached to the trained graph
+    (gcn.extend_adjacency): its edge weights w, a unit self-weight, training
+    edges untouched. With A~ = A (+ I), s = (deg + w)^-1/2 on the training
+    nodes and s_n = (sum w + a~_nn)^-1/2 on the patient, layer 1 of every
+    training node is s (A~ (s o P) + w s_n p_n), P = H^T W0, which is one GEMM
+    for a whole block of patients; the rest is elementwise and axis-0 sums.
+
+    Patients sit on the column axis of every product, fusion included, and
+    the last block is padded with copies of the last patient. So each
+    product has the same shape whatever the patients: BLAS rounds a column
+    differently depending on the product's width, and with fixed shapes a
+    patient's row does not depend on which patients it is scored with.
+    """
+    if not model.cache:
+        raise ParameterError("model has no cached training state; call fit first")
     n = mods[0].shape[1]
-    out = np.zeros((n, model.n_classes))
-    for i in range(n):
-        out[i] = predict_inductive(model, [m[:, i] for m in mods])
-    return out
+    pad = -n % PREDICT_BLOCK
+    mods = [np.pad(np.asarray(m, dtype=np.float64), ((0, 0), (0, pad)), mode="edge")
+            for m in mods]
+    a = model.cache["A"]
+    n_train = a.shape[0]
+    self_w = 1.0  # the patient's own diagonal entry in A~
+    if model.cfg.add_self_loops:
+        a = a + np.eye(n_train)
+        self_w = 2.0
+    deg = a.sum(axis=1)
+    w0, w1 = model.gcn.w0.value, model.gcn.w1.value
+    p_train = model.cache["H"].T @ w0  # (N, d_h)
+    probs = np.empty((n + pad, model.n_classes))
+    for lo in range(0, n, PREDICT_BLOCK):
+        h = model.fuse(nc.Tape(), [m[:, lo:lo + PREDICT_BLOCK] for m in mods])[0].value
+        w = _edge_weights(model, h)  # (N, block)
+        s = 1.0 / np.sqrt(np.maximum(deg[:, None] + w, 1e-12))
+        s_n = 1.0 / np.sqrt(np.maximum(w.sum(axis=0) + self_w, 1e-12))  # (block,)
+        p_n = w0.T @ h  # (d_h, block)
+        ws = w * s
+        y = (s[:, :, None] * p_train[:, None, :]).reshape(n_train, -1)
+        u = (a @ y).reshape(n_train, PREDICT_BLOCK, -1)  # A~ (s o P) for every patient
+        u += (w * s_n)[:, :, None] * p_n.T
+        u *= s[:, :, None]
+        np.maximum(u, 0.0, out=u)  # hidden rows of the training nodes
+        hid_n = np.maximum(s_n * (p_train.T @ ws + self_w * s_n * p_n), 0.0)  # (d_h, block)
+        # the patient's logits: s_n (sum_j w_j s_j hidden_j + a~_nn s_n hidden_n) W1
+        g = (ws[:, :, None] * u).sum(axis=0).T + self_w * s_n * hid_n
+        logits = s_n * (w1.T @ g)  # (C, block)
+        probs[lo:lo + PREDICT_BLOCK] = nc.softmax_rows_values(np.ascontiguousarray(logits.T))
+    return probs[:n]
 
 
 @dataclass

@@ -1,6 +1,9 @@
 """End-to-end command-line behaviour: artifacts, determinism, exit codes."""
 import csv
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -9,6 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import mmgl
 from mmgl.cli import main
 from mmgl.data import SynthConfig, load_csv
 from mmgl.train import TrainConfig
@@ -160,6 +164,26 @@ def test_synth_malformed_config_exit_2(tmp_path, cfg):
     assert run("synth", "--config", str(path), "--out", str(tmp_path / "o")) == 2
 
 
+def test_synth_non_finite_output_exit_2(tmp_path):
+    path = tmp_path / "synth.json"
+    path.write_text(json.dumps(
+        {"n": 40, "separation": 1e308, "corruption": 1e308, "pattern": "complementary"}))
+    assert run("synth", "--config", str(path), "--out", str(tmp_path / "o")) == 2
+    assert not (tmp_path / "o" / "features.csv").exists()
+
+
+def test_python_m_mmgl(tmp_path):
+    env = os.environ | {"PYTHONPATH": os.pathsep.join(
+        [str(Path(mmgl.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
+    ok = subprocess.run([sys.executable, "-m", "mmgl", "--help"], env=env, cwd=tmp_path,
+                        capture_output=True, text=True)
+    assert ok.returncode == 0 and "usage: mmgl" in ok.stdout
+    (tmp_path / "synth.json").write_text("{not json")
+    bad = subprocess.run([sys.executable, "-m", "mmgl", "synth", "--config", "synth.json",
+                          "--out", "o"], env=env, cwd=tmp_path, capture_output=True, text=True)
+    assert bad.returncode == 2 and "error:" in bad.stderr
+
+
 SYNTH_TYPED = {
     "n": st.integers(-1, 30), "classes": st.integers(-1, 4), "meta_dims": st.integers(-1, 3),
     "seed": st.integers(-1, 5), "modality_dims": st.lists(st.integers(-1, 4), max_size=3),
@@ -193,6 +217,27 @@ def test_synth_exit_code_contract_fuzzed_config(raw):
         path.write_bytes(raw)
         code = run("synth", "--config", str(path), "--out", str(Path(tmp) / "o"))
     assert code in (0, 2, 3)
+
+
+def with_cell(src_dir, dst_dir, cell):
+    """Copy of a dataset dir whose second patient's second feature is `cell`."""
+    dst_dir.mkdir()
+    (dst_dir / "schema.json").write_bytes((src_dir / "schema.json").read_bytes())
+    lines = (src_dir / "features.csv").read_text().splitlines()
+    cells = lines[2].split(",")
+    cells[1] = cell
+    lines[2] = ",".join(cells)
+    (dst_dir / "features.csv").write_text("\n".join(lines) + "\n")
+    return dst_dir
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf"])
+def test_cv_non_finite_cell_exit_3(tmp_path, synth_dir, cell, capsys):
+    data = with_cell(synth_dir, tmp_path / "bad", cell)
+    cfg = write_train_cfg(tmp_path)
+    assert run("cv", "--config", str(cfg), "--data", str(data),
+               "--out", str(tmp_path / "o"), "--folds", "2") == 3
+    assert "row 3" in capsys.readouterr().err
 
 
 def test_train_divergence_exit_4(tmp_path, synth_dir):
@@ -354,6 +399,28 @@ def test_predict_unusable_features_exit_3(tmp_path, trained, synth_dir, case):
     assert run("predict", "--model", str(trained / "model.npz"),
                "--features", str(bad), "--out", str(out)) == 3
     assert not out.exists()
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf"])
+def test_predict_non_finite_cell_exit_3(tmp_path, trained, synth_dir, cell):
+    data = with_cell(synth_dir, tmp_path / "bad", cell)
+    out = tmp_path / "p.csv"
+    assert run("predict", "--model", str(trained / "model.npz"),
+               "--features", str(data / "features.csv"), "--out", str(out)) == 3
+    assert not out.exists()
+
+
+def test_predict_one_row_matches_full_file(tmp_path, trained, synth_dir):
+    lines = (synth_dir / "features.csv").read_text().splitlines()
+    (tmp_path / "one.csv").write_text(f"{lines[0]}\n{lines[6]}\n")  # patient 5 alone
+    runs = {"pred_full.csv": synth_dir / "features.csv", "pred_one.csv": tmp_path / "one.csv"}
+    for out, src in runs.items():
+        assert run("predict", "--model", str(trained / "model.npz"), "--features", str(src),
+                   "--out", str(tmp_path / out)) == 0
+    full = (tmp_path / "pred_full.csv").read_bytes().splitlines()
+    one = (tmp_path / "pred_one.csv").read_bytes().splitlines()
+    assert len(one) == 2
+    assert one[1].split(b",", 1)[1] == full[6].split(b",", 1)[1]
 
 
 def test_predict_non_npz_model_exit_3(tmp_path, synth_dir):

@@ -11,7 +11,7 @@ from mmgl.data import (
     load_csv, save_dataset, stratified_kfold, synth_centers, synth_generate,
     zscore,
 )
-from mmgl.errors import DataError, ParameterError, ParseError, SchemaError
+from mmgl.errors import ConfigError, DataError, ParameterError, ParseError, SchemaError
 
 
 def small_schema():
@@ -66,6 +66,13 @@ def test_load_csv_wrong_width(tmp_path):
 def test_load_csv_non_numeric(tmp_path):
     text = "a_0,a_1,b_0,b_1,b_2,label\n1,oops,3,4,5,x\n"
     with pytest.raises(ParseError, match="row 2"):
+        load_csv(*write_csv(tmp_path, text, small_schema()))
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+def test_load_csv_non_finite(tmp_path, cell):
+    text = f"a_0,a_1,b_0,b_1,b_2,label\n1,2,3,4,5,x\n1,2,3,{cell},5,y\n"
+    with pytest.raises(ParseError, match=f"row 3, column 'b_1': non-finite cell '{cell}'"):
         load_csv(*write_csv(tmp_path, text, small_schema()))
 
 
@@ -289,6 +296,12 @@ def test_synth_config_validation():
         SynthConfig(corruption=-0.5)
     with pytest.raises(ParameterError):
         SynthConfig(pattern="complementary", modality_dims=(4,))
+
+
+def test_synth_refuses_non_finite_features():
+    cfg = SynthConfig(n=40, separation=1e308, corruption=1e308, pattern="complementary")
+    with pytest.raises(ConfigError, match="non-finite"):
+        synth_generate(cfg)
 
 
 def test_synth_class_means_converge_to_centers():

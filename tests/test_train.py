@@ -8,11 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mmgl import numcore as nc
+from mmgl.agl import NORM_GUARD
 from mmgl.data import SynthConfig, stratified_kfold, synth_generate, zscore
 from mmgl.errors import ConfigError, ParameterError, TrainingDiverged
+from mmgl.gcn import extend_adjacency, gcn_forward_np, normalize_adj_np
+from mmgl.maff import fuse_one
 from mmgl.train import (
-    Metrics, Model, TrainConfig, _preprocess, accuracy, auc, evaluate, fallback_meta, fit,
-    predict_inductive, predict_inductive_batch, run_ablation, run_cv,
+    PREDICT_BLOCK, Metrics, Model, TrainConfig, _preprocess, accuracy, auc, evaluate,
+    fallback_meta, fit, predict_inductive, predict_inductive_batch, run_ablation, run_cv,
     total_loss, train_epoch, write_ablation_csv, write_history_csv,
     write_metrics_csv,
 )
@@ -386,6 +389,86 @@ def test_inductive_batch_equals_loop():
     for i in range(4):
         single = predict_inductive(model, [m[:, i] for m in new])
         assert np.array_equal(batch[i], single)
+
+
+def loop_predict(model, x_cols):
+    """Reference inductive prediction: the patient attached to an explicit
+    (N+1)^2 graph, normalised and passed through the numpy GCN."""
+    cfg = model.cfg
+    h_train = model.cache["H"]
+    xs = [np.asarray(x, dtype=np.float64).reshape(-1, 1) for x in x_cols]
+    if cfg.fusion == "maff":
+        h_new = fuse_one(nc.Tape(), xs, model.maff)[0].value
+    elif cfg.fusion == "mlp":
+        xc = np.concatenate(xs, axis=0)
+        h_new = model.mlp_w2.value.T @ np.maximum(model.mlp_w1.value.T @ xc, 0.0)
+    else:
+        h_new = model.concat_w.value.T @ np.concatenate(xs, axis=0)
+    if cfg.graph == "learned":
+        w = model.agl.w_a.value
+        z_train = w.T @ h_train
+        z_new = (w.T @ h_new)[:, 0]
+        nt = np.maximum(np.linalg.norm(z_train, axis=0), NORM_GUARD)
+        nn_ = max(np.linalg.norm(z_new), NORM_GUARD)
+        sims = np.maximum((z_train.T @ z_new) / (nt * nn_), 0.0)
+    elif cfg.graph == "knn":
+        d2 = ((h_train - h_new) ** 2).sum(axis=0)
+        w = np.exp(-d2 / (2.0 * cfg.rbf_sigma ** 2))
+        k = min(cfg.knn_k, h_train.shape[1])
+        sims = np.zeros_like(w)
+        nbrs = np.argpartition(w, -k)[-k:]
+        sims[nbrs] = w[nbrs]
+    else:
+        sims = np.zeros(h_train.shape[1])
+    a_norm = normalize_adj_np(extend_adjacency(model.cache["A"], sims), cfg.add_self_loops)
+    logits = gcn_forward_np(np.concatenate([h_train, h_new], axis=1), a_norm, model.gcn)
+    return nc.softmax_rows_values(logits[-1:])[0]
+
+
+def fit_heldout(fusion, graph, add_self_loops=False, seed=20, dims=(3, 4), blocks=1, **kw):
+    """A model fitted on the first 22 of 30 patients, plus unseen patients:
+    the other 8, a zero patient (zero embedding) and `blocks` scoring blocks
+    of random ones. `kw` overrides config fields."""
+    ds = tiny_dataset(n=30, classes=3, dims=dims, seed=seed)
+    train = np.arange(22)
+    cfg = tiny_cfg(fusion=fusion, graph=graph, knn_k=3, add_self_loops=add_self_loops, **kw)
+    model, _ = fit(ds.schema, [m[:, train] for m in ds.modalities], ds.labels[train],
+                   np.arange(train.size), cfg, ds.n_classes)
+    rng = np.random.default_rng(seed)
+    new = [np.concatenate([m[:, 22:], np.zeros((m.shape[0], 1)),
+                           rng.normal(size=(m.shape[0], blocks * PREDICT_BLOCK))], axis=1)
+           for m in ds.modalities]
+    return model, new
+
+
+@pytest.mark.parametrize("add_self_loops", [False, True])
+@pytest.mark.parametrize("graph", ["learned", "knn", "identity"])
+@pytest.mark.parametrize("fusion", ["maff", "mlp", "concat"])
+def test_inductive_batch_matches_loop_oracle(fusion, graph, add_self_loops):
+    model, new = fit_heldout(fusion, graph, add_self_loops)
+    batch = predict_inductive_batch(model, new)
+    ref = np.array([loop_predict(model, [m[:, i] for m in new]) for i in range(len(batch))])
+    np.testing.assert_allclose(batch, ref, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("fusion,graph,kw", [
+    ("maff", "learned", {}), ("mlp", "knn", {}), ("concat", "learned", {}),
+    # a 600-wide modality: BLAS rounds the columns of a fusion product this
+    # size differently once it is wide enough, so fusing all 137 patients in
+    # one product would fail here
+    ("maff", "learned", {"dims": (600, 4), "blocks": 4, "d_f": 16}),
+])
+def test_inductive_rows_independent_of_blocking(fusion, graph, kw):
+    model, new = fit_heldout(fusion, graph, seed=21, **kw)
+    n = new[0].shape[1]
+    assert n > PREDICT_BLOCK  # splits below cross the internal block boundary
+    whole = predict_inductive_batch(model, new)
+    for c in range(1, n):
+        parts = [predict_inductive_batch(model, [m[:, cols] for m in new])
+                 for cols in (slice(None, c), slice(c, None))]
+        assert np.array_equal(np.concatenate(parts), whole), f"split at {c}"
+    singles = [predict_inductive(model, [m[:, i] for m in new]) for i in range(n)]
+    assert np.array_equal(np.array(singles), whole)
 
 
 def test_inductive_degenerate_embedding_isolated():

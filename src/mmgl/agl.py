@@ -42,7 +42,9 @@ class LearnedGraph:
     pre_relu: np.ndarray = None
 
 
-def _cosine_normalize(tape, z):
+def cosine_normalize(z):
+    """Columns of the node z scaled to unit norm: the learned graph's edge
+    kernel is relu of their dot products."""
     n2 = nc.sum_axis(z * z, axis=0)  # (1, N)
     # guard inside the sqrt: same floored value, but the gradient stays
     # finite for a node whose projection is exactly zero
@@ -57,7 +59,7 @@ def learned_adjacency(tape, h, params):
     A is one tape node whose backward pass reads the ReLU mask back from A:
     off the diagonal, A > 0 exactly where Zn^T Zn > 0.
     """
-    zn = _cosine_normalize(tape, tape.leaf(params.w_a).T @ h)
+    zn = cosine_normalize(tape.leaf(params.w_a).T @ h)
     znv = zn.value
     a = znv.T @ znv
     np.maximum(a, 0.0, out=a)
@@ -139,6 +141,21 @@ def graph_loss(tape, h, a, alpha, beta):
     return smooth + alpha * con + beta * reg, smooth, con, reg
 
 
+def rbf_kernel(a, b, sigma):
+    """(N, B) similarities exp(-||a_i - b_j||^2 / 2 sigma^2) between the columns
+    of a (d, N) and b (d, B), the squared distance in Gram form floored at 0."""
+    d2 = (a * a).sum(axis=0)[:, None] + (b * b).sum(axis=0)[None, :] - 2.0 * a.T @ b
+    return np.exp(-np.maximum(d2, 0.0) / (2.0 * sigma * sigma))
+
+
+def top_k(w, k, axis):
+    """w with all but its k largest entries along `axis` set to zero."""
+    nbrs = np.take(np.argpartition(w, -k, axis=axis), range(-k, 0), axis=axis)
+    out = np.zeros_like(w)
+    np.put_along_axis(out, nbrs, np.take_along_axis(w, nbrs, axis=axis), axis=axis)
+    return out
+
+
 def knn_graph_rbf(h, k, sigma):
     """RBF-kernel kNN graph on numpy features (d, N); symmetrised by max."""
     h = np.asarray(h, dtype=np.float64)
@@ -147,14 +164,9 @@ def knn_graph_rbf(h, k, sigma):
         raise ParameterError(f"k must be in [1, N), got k={k}, N={n}")
     if sigma <= 0:
         raise ParameterError(f"sigma must be positive, got {sigma}")
-    sq = (h * h).sum(axis=0)
-    d2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * h.T @ h, 0.0)
-    w = np.exp(-d2 / (2.0 * sigma * sigma))
+    w = rbf_kernel(h, h, sigma)
     np.fill_diagonal(w, -np.inf)  # self excluded from the neighbour ranking
-    a = np.zeros((n, n))
-    for i in range(n):
-        nbrs = np.argpartition(w[i], -k)[-k:]
-        a[i, nbrs] = w[i, nbrs]
+    a = top_k(w, k, axis=1)
     a = np.maximum(a, a.T)
     np.fill_diagonal(a, 1.0)
     return LearnedGraph(a, "knn")

@@ -15,18 +15,20 @@ import tempfile
 import zipfile
 from dataclasses import replace
 from datetime import datetime, timezone
+from itertools import chain
 
 import numpy as np
 
 from . import __version__
-from .data import (
-    ModalitySchema, SynthConfig, impute_mean, load_csv, read_table, save_dataset,
-    synth_generate, zscore,
+# impute_mean and zscore are unused here; bench/selftest.py checks that cli binds them
+from .data import (  # noqa: F401
+    ModalitySchema, Preprocessor, SynthConfig, impute_mean, load_csv, read_table,
+    save_dataset, synth_generate, zscore,
 )
 from .errors import ConfigError, DataError, ParameterError, TrainingDiverged
 from .numcore import softmax_rows_values
 from .train import (
-    Model, TrainConfig, accuracy, auc, fit, predict_inductive_batch, run_ablation,
+    Model, TrainConfig, accuracy, auc, fit, meta_rows, predict_inductive_batch, run_ablation,
     run_cv, write_ablation_csv, write_history_csv, write_metrics_csv,
 )
 
@@ -34,10 +36,14 @@ TADPOLE_LIKE = {"n": 685, "classes": 3, "modality_dims": [200, 100, 50, 16], "se
 
 
 def _threads():
+    raw = os.environ.get("MMGL_THREADS", "1")
     try:
-        return max(1, int(os.environ.get("MMGL_THREADS", "1")))
+        threads = int(raw)
     except ValueError:
-        return 1
+        threads = 0
+    if threads < 1:
+        raise ConfigError(f"MMGL_THREADS must be an integer >= 1, got {raw!r}")
+    return threads
 
 
 def _sha256(path):
@@ -73,13 +79,22 @@ def _manifest(cfg, data_dir, outputs, out_path):
     _write_json_atomic(obj, out_path)
 
 
-def _load_dataset(data_dir):
-    features = os.path.join(data_dir, "features.csv")
-    schema = os.path.join(data_dir, "schema.json")
-    for p in (features, schema):
-        if not os.path.exists(p):
-            raise DataError(f"missing input file: {p}")
-    return load_csv(features, schema)
+def _start_run(args, names):
+    """Config, dataset and output paths of a run over `args.data`; writes the
+    run's manifest."""
+    cfg = _train_config(args)
+    ds = load_csv(os.path.join(args.data, "features.csv"), os.path.join(args.data, "schema.json"))
+    os.makedirs(args.out, exist_ok=True)
+    outputs = {name: os.path.join(args.out, name) for name in names}
+    _manifest(cfg, args.data, outputs, os.path.join(args.out, "manifest.json"))
+    return cfg, ds, outputs
+
+
+def _write_csv(path, header, rows):
+    with open(path, "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(header)
+        w.writerows(rows)
 
 
 def _train_config(args):
@@ -92,33 +107,14 @@ def _train_config(args):
     return replace(cfg, **overrides) if overrides else cfg
 
 
-def _preprocess_with_stats(ds):
-    """Impute + z-score the full dataset, returning the statistics needed to
-    apply the identical transform to unseen patients."""
-    flat_raw = ds.stacked()
-    mask = (
-        np.concatenate(ds.missing, axis=0)
-        if ds.missing is not None else np.zeros(flat_raw.shape, dtype=bool)
-    )
-    impute_means = np.array([
-        flat_raw[j, ~mask[j]].mean() if (~mask[j]).any() else 0.0
-        for j in range(flat_raw.shape[0])
-    ])
-    clean = impute_mean(ds)
-    flat = clean.stacked()
-    z_mu = flat.mean(axis=1)
-    z_sd = flat.std(axis=1)
-    return zscore(clean), {"impute_means": impute_means, "z_mu": z_mu, "z_sd": z_sd}
-
-
-def save_model(model, labels, stats, path):
+def save_model(model, labels, prep, path):
     """Self-describing artifact: parameters, training caches, preprocessing
     statistics, schema, and the config snapshot."""
     arrays = {"param:" + p.name: p.value for p in model.all_params()}
     arrays.update(
         H=model.cache["H"], A=model.cache["A"], logits=model.cache["logits"],
         labels=np.asarray(labels),
-        **stats,
+        **vars(prep),
     )
     if model.cfg.fusion == "maff" and model.cache.get("maps") is not None:
         arrays["fuse_map"] = model.cache["maps"].global_map()
@@ -167,8 +163,8 @@ def _read_model(path):
                        "maps": None}
         if "fuse_map" in arrays:
             model.cache["fuse_map"] = arrays["fuse_map"]
-        extras = {key: arrays[key] for key in ("labels", "impute_means", "z_mu", "z_sd")}
-    return model, extras
+        prep = Preprocessor(arrays["impute_means"], arrays["z_mu"], arrays["z_sd"])
+    return model, {"labels": arrays["labels"], "preprocessor": prep}
 
 
 def cmd_synth(args):
@@ -187,42 +183,24 @@ def cmd_synth(args):
 
 
 def cmd_train(args):
-    cfg = _train_config(args)
-    ds = _load_dataset(args.data)
-    os.makedirs(args.out, exist_ok=True)
-    outputs = {name: os.path.join(args.out, name)
-               for name in ("model.npz", "metrics.csv", "history.csv")}
-    _manifest(cfg, args.data, outputs, os.path.join(args.out, "manifest.json"))
-    clean, stats = _preprocess_with_stats(ds)
-    all_idx = np.arange(clean.n)
-    meta = None
-    if cfg.graph == "meta":
-        meta = clean.meta_matrix()
-        if meta is None:
-            from .train import fallback_meta
-
-            meta = fallback_meta(clean)
-    model, history = fit(clean.schema, clean.modalities, clean.labels, all_idx,
-                         cfg, clean.n_classes, meta=meta)
-    save_model(model, clean.labels, stats, outputs["model.npz"])
+    cfg, ds, outputs = _start_run(args, ("model.npz", "metrics.csv", "history.csv"))
+    prep = Preprocessor.fit(ds)
+    clean = prep.transform(ds)
+    model, history = fit(clean.schema, clean.modalities, clean.labels, np.arange(clean.n),
+                         cfg, clean.n_classes, meta=meta_rows(clean, cfg))
+    save_model(model, clean.labels, prep, outputs["model.npz"])
     write_history_csv(history, outputs["history.csv"])
     probs = softmax_rows_values(model.cache["logits"])
-    with open(outputs["metrics.csv"], "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["split", "acc", "auc"])
-        w.writerow(["train", repr(accuracy(probs, clean.labels)),
-                    repr(auc(probs, clean.labels))])
+    _write_csv(outputs["metrics.csv"], ["split", "acc", "auc"],
+               [["train", repr(accuracy(probs, clean.labels)), repr(auc(probs, clean.labels))]])
     print(f"trained on {clean.n} patients; artifacts in {args.out}")
     return 0
 
 
 def cmd_cv(args):
-    cfg = _train_config(args)
-    ds = _load_dataset(args.data)
-    os.makedirs(args.out, exist_ok=True)
-    outputs = {"metrics.csv": os.path.join(args.out, "metrics.csv")}
-    _manifest(cfg, args.data, outputs, os.path.join(args.out, "manifest.json"))
-    res = run_cv(ds, cfg, k=args.folds, threads=_threads())
+    threads = _threads()
+    cfg, ds, outputs = _start_run(args, ("metrics.csv",))
+    res = run_cv(ds, cfg, k=args.folds, threads=threads)
     write_metrics_csv(res, outputs["metrics.csv"])
     for fr in res.folds:
         write_history_csv(fr.history, os.path.join(args.out, f"history_fold{fr.fold}.csv"))
@@ -233,14 +211,11 @@ def cmd_cv(args):
 
 
 def cmd_ablate(args):
-    cfg = _train_config(args)
-    ds = _load_dataset(args.data)
-    os.makedirs(args.out, exist_ok=True)
-    outputs = {"ablation.csv": os.path.join(args.out, "ablation.csv")}
-    _manifest(cfg, args.data, outputs, os.path.join(args.out, "manifest.json"))
+    threads = _threads()
+    cfg, ds, outputs = _start_run(args, ("ablation.csv",))
     fusions = tuple(args.fusions.split(","))
     graphs = tuple(args.graphs.split(","))
-    rows = run_ablation(ds, cfg, fusions, graphs, k=args.folds, threads=_threads())
+    rows = run_ablation(ds, cfg, fusions, graphs, k=args.folds, threads=threads)
     write_ablation_csv(rows, outputs["ablation.csv"])
     for row in rows:
         m = row["result"].metrics
@@ -252,40 +227,22 @@ def cmd_export(args):
     model, extras = load_model(args.model)
     if args.what == "graph":
         a = model.cache["A"]
-        labels = extras["labels"]
-        n = a.shape[0]
-        with open(args.out, "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(["src", "dst", "weight"])
-            for i in range(n):
-                w.writerow([i, i, repr(float(a[i, i]))])
-            for i in range(n):
-                for j in range(i + 1, n):
-                    if a[i, j] != 0.0:
-                        w.writerow([i, j, repr(float(a[i, j]))])
-        nodes_path = os.path.splitext(args.out)[0] + ".nodes.csv"
-        with open(nodes_path, "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(["node", "label"])
-            for i, y in enumerate(labels):
-                w.writerow([i, int(y)])
+        pairs = chain(zip(range(len(a)), range(len(a))), zip(*np.nonzero(np.triu(a, 1))))
+        _write_csv(args.out, ["src", "dst", "weight"],
+                   ([int(i), int(j), repr(float(a[i, j]))] for i, j in pairs))
+        _write_csv(os.path.splitext(args.out)[0] + ".nodes.csv", ["node", "label"],
+                   ([i, int(y)] for i, y in enumerate(extras["labels"])))
     elif args.what == "fuse-map":
         if "fuse_map" not in model.cache or model.cache["fuse_map"] is None:
             raise ParameterError("artifact has no attention map (fusion is not 'maff')")
         names = model.schema.names
-        fm = model.cache["fuse_map"]
-        with open(args.out, "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(["modality"] + names)
-            for i, name in enumerate(names):
-                w.writerow([name] + [repr(float(v)) for v in fm[i]])
+        _write_csv(args.out, ["modality"] + names,
+                   ([name] + [repr(float(v)) for v in row]
+                    for name, row in zip(names, model.cache["fuse_map"])))
     elif args.what == "embeddings":
         h = model.cache["H"]
-        with open(args.out, "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow([f"h{j}" for j in range(h.shape[0])])
-            for i in range(h.shape[1]):
-                w.writerow([repr(float(v)) for v in h[:, i]])
+        _write_csv(args.out, [f"h{j}" for j in range(h.shape[0])],
+                   ([repr(float(v)) for v in col] for col in h.T))
     else:
         raise ConfigError(f"unknown export target {args.what!r}")
     print(f"wrote {args.what} to {args.out}")
@@ -301,20 +258,12 @@ def _load_new_patients(path, schema):
 def cmd_predict(args):
     model, extras = load_model(args.model)
     x, miss = _load_new_patients(args.features, model.schema)
-    # identical preprocessing to the training run
-    x = np.where(miss, extras["impute_means"][:, None], x)
-    sd = extras["z_sd"]
-    x = np.where(sd[:, None] < 1e-12, 0.0, (x - extras["z_mu"][:, None]) / np.where(sd[:, None] < 1e-12, 1.0, sd[:, None]))
-    offsets = np.cumsum([0] + model.schema.dims)
-    mods = [x[offsets[i]:offsets[i + 1]] for i in range(model.schema.n_modalities)]
-    probs = predict_inductive_batch(model, mods)
+    x = extras["preprocessor"].apply(x, miss)  # the training run's transform
+    probs = predict_inductive_batch(model, model.schema.split(x))
     classes = model.schema.class_names or tuple(str(c) for c in range(model.n_classes))
-    with open(args.out, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["patient", "prediction"] + [f"p_{c}" for c in classes])
-        for i in range(probs.shape[0]):
-            w.writerow([i, classes[int(np.argmax(probs[i]))]]
-                       + [repr(float(v)) for v in probs[i]])
+    _write_csv(args.out, ["patient", "prediction"] + [f"p_{c}" for c in classes],
+               ([i, classes[int(np.argmax(p))]] + [repr(float(v)) for v in p]
+                for i, p in enumerate(probs)))
     print(f"predicted {probs.shape[0]} patients -> {args.out}")
     return 0
 

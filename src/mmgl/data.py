@@ -76,6 +76,11 @@ class ModalitySchema:
     def d_in(self):
         return sum(self.dims)
 
+    def split(self, flat):
+        """Per-modality row blocks of a flat (d_in, ...) table or list."""
+        ends = np.cumsum(self.dims)
+        return [flat[end - d:end] for d, end in zip(self.dims, ends)]
+
     def to_dict(self):
         return {
             "modalities": [{"name": n, "dim": d} for n, d in self.modalities],
@@ -158,6 +163,16 @@ class MultiModalDataset:
         """All features as one (d_in, N) matrix, modalities in schema order."""
         return np.concatenate(self.modalities, axis=0)
 
+    def missing_mask(self):
+        """The missing mask as one (d_in, N) matrix; all False if complete."""
+        if self.missing is None:
+            return np.zeros((self.schema.d_in, self.n), dtype=bool)
+        return np.concatenate(self.missing, axis=0)
+
+    def with_features(self, flat):
+        """This dataset with its features taken from a complete (d_in, N) table."""
+        return replace(self, modalities=self.schema.split(flat), missing=None)
+
     def flat_feature_names(self):
         return [c for cols in self.feature_names for c in cols]
 
@@ -235,11 +250,8 @@ def load_csv(features_path, schema_path):
     schema = ModalitySchema.load(schema_path)
     values, missing, raw_labels, fnames = read_table(features_path, schema)
     labels = _encode_labels(raw_labels, schema)
-    offsets = np.cumsum([0] + schema.dims)
-    mods = [values[offsets[i]:offsets[i + 1]] for i in range(schema.n_modalities)]
-    masks = [missing[offsets[i]:offsets[i + 1]] for i in range(schema.n_modalities)]
-    per_mod_names = [fnames[offsets[i]:offsets[i + 1]] for i in range(schema.n_modalities)]
-    return MultiModalDataset(schema, mods, labels, masks, per_mod_names)
+    split = schema.split
+    return MultiModalDataset(schema, split(values), labels, split(missing), split(fnames))
 
 
 def _encode_labels(raw, schema):
@@ -265,25 +277,59 @@ def _encode_labels(raw, schema):
         return np.array([lut[v] for v in raw], dtype=np.int64)
 
 
+def _impute(ds, rows=None):
+    """(means, imputed (d_in, N) table): each feature's mean over its observed
+    cells among `rows` (all rows if None) fills its missing cells."""
+    x, missing = ds.stacked(), ds.missing_mask()
+    ref = np.ones(ds.n, dtype=bool) if rows is None else np.isin(np.arange(ds.n), rows)
+    # one 1-D mean per row: a 2-D mean(axis=1) sums in another order
+    means = np.array([row.mean() for row in (x if rows is None else x[:, ref])])
+    for j in np.flatnonzero(missing.any(axis=1)):
+        observed = ref & ~missing[j]
+        if not observed.any():
+            name = ds.flat_feature_names()[j]
+            raise DataError(f"feature {name!r} has no observed values to impute from")
+        means[j] = x[j, observed].mean()
+    return means, np.where(missing, means[:, None], x)
+
+
+@dataclass(frozen=True, eq=False)
+class Preprocessor:
+    """Mean imputation then z-scoring, with per-feature (d_in,) statistics
+    fitted on training rows; the one transform for training, CV folds and
+    unseen patients. Features with near-zero spread map to zero."""
+
+    impute_means: np.ndarray
+    z_mu: np.ndarray
+    z_sd: np.ndarray
+
+    @classmethod
+    def fit(cls, ds, rows=None):
+        """Imputation means from the observed cells among `rows` (all rows if
+        None), then z-score statistics of the imputed `rows`."""
+        means, x = _impute(ds, rows)
+        ref = x if rows is None else x[:, np.asarray(rows)]
+        return cls(means, ref.mean(axis=1), ref.std(axis=1))
+
+    def apply(self, x, missing):
+        """Transformed copy of a raw (d_in, N) table with its missing mask."""
+        x = np.where(missing, self.impute_means[:, None], x)
+        const = self.z_sd < 1e-12
+        x -= self.z_mu[:, None]
+        x /= np.where(const, 1.0, self.z_sd)[:, None]
+        x[const] = 0.0
+        return x
+
+    def transform(self, ds):
+        return ds.with_features(self.apply(ds.stacked(), ds.missing_mask()))
+
+
 def impute_mean(ds, train_idx=None):
     """Replace every missing entry by its feature's observed mean; the means
     come from the `train_idx` columns if given."""
     if not ds.has_missing:
         return replace(ds, missing=None)
-    ref = np.ones(ds.n, dtype=bool) if train_idx is None else np.isin(np.arange(ds.n), train_idx)
-    mods, names = [], ds.feature_names
-    for m, (x, mask) in enumerate(zip(ds.modalities, ds.missing)):
-        x = x.copy()
-        for j in range(x.shape[0]):
-            miss = mask[j]
-            if not miss.any():
-                continue
-            observed = ref & ~miss
-            if not observed.any():
-                raise DataError(f"feature {names[m][j]!r} has no observed values to impute from")
-            x[j, miss] = x[j, observed].mean()
-        mods.append(x)
-    return replace(ds, modalities=mods, missing=None)
+    return ds.with_features(_impute(ds, train_idx)[1])
 
 
 def zscore(ds, train_idx=None):
@@ -293,15 +339,7 @@ def zscore(ds, train_idx=None):
     """
     if ds.has_missing:
         raise DataError("zscore requires an imputed dataset (missing values remain)")
-    cols = slice(None) if train_idx is None else np.asarray(train_idx)
-    mods = []
-    for x in ds.modalities:
-        ref = x[:, cols]
-        mu = ref.mean(axis=1, keepdims=True)
-        sd = ref.std(axis=1, keepdims=True)
-        out = np.where(sd < 1e-12, 0.0, (x - mu) / np.where(sd < 1e-12, 1.0, sd))
-        mods.append(out)
-    return replace(ds, modalities=mods, missing=None)
+    return Preprocessor.fit(ds, train_idx).transform(ds)
 
 
 @dataclass(frozen=True)
@@ -518,12 +556,7 @@ def synth_generate(cfg):
 def save_dataset(ds, features_path, schema_path):
     """Write features CSV (empty cell = missing) and the schema JSON."""
     ds.schema.save(schema_path)
-    flat = ds.stacked()
-    mask = (
-        np.concatenate(ds.missing, axis=0)
-        if ds.missing is not None
-        else np.zeros(flat.shape, dtype=bool)
-    )
+    flat, mask = ds.stacked(), ds.missing_mask()
     names = ds.flat_feature_names()
     classes = ds.schema.class_names
     with open(features_path, "w", newline="") as f:

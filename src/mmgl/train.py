@@ -8,7 +8,10 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import agl, gcn, maff, numcore as nc
-from .data import check_field_types, impute_mean, read_json, stratified_kfold, zscore
+# impute_mean and zscore are unused here; bench/selftest.py checks that train binds them
+from .data import (  # noqa: F401
+    Preprocessor, check_field_types, impute_mean, read_json, stratified_kfold, zscore,
+)
 from .errors import ConfigError, ParameterError, TrainingDiverged
 
 FUSIONS = ("maff", "mlp", "concat")
@@ -332,25 +335,24 @@ def predict_inductive(model, x_cols):
     return predict_inductive_batch(model, xs)[0]
 
 
-def _edge_weights(model, h_new):
-    """(N, B) edge weights between the N training nodes and B fused patients."""
+def _edge_weights(model):
+    """Function from B fused patients (d, B) to their (N, B) edge weights to
+    the N training nodes, through the graph kind's kernel in `agl`; the
+    training side is computed once."""
     cfg, h_train = model.cfg, model.cache["H"]
     if cfg.graph == "learned":
-        w = model.agl.w_a.value
-        z_train, z_new = w.T @ h_train, w.T @ h_new
-        nt = np.maximum(np.linalg.norm(z_train, axis=0), agl.NORM_GUARD)
-        nn_ = np.maximum(np.linalg.norm(z_new, axis=0), agl.NORM_GUARD)
-        return np.maximum((z_train.T @ z_new) / np.outer(nt, nn_), 0.0)
+        w_a = model.agl.w_a.value
+
+        def unit(h):  # the learned graph's column normalisation, off the tape
+            return agl.cosine_normalize(nc.Tape().const(w_a.T @ h)).value
+
+        z_train = unit(h_train)
+        return lambda h: np.maximum(z_train.T @ unit(h), 0.0)
     if cfg.graph == "knn":
-        d2 = ((h_train[:, :, None] - h_new[:, None, :]) ** 2).sum(axis=0)
-        w = np.exp(-d2 / (2.0 * cfg.rbf_sigma ** 2))
         k = min(cfg.knn_k, h_train.shape[1])
-        nbrs = np.argpartition(w, -k, axis=0)[-k:]
-        sims = np.zeros_like(w)
-        np.put_along_axis(sims, nbrs, np.take_along_axis(w, nbrs, axis=0), axis=0)
-        return sims
+        return lambda h: agl.top_k(agl.rbf_kernel(h_train, h, cfg.rbf_sigma), k, axis=0)
     if cfg.graph == "identity":
-        return np.zeros((h_train.shape[1], h_new.shape[1]))
+        return lambda h: np.zeros((h_train.shape[1], h.shape[1]))
     raise ParameterError("inductive prediction is not supported for meta graphs")
 
 
@@ -372,6 +374,7 @@ def predict_inductive_batch(model, mods):
     """
     if not model.cache:
         raise ParameterError("model has no cached training state; call fit first")
+    edge_weights = _edge_weights(model)
     n = mods[0].shape[1]
     pad = -n % PREDICT_BLOCK
     mods = [np.pad(np.asarray(m, dtype=np.float64), ((0, 0), (0, pad)), mode="edge")
@@ -388,7 +391,7 @@ def predict_inductive_batch(model, mods):
     probs = np.empty((n + pad, model.n_classes))
     for lo in range(0, n, PREDICT_BLOCK):
         h = model.fuse(nc.Tape(), [m[:, lo:lo + PREDICT_BLOCK] for m in mods])[0].value
-        w = _edge_weights(model, h)  # (N, block)
+        w = edge_weights(h)  # (N, block)
         s = 1.0 / np.sqrt(np.maximum(deg[:, None] + w, 1e-12))
         s_n = 1.0 / np.sqrt(np.maximum(w.sum(axis=0) + self_w, 1e-12))  # (block,)
         p_n = w0.T @ h  # (d_h, block)
@@ -424,18 +427,9 @@ class CvResult:
     config: TrainConfig
 
 
-def _preprocess(dataset, train_idx=None):
-    """Impute and z-score; both statistics come from `train_idx` if given."""
-    return zscore(impute_mean(dataset, train_idx), train_idx)
-
-
 def _run_fold(dataset, clean, cfg, f, train_idx, test_idx, collect_models):
-    ds = _preprocess(dataset, train_idx) if cfg.per_fold_stats else clean
-    meta = None
-    if cfg.graph == "meta":
-        meta = ds.meta_matrix()
-        if meta is None:
-            meta = fallback_meta(ds)
+    ds = Preprocessor.fit(dataset, train_idx).transform(dataset) if cfg.per_fold_stats else clean
+    meta = meta_rows(ds, cfg)
     seed_key = [cfg.seed, 613, f]
     if cfg.eval_mode == "inductive":
         tr_mods = [m[:, train_idx] for m in ds.modalities]
@@ -466,7 +460,7 @@ def run_cv(dataset, cfg, k=10, collect_models=False, threads=1):
     are reduced in fold order either way.
     """
     split = stratified_kfold(dataset.labels, k, cfg.seed)
-    clean = None if cfg.per_fold_stats else _preprocess(dataset)
+    clean = None if cfg.per_fold_stats else Preprocessor.fit(dataset).transform(dataset)
     jobs = [
         (f, train_idx, test_idx) for f, (train_idx, test_idx) in enumerate(split.folds)
     ]
@@ -481,6 +475,15 @@ def run_cv(dataset, cfg, k=10, collect_models=False, threads=1):
         folds = [_run_fold(dataset, clean, cfg, *job, collect_models) for job in jobs]
     metrics = Metrics([fr.acc for fr in folds], [fr.auc for fr in folds])
     return CvResult(metrics, folds, split, cfg)
+
+
+def meta_rows(ds, cfg):
+    """Discrete rows for the meta graph: the schema's meta columns, else
+    fallback_meta; None for every other graph kind."""
+    if cfg.graph != "meta":
+        return None
+    meta = ds.meta_matrix()
+    return fallback_meta(ds) if meta is None else meta
 
 
 def fallback_meta(ds):

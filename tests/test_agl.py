@@ -5,7 +5,7 @@ import pytest
 from mmgl import numcore as nc
 from mmgl.agl import (
     DEGREE_GUARD, NORM_GUARD, AglParams, connectivity_loss, graph_loss, identity_graph,
-    init_agl, knn_graph_rbf, learned_adjacency, learned_graph, meta_graph,
+    init_agl, knn_graph_rbf, learned_adjacency, learned_graph, meta_graph, rbf_kernel,
     smoothness_loss, sparsity_reg,
 )
 from mmgl.errors import DimensionError, ParameterError
@@ -395,6 +395,43 @@ def test_knn_symmetric_non_negative_unit_diag():
     assert np.array_equal(g.a, g.a.T)
     assert np.all(g.a >= 0)
     assert np.allclose(np.diag(g.a), 1.0)
+
+
+def knn_row_loop(h, k, sigma):
+    """Reference kNN graph: each row's k nearest neighbours picked one row at
+    a time."""
+    n = h.shape[1]
+    w = rbf_kernel(h, h, sigma)
+    np.fill_diagonal(w, -np.inf)
+    a = np.zeros((n, n))
+    for i in range(n):
+        nbrs = np.argpartition(w[i], -k)[-k:]
+        a[i, nbrs] = w[i, nbrs]
+    a = np.maximum(a, a.T)
+    np.fill_diagonal(a, 1.0)
+    return a
+
+
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_knn_matches_row_loop_with_ties(k):
+    rng = np.random.default_rng(12)
+    h = rng.normal(size=(3, 20))
+    # patients 1 and 2 are exactly as far from patient 0, and patients 3 and 4
+    # duplicate patient 5: tied pairs in the rankings of patients 0 and 5
+    h[:, :3] = [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]]
+    h[:, 3] = h[:, 4] = h[:, 5]
+    w = rbf_kernel(h, h, 0.9)
+    assert w[0, 1] == w[0, 2] and w[5, 3] == w[5, 4]
+    assert np.array_equal(knn_graph_rbf(h, k, 0.9).a, knn_row_loop(h, k, 0.9))
+
+
+def test_rbf_kernel_matches_pairwise_differences():
+    rng = np.random.default_rng(13)
+    a, b = rng.normal(size=(4, 9)), rng.normal(size=(4, 5))
+    d2 = ((a[:, :, None] - b[:, None, :]) ** 2).sum(axis=0)
+    np.testing.assert_allclose(rbf_kernel(a, b, 1.3), np.exp(-d2 / (2 * 1.3**2)),
+                               rtol=1e-13, atol=1e-15)
+    assert np.all(rbf_kernel(a, a, 1.3).diagonal() <= 1.0)
 
 
 def test_knn_parameter_errors():

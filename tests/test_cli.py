@@ -272,6 +272,16 @@ def test_cv_threads_env_matches_serial(tmp_path, synth_dir, monkeypatch):
         (tmp_path / "threaded" / "metrics.csv").read_bytes()
 
 
+@pytest.mark.parametrize("value", ["abc", "0", "-2"])
+def test_cv_bad_threads_env_exit_2(tmp_path, synth_dir, monkeypatch, capsys, value):
+    monkeypatch.setenv("MMGL_THREADS", value)
+    cfg = write_train_cfg(tmp_path)
+    assert run("cv", "--config", str(cfg), "--data", str(synth_dir),
+               "--out", str(tmp_path / "o"), "--folds", "2") == 2
+    assert "MMGL_THREADS" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_cv_seed_override_changes_folds(tmp_path, synth_dir):
     cfg = write_train_cfg(tmp_path)
     for seed, name in (("1", "s1"), ("2", "s2")):
@@ -421,6 +431,23 @@ def test_predict_one_row_matches_full_file(tmp_path, trained, synth_dir):
     one = (tmp_path / "pred_one.csv").read_bytes().splitlines()
     assert len(one) == 2
     assert one[1].split(b",", 1)[1] == full[6].split(b",", 1)[1]
+
+
+def test_predict_imputes_training_mean(tmp_path, trained, synth_dir):
+    # the training data has no missing cells, yet a blank cell in a new
+    # patient gets its feature's training mean, as the artifact records it
+    with np.load(trained / "model.npz") as z:
+        mean = float(z["impute_means"][1])
+    header, row = (synth_dir / "features.csv").read_text().splitlines()[0:7:6]
+    cells = row.split(",")
+    variants = {}
+    for name, cell in (("blank", ""), ("mean", repr(mean))):
+        cells[1] = cell
+        (tmp_path / f"{name}.csv").write_text(f"{header}\n{','.join(cells)}\n")
+        assert run("predict", "--model", str(trained / "model.npz"), "--features",
+                   str(tmp_path / f"{name}.csv"), "--out", str(tmp_path / f"p_{name}.csv")) == 0
+        variants[name] = (tmp_path / f"p_{name}.csv").read_bytes()
+    assert variants["blank"] == variants["mean"]
 
 
 def test_predict_non_npz_model_exit_3(tmp_path, synth_dir):

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mmgl.data import (
-    ModalitySchema, MultiModalDataset, SplitPlan, SynthConfig, impute_mean,
-    load_csv, save_dataset, stratified_kfold, synth_centers, synth_generate,
+    ModalitySchema, MultiModalDataset, Preprocessor, SplitPlan, SynthConfig, impute_mean,
+    load_csv, read_table, save_dataset, stratified_kfold, synth_centers, synth_generate,
     zscore,
 )
 from mmgl.errors import ConfigError, DataError, ParameterError, ParseError, SchemaError
@@ -183,6 +183,79 @@ def test_zscore_requires_imputation():
     ds = synth_generate(SynthConfig(n=20, missing_rate=0.1, seed=6))
     with pytest.raises(DataError):
         zscore(ds)
+
+
+# ----------------------------------------------------------- Preprocessor
+
+def reference_preprocess(ds, rows=None):
+    """Impute then z-score per modality, feature by feature; every statistic
+    comes from `rows` (all patients if None)."""
+    ref = np.ones(ds.n, dtype=bool) if rows is None else np.isin(np.arange(ds.n), rows)
+    cols = slice(None) if rows is None else rows
+    out = []
+    for x, mask in zip(ds.modalities, ds.missing):
+        x = x.copy()
+        for j in range(len(x)):
+            if mask[j].any():
+                x[j, mask[j]] = x[j, ref & ~mask[j]].mean()
+        mu = x[:, cols].mean(axis=1, keepdims=True)
+        sd = x[:, cols].std(axis=1, keepdims=True)
+        out.append(np.where(sd < 1e-12, 0.0, (x - mu) / np.where(sd < 1e-12, 1.0, sd)))
+    return out
+
+
+@pytest.mark.parametrize("fold", [None, 0, 1])
+def test_preprocessor_matches_reference_on_missing_cells(tmp_path, fold):
+    ds = synth_generate(SynthConfig(n=40, modality_dims=(3, 4, 2), missing_rate=0.2, seed=7))
+    rows = None if fold is None else stratified_kfold(ds.labels, 3, 0).folds[fold][0]
+    prep = Preprocessor.fit(ds, rows)
+    clean = prep.transform(ds)
+    assert clean.missing is None
+    for got, want in zip(clean.modalities, reference_preprocess(ds, rows)):
+        assert np.array_equal(got, want)
+    # the raw table and mask as predict reads them give the same features
+    save_dataset(ds, tmp_path / "f.csv", tmp_path / "s.json")
+    values, missing, _, _ = read_table(tmp_path / "f.csv", ds.schema)
+    assert np.array_equal(prep.apply(values, missing), clean.stacked())
+
+
+def test_preprocessor_means_cover_fully_observed_features():
+    # an unseen patient may miss a feature every training patient had
+    ds = synth_generate(SynthConfig(n=30, modality_dims=(3, 3), missing_rate=0.2, seed=8))
+    ds.missing[1][:] = False
+    x = ds.stacked()
+    prep = Preprocessor.fit(ds)
+    assert np.array_equal(prep.impute_means[3:], [row.mean() for row in x[3:]])
+    imputed = impute_mean(ds).stacked()
+    assert np.array_equal(prep.z_mu, imputed.mean(axis=1))
+    assert np.array_equal(prep.z_sd, imputed.std(axis=1))
+
+
+def test_preprocessor_fully_missing_feature_in_rows():
+    schema = ModalitySchema((("a", 2),), class_names=("c0",))
+    miss = np.array([[True, True, False], [False, False, False]])
+    ds = MultiModalDataset(schema, [np.ones((2, 3))], np.zeros(3, dtype=int), [miss])
+    with pytest.raises(DataError, match="a_0"):
+        Preprocessor.fit(ds, np.array([0, 1]))
+    assert Preprocessor.fit(ds).impute_means[0] == 1.0
+
+
+def test_preprocessor_zeroes_constant_feature_of_new_patients():
+    schema = ModalitySchema((("a", 2),), class_names=("c0",))
+    ds = MultiModalDataset(schema, [np.array([[5.0, 5.0, 5.0], [1.0, 2.0, 3.0]])],
+                           np.zeros(3, dtype=int))
+    prep = Preprocessor.fit(ds)
+    out = prep.apply(np.array([[7.0], [2.0]]), np.zeros((2, 1), dtype=bool))
+    assert np.array_equal(out, [[0.0], [0.0]])
+
+
+def test_schema_split():
+    schema = ModalitySchema((("a", 2), ("b", 1), ("c", 3)))
+    flat = np.arange(12.0).reshape(6, 2)
+    parts = schema.split(flat)
+    assert [p.shape for p in parts] == [(2, 2), (1, 2), (3, 2)]
+    assert np.array_equal(np.concatenate(parts), flat)
+    assert schema.split(list("uvwxyz")) == [["u", "v"], ["w"], ["x", "y", "z"]]
 
 
 # ------------------------------------------------------- stratified_kfold

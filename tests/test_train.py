@@ -9,13 +9,13 @@ from hypothesis import strategies as st
 
 from mmgl import numcore as nc
 from mmgl.agl import NORM_GUARD
-from mmgl.data import SynthConfig, stratified_kfold, synth_generate, zscore
+from mmgl.data import Preprocessor, SynthConfig, stratified_kfold, synth_generate, zscore
 from mmgl.errors import ConfigError, ParameterError, TrainingDiverged
 from mmgl.gcn import extend_adjacency, gcn_forward_np, normalize_adj_np
 from mmgl.maff import fuse_one
 from mmgl.train import (
-    PREDICT_BLOCK, Metrics, Model, TrainConfig, _preprocess, accuracy, auc, evaluate,
-    fallback_meta, fit, predict_inductive, predict_inductive_batch, run_ablation, run_cv,
+    PREDICT_BLOCK, Metrics, Model, TrainConfig, _edge_weights, accuracy, auc, evaluate,
+    fallback_meta, fit, meta_rows, predict_inductive, predict_inductive_batch, run_ablation, run_cv,
     total_loss, train_epoch, write_ablation_csv, write_history_csv,
     write_metrics_csv,
 )
@@ -344,8 +344,9 @@ def test_per_fold_preprocess_ignores_test_fold_cells():
     edited = [x.copy() for x in ds.modalities]
     for x in edited:
         x[:, test_idx] += 100.0
-    base = _preprocess(ds, train_idx)
-    moved = _preprocess(replace(ds, modalities=edited), train_idx)
+    base = Preprocessor.fit(ds, train_idx).transform(ds)
+    moved_ds = replace(ds, modalities=edited)
+    moved = Preprocessor.fit(moved_ds, train_idx).transform(moved_ds)
     for a, b in zip(base.modalities, moved.modalities):
         assert np.array_equal(a[:, train_idx], b[:, train_idx])
         assert not np.array_equal(a[:, test_idx], b[:, test_idx])
@@ -471,6 +472,21 @@ def test_inductive_rows_independent_of_blocking(fusion, graph, kw):
     assert np.array_equal(np.array(singles), whole)
 
 
+def test_inductive_edges_of_training_patient_match_learned_graph():
+    # scored as unseen, a training patient gets the edges the learned graph
+    # gave it: both sides go through the same cosine kernel
+    ds = tiny_dataset(n=60, classes=3, dims=(5, 4), seed=23)
+    model, _ = fit_tiny(ds, tiny_cfg(epochs=5))
+    idx = np.arange(0, 60, 7)
+    h = model.fuse(nc.Tape(), [m[:, idx] for m in ds.modalities])[0].value
+    w = _edge_weights(model)(h)  # (N, B)
+    a = model.cache["A"]
+    assert (a > 0).mean() < 0.9  # some edges are cut by the ReLU
+    for b, i in enumerate(idx):
+        off = np.arange(ds.n) != i
+        np.testing.assert_allclose(w[off, b], a[i, off], rtol=0.0, atol=1e-13)
+
+
 def test_inductive_degenerate_embedding_isolated():
     ds = tiny_dataset(n=20, seed=16)
     model, _ = fit_tiny(ds, tiny_cfg(epochs=5, fusion="concat"))
@@ -505,6 +521,14 @@ def test_inductive_not_supported_for_meta():
                    ds.n_classes, meta=ds.meta_matrix())
     with pytest.raises(ParameterError):
         predict_inductive(model, [m[:, 0] for m in ds.modalities])
+
+
+def test_meta_rows_per_graph_kind():
+    ds = synth_generate(SynthConfig(n=20, classes=2, modality_dims=(3, 3), meta_dims=2, seed=18))
+    assert meta_rows(ds, tiny_cfg()) is None
+    assert np.array_equal(meta_rows(ds, tiny_cfg(graph="meta")), ds.meta_matrix())
+    plain = tiny_dataset(n=21, seed=19)
+    assert np.array_equal(meta_rows(plain, tiny_cfg(graph="meta")), fallback_meta(plain))
 
 
 def test_fallback_meta_shape():

@@ -6,12 +6,10 @@ Exit codes: 0 ok, 2 config error, 3 data error, 4 numerical divergence.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import os
 import sys
-import tempfile
 import zipfile
 from dataclasses import replace
 from datetime import datetime, timezone
@@ -23,7 +21,7 @@ from . import __version__
 # impute_mean and zscore are unused here; bench/selftest.py checks that cli binds them
 from .data import (  # noqa: F401
     ModalitySchema, Preprocessor, SynthConfig, impute_mean, load_csv, read_table,
-    save_dataset, synth_generate, zscore,
+    save_dataset, synth_generate, write_csv, zscore,
 )
 from .errors import ConfigError, DataError, ParameterError, TrainingDiverged
 from .numcore import softmax_rows_values
@@ -55,8 +53,9 @@ def _sha256(path):
 
 
 def _write_json_atomic(obj, path):
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)) or ".")
-    with os.fdopen(fd, "w") as f:
+    # a plain open, so the file mode follows the umask like every other output
+    tmp = f"{path}.{os.getpid()}.tmp"
+    with open(tmp, "w") as f:
         json.dump(obj, f, indent=2, default=str)
         f.write("\n")
     os.replace(tmp, path)
@@ -88,13 +87,6 @@ def _start_run(args, names):
     outputs = {name: os.path.join(args.out, name) for name in names}
     _manifest(cfg, args.data, outputs, os.path.join(args.out, "manifest.json"))
     return cfg, ds, outputs
-
-
-def _write_csv(path, header, rows):
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(header)
-        w.writerows(rows)
 
 
 def _train_config(args):
@@ -191,8 +183,8 @@ def cmd_train(args):
     save_model(model, clean.labels, prep, outputs["model.npz"])
     write_history_csv(history, outputs["history.csv"])
     probs = softmax_rows_values(model.cache["logits"])
-    _write_csv(outputs["metrics.csv"], ["split", "acc", "auc"],
-               [["train", repr(accuracy(probs, clean.labels)), repr(auc(probs, clean.labels))]])
+    write_csv(outputs["metrics.csv"], ["split", "acc", "auc"],
+              [["train", repr(accuracy(probs, clean.labels)), repr(auc(probs, clean.labels))]])
     print(f"trained on {clean.n} patients; artifacts in {args.out}")
     return 0
 
@@ -228,21 +220,21 @@ def cmd_export(args):
     if args.what == "graph":
         a = model.cache["A"]
         pairs = chain(zip(range(len(a)), range(len(a))), zip(*np.nonzero(np.triu(a, 1))))
-        _write_csv(args.out, ["src", "dst", "weight"],
-                   ([int(i), int(j), repr(float(a[i, j]))] for i, j in pairs))
-        _write_csv(os.path.splitext(args.out)[0] + ".nodes.csv", ["node", "label"],
-                   ([i, int(y)] for i, y in enumerate(extras["labels"])))
+        write_csv(args.out, ["src", "dst", "weight"],
+                  ([int(i), int(j), repr(float(a[i, j]))] for i, j in pairs))
+        write_csv(os.path.splitext(args.out)[0] + ".nodes.csv", ["node", "label"],
+                  ([i, int(y)] for i, y in enumerate(extras["labels"])))
     elif args.what == "fuse-map":
         if "fuse_map" not in model.cache or model.cache["fuse_map"] is None:
             raise ParameterError("artifact has no attention map (fusion is not 'maff')")
         names = model.schema.names
-        _write_csv(args.out, ["modality"] + names,
-                   ([name] + [repr(float(v)) for v in row]
-                    for name, row in zip(names, model.cache["fuse_map"])))
+        write_csv(args.out, ["modality"] + names,
+                  ([name] + [repr(float(v)) for v in row]
+                   for name, row in zip(names, model.cache["fuse_map"])))
     elif args.what == "embeddings":
         h = model.cache["H"]
-        _write_csv(args.out, [f"h{j}" for j in range(h.shape[0])],
-                   ([repr(float(v)) for v in col] for col in h.T))
+        write_csv(args.out, [f"h{j}" for j in range(h.shape[0])],
+                  ([repr(float(v)) for v in col] for col in h.T))
     else:
         raise ConfigError(f"unknown export target {args.what!r}")
     print(f"wrote {args.what} to {args.out}")
@@ -261,9 +253,9 @@ def cmd_predict(args):
     x = extras["preprocessor"].apply(x, miss)  # the training run's transform
     probs = predict_inductive_batch(model, model.schema.split(x))
     classes = model.schema.class_names or tuple(str(c) for c in range(model.n_classes))
-    _write_csv(args.out, ["patient", "prediction"] + [f"p_{c}" for c in classes],
-               ([i, classes[int(np.argmax(p))]] + [repr(float(v)) for v in p]
-                for i, p in enumerate(probs)))
+    write_csv(args.out, ["patient", "prediction"] + [f"p_{c}" for c in classes],
+              ([i, classes[int(np.argmax(p))]] + [repr(float(v)) for v in p]
+               for i, p in enumerate(probs)))
     print(f"predicted {probs.shape[0]} patients -> {args.out}")
     return 0
 

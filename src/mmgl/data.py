@@ -245,6 +245,14 @@ def read_table(path, schema, require_label=True):
     return values, missing, raw_labels if has_label else None, [header[c] for c in feat_cols]
 
 
+def write_csv(path, header, rows):
+    """Write a header row, then `rows`, to a CSV file."""
+    with open(path, "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(header)
+        w.writerows(rows)
+
+
 def load_csv(features_path, schema_path):
     """Load a labelled feature table and its schema into a dataset."""
     schema = ModalitySchema.load(schema_path)
@@ -557,13 +565,9 @@ def save_dataset(ds, features_path, schema_path):
     """Write features CSV (empty cell = missing) and the schema JSON."""
     ds.schema.save(schema_path)
     flat, mask = ds.stacked(), ds.missing_mask()
-    names = ds.flat_feature_names()
     classes = ds.schema.class_names
-    with open(features_path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(names + [ds.schema.label_column])
-        # csv writes a Python float as its repr, the shortest round-trip form
-        for i, (values, missed) in enumerate(zip(flat.T.tolist(), mask.T.tolist())):
-            row = ["" if m else v for v, m in zip(values, missed)]
-            row.append(classes[ds.labels[i]] if classes else str(int(ds.labels[i])))
-            w.writerow(row)
+    labels = [classes[y] if classes else str(int(y)) for y in ds.labels]
+    # csv writes a Python float as its repr, the shortest round-trip form
+    write_csv(features_path, ds.flat_feature_names() + [ds.schema.label_column],
+              (["" if m else v for v, m in zip(values, missed)] + [y]
+               for values, missed, y in zip(flat.T.tolist(), mask.T.tolist(), labels)))

@@ -1,7 +1,8 @@
 """Two-layer graph convolutional classifier over the learned patient graph,
-plus numpy twins of the graph extension, normalisation and forward pass that
-spell out inductive prediction for one patient (train.predict_inductive_batch
-computes the same graph in closed form for many)."""
+plus numpy entry points to the normalisation and forward pass (each runs the
+tape layer on a throwaway tape) and the graph extension that spell out
+inductive prediction for one patient (train.predict_inductive_batch computes
+the same graph in closed form for many)."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -55,13 +56,9 @@ def normalize_adj(tape, a, add_self_loops=False):
 
 
 def normalize_adj_np(a, add_self_loops=False):
-    """Numpy twin of normalize_adj."""
-    a = np.asarray(a, dtype=np.float64)
-    if add_self_loops:
-        a = a + np.eye(a.shape[0])
-    deg = np.maximum(a.sum(axis=1), 1e-12)
-    s = 1.0 / np.sqrt(deg)
-    return a * s[:, None] * s[None, :]
+    """normalize_adj of a numpy adjacency."""
+    tape = nc.Tape()
+    return normalize_adj(tape, tape.const(a), add_self_loops).value
 
 
 def gcn_forward(tape, h, a_norm, params, dropout=0.0, rng=None):
@@ -77,10 +74,9 @@ def gcn_forward(tape, h, a_norm, params, dropout=0.0, rng=None):
 
 
 def gcn_forward_np(h, a_norm, params):
-    """Numpy twin of gcn_forward (no dropout; inference only)."""
-    x = np.asarray(h).T
-    hidden = np.maximum(a_norm @ (x @ params.w0.value), 0.0)
-    return a_norm @ (hidden @ params.w1.value)
+    """gcn_forward of numpy features and adjacency (no dropout; inference only)."""
+    tape = nc.Tape()
+    return gcn_forward(tape, tape.const(h), tape.const(a_norm), params).value
 
 
 def extend_adjacency(a_train, sims):

@@ -103,8 +103,10 @@ def fuse_batch(tape, xs, params):
     tau = params.tau
     axis = 1 if params.attention_axis == "column" else 2
     s = np.einsum("ihcn,jhcn->hijn", q, k) / tau
-    e = np.exp(s - s.max(axis=axis, keepdims=True))
-    p = e / e.sum(axis=axis, keepdims=True)  # (heads, M, M, N)
+    # a diverging run's infinite scores give NaN here; the loss check reports it
+    with np.errstate(invalid="ignore"):
+        e = np.exp(s - s.max(axis=axis, keepdims=True))
+        p = e / e.sum(axis=axis, keepdims=True)  # (heads, M, M, N)
     u = (v + np.einsum("hmjn,jhcn->mhcn", p, v)).reshape(m_count, d_f, n)
     wm = np.stack([w.value for w in params.w_m])
     vhat = np.einsum("mab,man->mbn", wm, u).reshape(m_count * d_f, n)

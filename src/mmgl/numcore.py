@@ -246,26 +246,6 @@ def sqrt(a):
     return tape._record(out, (a,), vjp)
 
 
-def log(a):
-    tape = _tape_of(a)
-    av = a.value
-
-    def vjp(g):
-        return (g / av,)
-
-    return tape._record(np.log(av), (a,), vjp)
-
-
-def sum_all(a):
-    tape = _tape_of(a)
-    shape = a.value.shape
-
-    def vjp(g):
-        return (np.broadcast_to(g, shape),)
-
-    return tape._record(a.value.sum(), (a,), vjp)
-
-
 def sum_axis(a, axis, keepdims=True):
     tape = _tape_of(a)
     shape = a.value.shape
@@ -276,35 +256,6 @@ def sum_axis(a, axis, keepdims=True):
         return (np.broadcast_to(g, shape),)
 
     return tape._record(a.value.sum(axis=axis, keepdims=keepdims), (a,), vjp)
-
-
-def concat_rows(parts):
-    """Stack 2-D blocks vertically (all must share the column count)."""
-    parts = list(parts)
-    tape = _tape_of(*parts)
-    parts = [_wrap(p, tape) for p in parts]
-    cols = {p.value.shape[1] for p in parts}
-    if len(cols) != 1:
-        raise DimensionError(f"concat_rows: mismatched column counts {sorted(cols)}")
-    sizes = [p.value.shape[0] for p in parts]
-    offsets = np.cumsum([0] + sizes)
-
-    def vjp(g):
-        return tuple(g[offsets[i]:offsets[i + 1]] for i in range(len(parts)))
-
-    return tape._record(np.concatenate([p.value for p in parts], axis=0), tuple(parts), vjp)
-
-
-def slice_rows(a, start, stop):
-    tape = _tape_of(a)
-    shape = a.value.shape
-
-    def vjp(g):
-        out = np.zeros(shape)
-        out[start:stop] = g
-        return (out,)
-
-    return tape._record(a.value[start:stop], (a,), vjp)
 
 
 def softmax_columns(s, tau=1.0):
@@ -396,10 +347,6 @@ class Adam:
             mhat = m / (1 - b1 ** self.t)
             vhat = v / (1 - b2 ** self.t)
             p.value -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
-
-    def zero_grad(self):
-        for p in self.params:
-            p.zero_grad()
 
 
 def grad_check(build, params, h=1e-5, rng=None, max_coords=24):

@@ -2,15 +2,14 @@
 evaluation, the ablation grid, and metrics (accuracy, rank-based AUC)."""
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import agl, gcn, maff, numcore as nc
 # impute_mean and zscore are unused here; bench/selftest.py checks that train binds them
 from .data import (  # noqa: F401
-    Preprocessor, check_field_types, impute_mean, read_json, stratified_kfold, zscore,
+    Preprocessor, check_field_types, impute_mean, read_json, stratified_kfold, write_csv, zscore,
 )
 from .errors import ConfigError, ParameterError, TrainingDiverged
 
@@ -183,16 +182,13 @@ class Model:
 def total_loss(tape, logits, labels, mask, h, a, lam, alpha, beta):
     """Cross-entropy on masked nodes + lam * graph regularisation.
 
-    Returns (total, parts) with parts holding each term as a Node.
+    Returns (total, parts) with parts holding each term as a Node, and the
+    weighted graph loss under "graph".
     """
     task = nc.cross_entropy_masked(logits, labels, mask)
     g_total, smooth, con, reg = agl.graph_loss(tape, h, a, alpha, beta)
     total = task + lam * g_total
-    return total, {"task": task, "smooth": smooth, "con": con, "reg": reg}
-
-
-def _loss_values(parts):
-    return {k: float(v.value) for k, v in parts.items()}
+    return total, {"task": task, "smooth": smooth, "con": con, "reg": reg, "graph": g_total}
 
 
 def _check_finite(values, epoch):
@@ -216,11 +212,9 @@ def train_epoch(model, mods, labels, mask, opt_a, opt_b, epoch):
             tape, out["logits"], labels, mask, out["H"], out["A"],
             cfg.lam, cfg.alpha, cfg.beta,
         )
-        if loss_kind == "graph-only":
-            objective = parts["smooth"] + cfg.alpha * parts["con"] + cfg.beta * parts["reg"]
-        else:
-            objective = total
-        values = _loss_values(parts)
+        graph = parts.pop("graph")  # not a history column
+        objective = graph if loss_kind == "graph-only" else total
+        values = {k: float(v.value) for k, v in parts.items()}
         values["total"] = float(total.value)
         _check_finite(values, epoch)
         tape.backward(objective)
@@ -231,20 +225,19 @@ def train_epoch(model, mods, labels, mask, opt_a, opt_b, epoch):
     return run_phase(opt_b, "total")
 
 
-def fit(schema, mods, labels, train_idx, cfg, n_classes, seed_key=None, meta=None, val_idx=None):
+def fit(schema, mods, labels, train_idx, cfg, n_classes, seed_key=None, meta=None):
     """Train a Model; returns (model, per-epoch history)."""
     model = Model(schema, n_classes, cfg, seed_key=seed_key, meta=meta)
     opt_a = nc.Adam(model.fusion_params() + model.agl_params(), cfg.lr)
     opt_b = nc.Adam(model.agl_params() + model.gcn_params(), cfg.lr)
     history = []
     best_acc, best_epoch = -1.0, -1
-    watch = val_idx if val_idx is not None else train_idx
     for epoch in range(cfg.epochs):
         values = train_epoch(model, mods, labels, train_idx, opt_a, opt_b, epoch)
         history.append(values)
         if cfg.patience > 0:
             cache = model.refresh_cache(mods)
-            acc = accuracy(cache["logits"][watch], labels[watch])
+            acc = accuracy(cache["logits"][train_idx], labels[train_idx])
             if acc > best_acc:
                 best_acc, best_epoch = acc, epoch
             elif epoch - best_epoch >= cfg.patience:
@@ -302,23 +295,30 @@ class Metrics:
     def se_acc(self):
         return self.std_acc / np.sqrt(len(self.acc_folds))
 
+    # A fold whose test patients are all of one class has a NaN AUC. The
+    # NaN results are returned without nanmean/nanstd, which warn on them.
     @property
     def mean_auc(self):
+        if np.isnan(self.auc_folds).all():
+            return float("nan")
         return float(np.nanmean(self.auc_folds))
 
     @property
     def std_auc(self):
-        return float(np.nanstd(self.auc_folds, ddof=1)) if len(self.auc_folds) > 1 else 0.0
+        if len(self.auc_folds) < 2:
+            return 0.0
+        if np.count_nonzero(~np.isnan(self.auc_folds)) < 2:
+            return float("nan")
+        return float(np.nanstd(self.auc_folds, ddof=1))
 
     @property
     def se_auc(self):
         return self.std_auc / np.sqrt(len(self.auc_folds))
 
 
-def evaluate(model, labels, test_idx, probs=None):
-    """Accuracy and AUC on the held-out indices (transductive by default)."""
-    if probs is None:
-        probs = nc.softmax_rows_values(model.cache["logits"])
+def evaluate(model, labels, test_idx):
+    """Transductive accuracy and AUC on the held-out indices."""
+    probs = nc.softmax_rows_values(model.cache["logits"])
     test_idx = np.asarray(test_idx)
     p = probs[test_idx]
     return accuracy(p, labels[test_idx]), auc(p, np.asarray(labels)[test_idx])
@@ -416,7 +416,6 @@ class FoldResult:
     auc: float
     losses: dict  # final-epoch loss breakdown
     history: list
-    model: object = None
 
 
 @dataclass
@@ -427,7 +426,7 @@ class CvResult:
     config: TrainConfig
 
 
-def _run_fold(dataset, clean, cfg, f, train_idx, test_idx, collect_models):
+def _run_fold(dataset, clean, cfg, f, train_idx, test_idx):
     ds = Preprocessor.fit(dataset, train_idx).transform(dataset) if cfg.per_fold_stats else clean
     meta = meta_rows(ds, cfg)
     seed_key = [cfg.seed, 613, f]
@@ -447,13 +446,10 @@ def _run_fold(dataset, clean, cfg, f, train_idx, test_idx, collect_models):
             seed_key=seed_key, meta=meta,
         )
         acc, auc_v = evaluate(model, ds.labels, test_idx)
-    return FoldResult(
-        fold=f, acc=acc, auc=auc_v, losses=history[-1], history=history,
-        model=model if collect_models else None,
-    )
+    return FoldResult(fold=f, acc=acc, auc=auc_v, losses=history[-1], history=history)
 
 
-def run_cv(dataset, cfg, k=10, collect_models=False, threads=1):
+def run_cv(dataset, cfg, k=10, threads=1):
     """Stratified K-fold cross-validation; deterministic under cfg.seed.
 
     Folds are independent, so `threads` > 1 runs them concurrently; results
@@ -468,11 +464,9 @@ def run_cv(dataset, cfg, k=10, collect_models=False, threads=1):
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            folds = list(pool.map(
-                lambda job: _run_fold(dataset, clean, cfg, *job, collect_models), jobs
-            ))
+            folds = list(pool.map(lambda job: _run_fold(dataset, clean, cfg, *job), jobs))
     else:
-        folds = [_run_fold(dataset, clean, cfg, *job, collect_models) for job in jobs]
+        folds = [_run_fold(dataset, clean, cfg, *job) for job in jobs]
     metrics = Metrics([fr.acc for fr in folds], [fr.auc for fr in folds])
     return CvResult(metrics, folds, split, cfg)
 
@@ -515,32 +509,24 @@ def _fmt(x):
 
 def write_metrics_csv(res, path):
     """Per-fold metrics plus aggregate rows; byte-stable for a fixed seed."""
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["fold", "acc", "auc", "loss_task", "loss_smooth", "loss_con", "loss_reg"])
-        for fr in res.folds:
-            w.writerow([fr.fold, _fmt(fr.acc), _fmt(fr.auc),
-                        _fmt(fr.losses["task"]), _fmt(fr.losses["smooth"]),
-                        _fmt(fr.losses["con"]), _fmt(fr.losses["reg"])])
-        m = res.metrics
-        w.writerow(["mean", _fmt(m.mean_acc), _fmt(m.mean_auc), "", "", "", ""])
-        w.writerow(["std", _fmt(m.std_acc), _fmt(m.std_auc), "", "", "", ""])
-        w.writerow(["stderr", _fmt(m.se_acc), _fmt(m.se_auc), "", "", "", ""])
+    losses = ("task", "smooth", "con", "reg")
+    rows = [[fr.fold, _fmt(fr.acc), _fmt(fr.auc)] + [_fmt(fr.losses[k]) for k in losses]
+            for fr in res.folds]
+    m = res.metrics
+    rows.append(["mean", _fmt(m.mean_acc), _fmt(m.mean_auc), "", "", "", ""])
+    rows.append(["std", _fmt(m.std_acc), _fmt(m.std_auc), "", "", "", ""])
+    rows.append(["stderr", _fmt(m.se_acc), _fmt(m.se_auc), "", "", "", ""])
+    write_csv(path, ["fold", "acc", "auc"] + [f"loss_{k}" for k in losses], rows)
 
 
 def write_history_csv(history, path):
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["epoch", "total", "task", "smooth", "con", "reg"])
-        for e, row in enumerate(history):
-            w.writerow([e] + [_fmt(row[k]) for k in ("total", "task", "smooth", "con", "reg")])
+    cols = ("total", "task", "smooth", "con", "reg")
+    write_csv(path, ["epoch", *cols],
+              ([e] + [_fmt(row[k]) for k in cols] for e, row in enumerate(history)))
 
 
 def write_ablation_csv(rows, path):
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["fusion", "graph", "mean_acc", "std_acc", "mean_auc", "std_auc"])
-        for row in rows:
-            m = row["result"].metrics
-            w.writerow([row["fusion"], row["graph"], _fmt(m.mean_acc), _fmt(m.std_acc),
-                        _fmt(m.mean_auc), _fmt(m.std_auc)])
+    stats = ("mean_acc", "std_acc", "mean_auc", "std_auc")
+    out = ([row["fusion"], row["graph"]] + [_fmt(getattr(row["result"].metrics, k)) for k in stats]
+           for row in rows)
+    write_csv(path, ["fusion", "graph", *stats], out)

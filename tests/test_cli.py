@@ -2,6 +2,7 @@
 import csv
 import json
 import os
+import stat
 import subprocess
 import sys
 import tempfile
@@ -20,6 +21,13 @@ from mmgl.train import TrainConfig
 
 def run(*argv):
     return main(list(argv))
+
+
+def run_subprocess(*argv, cwd):
+    env = os.environ | {"PYTHONPATH": os.pathsep.join(
+        [str(Path(mmgl.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, "-m", "mmgl", *argv], env=env, cwd=cwd,
+                          capture_output=True, text=True)
 
 
 @pytest.fixture()
@@ -173,14 +181,10 @@ def test_synth_non_finite_output_exit_2(tmp_path):
 
 
 def test_python_m_mmgl(tmp_path):
-    env = os.environ | {"PYTHONPATH": os.pathsep.join(
-        [str(Path(mmgl.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
-    ok = subprocess.run([sys.executable, "-m", "mmgl", "--help"], env=env, cwd=tmp_path,
-                        capture_output=True, text=True)
+    ok = run_subprocess("--help", cwd=tmp_path)
     assert ok.returncode == 0 and "usage: mmgl" in ok.stdout
     (tmp_path / "synth.json").write_text("{not json")
-    bad = subprocess.run([sys.executable, "-m", "mmgl", "synth", "--config", "synth.json",
-                          "--out", "o"], env=env, cwd=tmp_path, capture_output=True, text=True)
+    bad = run_subprocess("synth", "--config", "synth.json", "--out", "o", cwd=tmp_path)
     assert bad.returncode == 2 and "error:" in bad.stderr
 
 
@@ -246,6 +250,15 @@ def test_train_divergence_exit_4(tmp_path, synth_dir):
                "--out", str(tmp_path / "o")) == 4
 
 
+def test_train_divergence_prints_only_the_error(tmp_path, synth_dir):
+    cfg = write_train_cfg(tmp_path, lr=1e155, epochs=3)
+    res = run_subprocess("train", "--config", str(cfg), "--data", str(synth_dir),
+                         "--out", str(tmp_path / "o"), cwd=tmp_path)
+    assert res.returncode == 4
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: training diverged: "), res.stderr
+
+
 # --------------------------------------------------------------------- cv
 
 def test_cv_deterministic_metrics(tmp_path, synth_dir):
@@ -289,6 +302,36 @@ def test_cv_seed_override_changes_folds(tmp_path, synth_dir):
                    "--out", str(tmp_path / name), "--seed", seed, "--folds", "3") == 0
     assert (tmp_path / "s1" / "metrics.csv").read_bytes() != \
         (tmp_path / "s2" / "metrics.csv").read_bytes()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:class .* members:UserWarning")
+def test_cv_every_auc_fold_nan(tmp_path):
+    # eight patients in eight folds: every test fold holds one class only
+    synth = tmp_path / "synth.json"
+    synth.write_text(json.dumps({"n": 8, "classes": 2, "modality_dims": [3, 4]}))
+    assert run("synth", "--config", str(synth), "--out", str(tmp_path / "data")) == 0
+    cfg = write_train_cfg(tmp_path)
+    assert run("cv", "--config", str(cfg), "--data", str(tmp_path / "data"),
+               "--out", str(tmp_path / "o"), "--folds", "8") == 0
+    with open(tmp_path / "o" / "metrics.csv", newline="") as f:
+        rows = list(csv.DictReader(f))
+    assert [r["fold"] for r in rows] == [str(i) for i in range(8)] + ["mean", "std", "stderr"]
+    assert all(r["auc"] == "nan" for r in rows)
+
+
+def test_manifest_mode_matches_other_outputs(tmp_path, synth_dir):
+    cfg = write_train_cfg(tmp_path)
+    old = os.umask(0o022)
+    try:
+        assert run("cv", "--config", str(cfg), "--data", str(synth_dir),
+                   "--out", str(tmp_path / "o"), "--folds", "2") == 0
+    finally:
+        os.umask(old)
+    modes = {name: stat.S_IMODE(os.stat(tmp_path / "o" / name).st_mode)
+             for name in ("manifest.json", "metrics.csv")}
+    assert modes == {"manifest.json": 0o644, "metrics.csv": 0o644}
+    assert [p.name for p in (tmp_path / "o").iterdir() if p.name.endswith(".tmp")] == []
 
 
 # ----------------------------------------------------------------- ablate
@@ -484,3 +527,26 @@ def test_predict_shape_inconsistent_artifact_exit_3(tmp_path, trained, synth_dir
     np.savez(bad, **arrays)
     assert run("predict", "--model", str(bad), "--features",
                str(synth_dir / "features.csv"), "--out", str(tmp_path / "p.csv")) == 3
+
+
+COMPAT = Path(__file__).resolve().parent / "compat"
+
+
+def test_predict_with_earlier_artifact(tmp_path):
+    """tests/compat holds an artifact written by an earlier version of mmgl
+    (`mmgl train` on a 24-patient, 3-modality synth cohort with missing
+    cells: maff fusion, learned graph, 40 epochs), a table of unseen patients
+    and that version's predictions for them. A change to the artifact format
+    or to inductive scoring fails here."""
+    out = tmp_path / "preds.csv"
+    assert run("predict", "--model", str(COMPAT / "model.npz"),
+               "--features", str(COMPAT / "patients.csv"), "--out", str(out)) == 0
+    with open(out, newline="") as f:
+        got = list(csv.reader(f))
+    with open(COMPAT / "predictions.csv", newline="") as f:
+        want = list(csv.reader(f))
+    assert got[0] == want[0] and len(got) == len(want) == 11
+    for g, w in zip(got[1:], want[1:]):
+        assert g[:2] == w[:2]
+        np.testing.assert_allclose([float(v) for v in g[2:]], [float(v) for v in w[2:]],
+                                   rtol=0, atol=1e-12)

@@ -11,6 +11,7 @@ from mmgl.gcn import (
     normalize_adj, normalize_adj_np,
 )
 from mmgl.maff import fuse_batch, init_maff
+from reference_ops import sum_all
 
 
 def norm_np(a, self_loops=False):
@@ -77,7 +78,7 @@ def test_normalize_gradient():
 
     def build2(tape):
         out = normalize_adj(tape, tape.leaf(p))
-        return nc.sum_all(out * out)
+        return sum_all(out * out)
 
     assert nc.grad_check(build2, [p], rng=rng) < 1e-4
 
@@ -103,7 +104,7 @@ def normalize_value_and_grad(fn, a, weights, self_loops):
     a.zero_grad()
     tape = nc.Tape()
     out = fn(tape, tape.leaf(a), self_loops)
-    tape.backward(nc.sum_all(out * weights))
+    tape.backward(sum_all(out * weights))
     return out.value, a.grad.copy()
 
 
@@ -134,7 +135,7 @@ def test_fused_normalize_grad_check_non_symmetric(self_loops):
     weights = rng.normal(size=(5, 5))
 
     def build(tape):
-        return nc.sum_all(normalize_adj(tape, tape.leaf(p), self_loops) * weights)
+        return sum_all(normalize_adj(tape, tape.leaf(p), self_loops) * weights)
 
     assert nc.grad_check(build, [p], rng=rng) < 1e-6
 

@@ -6,6 +6,7 @@ from mmgl import numcore as nc
 from mmgl.data import ModalitySchema
 from mmgl.errors import DimensionError, ParameterError
 from mmgl.maff import AttentionMaps, MaffParams, fuse_batch, fuse_one, init_maff
+from reference_ops import concat_rows, slice_rows, sum_all
 
 
 def schema3(dims=(3, 4, 5)):
@@ -62,8 +63,8 @@ def loop_attention_rows(qs, ks, params):
     coeff = []
     tensor = np.empty((heads, m_count, m_count, qs[0].value.shape[1]))
     for h in range(heads):
-        qh = [nc.slice_rows(q, h * dh, (h + 1) * dh) for q in qs]
-        kh = [nc.slice_rows(k, h * dh, (h + 1) * dh) for k in ks]
+        qh = [slice_rows(q, h * dh, (h + 1) * dh) for q in qs]
+        kh = [slice_rows(k, h * dh, (h + 1) * dh) for k in ks]
         scores = [
             [nc.sum_axis(qh[i] * kh[j], axis=0) for j in range(m_count)]
             for i in range(m_count)
@@ -72,19 +73,19 @@ def loop_attention_rows(qs, ks, params):
         if params.attention_axis == "column":
             for j in range(m_count):
                 col = nc.softmax_columns(
-                    nc.concat_rows([scores[i][j] for i in range(m_count)]), tau
+                    concat_rows([scores[i][j] for i in range(m_count)]), tau
                 )
                 tensor[h, :, j, :] = col.value
                 for m in range(m_count):
-                    rows[(m, j)] = nc.slice_rows(col, m, m + 1)
+                    rows[(m, j)] = slice_rows(col, m, m + 1)
         else:
             for i in range(m_count):
                 row = nc.softmax_columns(
-                    nc.concat_rows([scores[i][j] for j in range(m_count)]), tau
+                    concat_rows([scores[i][j] for j in range(m_count)]), tau
                 )
                 tensor[h, i, :, :] = row.value
                 for j in range(m_count):
-                    rows[(i, j)] = nc.slice_rows(row, j, j + 1)
+                    rows[(i, j)] = slice_rows(row, j, j + 1)
         coeff.append(rows)
     return coeff, tensor
 
@@ -100,14 +101,14 @@ def loop_fuse_batch(tape, xs, params):
     for m in range(m_count):
         head_parts = []
         for h in range(heads):
-            vh = [nc.slice_rows(v, h * dh, (h + 1) * dh) for v in vs]
+            vh = [slice_rows(v, h * dh, (h + 1) * dh) for v in vs]
             agg = vh[m]  # residual
             for j in range(m_count):
                 agg = agg + coeff[h][(m, j)] * vh[j]
             head_parts.append(agg)
-        merged = head_parts[0] if heads == 1 else nc.concat_rows(head_parts)
+        merged = head_parts[0] if heads == 1 else concat_rows(head_parts)
         vhats.append(tape.leaf(params.w_m[m]).T @ merged)
-    h_out = tape.leaf(params.w_h).T @ nc.concat_rows(vhats)
+    h_out = tape.leaf(params.w_h).T @ concat_rows(vhats)
     return h_out, AttentionMaps(tensor)
 
 
@@ -124,7 +125,7 @@ def fused_grads(fuse, xs, p, r):
         q.zero_grad()
     tape = nc.Tape()
     h, maps = fuse(tape, [tape.leaf(x) for x in inputs], p)
-    tape.backward(nc.sum_all(h * r))
+    tape.backward(sum_all(h * r))
     return h.value, maps.tensor, [q.grad.copy() for q in params]
 
 
@@ -309,7 +310,7 @@ def test_batch_gradients_pass_finite_differences():
 
     def build(tape):
         h, _ = fuse_batch(tape, xs, p)
-        return nc.sum_all(h * h)
+        return sum_all(h * h)
 
     assert nc.grad_check(build, p.all_params(), rng=rng) < 1e-4
 

@@ -1,9 +1,14 @@
 """Autodiff engine: forward values, adjoints vs finite differences, Adam."""
+import ast
+import inspect
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from mmgl import numcore as nc
 from mmgl.errors import DataError, DimensionError, MmglError, ParameterError
+from reference_ops import concat_rows, log, slice_rows, sum_all
 
 
 def make_tape():
@@ -37,13 +42,13 @@ def test_matmul_gradients():
     x = rng.normal(size=(4, 2))
 
     def build(tape):
-        return nc.sum_all(tape.leaf(w) @ tape.const(x))
+        return sum_all(tape.leaf(w) @ tape.const(x))
 
     assert nc.grad_check(build, [w]) < 1e-7
     # loss = sum(W @ x) => dL/dW = ones @ x.T (outer-product structure)
     w.zero_grad()
     t = make_tape()
-    t.backward(nc.sum_all(t.leaf(w) @ t.const(x)))
+    t.backward(sum_all(t.leaf(w) @ t.const(x)))
     assert np.allclose(w.grad, np.ones((3, 2)) @ x.T)
 
 
@@ -108,7 +113,7 @@ def test_relu_identity_on_nonnegative():
 def test_relu_gradient_mask():
     x = nc.Param([[-1.0, 0.5], [0.0, 2.0]], "x")
     t = make_tape()
-    t.backward(nc.sum_all(nc.relu(t.leaf(x))))
+    t.backward(sum_all(nc.relu(t.leaf(x))))
     assert np.array_equal(x.grad, (x.value > 0).astype(float))
 
 
@@ -168,7 +173,7 @@ def test_backward_unused_param_zero():
     w = nc.Param(np.ones((2, 2)), "w")
     unused = nc.Param(np.ones((2, 2)), "u")
     t = make_tape()
-    t.backward(nc.sum_all(t.leaf(w)))
+    t.backward(sum_all(t.leaf(w)))
     assert np.array_equal(unused.grad, np.zeros((2, 2)))
     assert np.array_equal(w.grad, np.ones((2, 2)))
 
@@ -176,7 +181,7 @@ def test_backward_unused_param_zero():
 def test_backward_twice_is_error():
     w = nc.Param(np.ones((2, 2)), "w")
     t = make_tape()
-    loss = nc.sum_all(t.leaf(w))
+    loss = sum_all(t.leaf(w))
     t.backward(loss)
     with pytest.raises(MmglError):
         t.backward(loss)
@@ -192,9 +197,9 @@ def test_backward_non_scalar_loss():
 def test_backward_accumulates_across_tapes():
     w = nc.Param(np.ones((2, 2)), "w")
     t1 = make_tape()
-    t1.backward(nc.sum_all(t1.leaf(w)))
+    t1.backward(sum_all(t1.leaf(w)))
     t2 = make_tape()
-    t2.backward(nc.sum_all(t2.leaf(w) * 3.0))
+    t2.backward(sum_all(t2.leaf(w) * 3.0))
     assert np.array_equal(w.grad, np.full((2, 2), 4.0))
 
 
@@ -203,7 +208,7 @@ def test_forward_and_grad_deterministic():
         rng = np.random.default_rng(7)
         w = nc.Param(rng.normal(size=(3, 3)), "w")
         t = make_tape()
-        loss = nc.sum_all(nc.relu(t.leaf(w) @ t.const(rng.normal(size=(3, 2)))))
+        loss = sum_all(nc.relu(t.leaf(w) @ t.const(rng.normal(size=(3, 2)))))
         t.backward(loss)
         return loss.value.copy(), w.grad.copy()
 
@@ -221,20 +226,20 @@ def test_finite_difference_all_ops(seed):
     c = nc.Param(rng.normal(size=(4, 2)), "c")
 
     cases = [
-        lambda t: nc.sum_all(t.leaf(a) + t.leaf(b)),
-        lambda t: nc.sum_all(t.leaf(a) - t.leaf(b)),
-        lambda t: nc.sum_all(t.leaf(a) * t.leaf(b)),
-        lambda t: nc.sum_all(t.leaf(a) / t.leaf(b)),
-        lambda t: nc.sum_all(t.leaf(a) @ t.leaf(c)),
-        lambda t: nc.sum_all(t.leaf(a).T),
-        lambda t: nc.sum_all(nc.relu(t.leaf(a) - 1.0) * t.leaf(b)),
-        lambda t: nc.sum_all(nc.sqrt(t.leaf(a))),
-        lambda t: nc.sum_all(nc.log(t.leaf(a))),
-        lambda t: nc.sum_all(nc.sum_axis(t.leaf(a), axis=0) * nc.sum_axis(t.leaf(b), axis=1)),
-        lambda t: nc.sum_all(nc.concat_rows([t.leaf(a), t.leaf(b)])),
-        lambda t: nc.sum_all(nc.slice_rows(t.leaf(a), 1, 3) * nc.slice_rows(t.leaf(b), 0, 2)),
-        lambda t: nc.sum_all(nc.softmax_columns(t.leaf(a), 0.7) * t.leaf(b)),
-        lambda t: nc.sum_all(nc.maximum(t.leaf(a) - 1.0, 0.25)),
+        lambda t: sum_all(t.leaf(a) + t.leaf(b)),
+        lambda t: sum_all(t.leaf(a) - t.leaf(b)),
+        lambda t: sum_all(t.leaf(a) * t.leaf(b)),
+        lambda t: sum_all(t.leaf(a) / t.leaf(b)),
+        lambda t: sum_all(t.leaf(a) @ t.leaf(c)),
+        lambda t: sum_all(t.leaf(a).T),
+        lambda t: sum_all(nc.relu(t.leaf(a) - 1.0) * t.leaf(b)),
+        lambda t: sum_all(nc.sqrt(t.leaf(a))),
+        lambda t: sum_all(log(t.leaf(a))),
+        lambda t: sum_all(nc.sum_axis(t.leaf(a), axis=0) * nc.sum_axis(t.leaf(b), axis=1)),
+        lambda t: sum_all(concat_rows([t.leaf(a), t.leaf(b)])),
+        lambda t: sum_all(slice_rows(t.leaf(a), 1, 3) * slice_rows(t.leaf(b), 0, 2)),
+        lambda t: sum_all(nc.softmax_columns(t.leaf(a), 0.7) * t.leaf(b)),
+        lambda t: sum_all(nc.maximum(t.leaf(a) - 1.0, 0.25)),
     ]
     for build in cases:
         assert nc.grad_check(build, [a, b, c], rng=rng) < 1e-4
@@ -247,7 +252,7 @@ def test_broadcasting_gradients():
     col = nc.Param(rng.normal(size=(3, 1)), "col")
 
     def build(tape):
-        return nc.sum_all((tape.leaf(a) + tape.leaf(row)) * tape.leaf(col))
+        return sum_all((tape.leaf(a) + tape.leaf(row)) * tape.leaf(col))
 
     assert nc.grad_check(build, [a, row, col]) < 1e-7
 
@@ -255,7 +260,7 @@ def test_broadcasting_gradients():
 def test_concat_rows_mismatch():
     t = make_tape()
     with pytest.raises(DimensionError):
-        nc.concat_rows([t.const(np.ones((2, 3))), t.const(np.ones((2, 4)))])
+        concat_rows([t.const(np.ones((2, 3))), t.const(np.ones((2, 4)))])
 
 
 # ------------------------------------------------------------------- Adam
@@ -288,7 +293,7 @@ def test_adam_deterministic():
         for _ in range(10):
             p.zero_grad()
             t = make_tape()
-            t.backward(nc.sum_all(t.leaf(p) * t.leaf(p)))
+            t.backward(sum_all(t.leaf(p) * t.leaf(p)))
             opt.step()
         return p.value.copy()
 
@@ -310,7 +315,7 @@ def test_grad_check_quadratic():
 
     def build(tape):
         x = tape.leaf(w)
-        return nc.sum_all(x * x)
+        return sum_all(x * x)
 
     assert nc.grad_check(build, [w]) < 1e-7
 
@@ -328,4 +333,48 @@ def test_grad_check_constant_loss():
 def test_grad_check_bad_h():
     w = nc.Param(np.ones(1), "w")
     with pytest.raises(ParameterError):
-        nc.grad_check(lambda t: nc.sum_all(t.leaf(w)), [w], h=0.0)
+        nc.grad_check(lambda t: sum_all(t.leaf(w)), [w], h=0.0)
+
+
+# ----------------------------------------------------------------- surface
+
+# The acceptance gate (tests/test_acceptance.py, criteria 1 and 3) imports
+# these two, so they stay in numcore although no mmgl module calls them.
+GATE_ONLY = {"grad_check", "softmax_columns"}
+
+
+def numcore_references(path):
+    """Names of numcore that the module at `path` refers to: `nc.x` through a
+    module alias, a bare `x` imported from numcore, and, in numcore itself, a
+    bare `x` outside the definition of `x`."""
+    tree = ast.parse(path.read_text())
+    own = path.name == "numcore.py"
+    aliases, imported = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "numcore":
+            imported |= {a.asname or a.name for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 1 and node.module is None:
+            aliases |= {a.asname or a.name for a in node.names if a.name == "numcore"}
+    refs = set()
+    for top in tree.body:
+        defined = top.name if own and isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
+        for node in ast.walk(top):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                    and node.value.id in aliases:
+                refs.add(node.attr)
+            elif isinstance(node, ast.Name) and (own or node.id in imported) \
+                    and node.id != defined:
+                refs.add(node.id)
+    return refs
+
+
+def test_every_numcore_name_runs_in_src():
+    """numcore holds only what mmgl runs; ops that only tests compose live in
+    tests/reference_ops.py."""
+    public = {name for name, obj in vars(nc).items()
+              if not name.startswith("_") and (inspect.isfunction(obj) or inspect.isclass(obj))
+              and obj.__module__ == nc.__name__}
+    src = Path(nc.__file__).parent
+    used = set().union(*(numcore_references(path) for path in src.glob("*.py")))
+    assert "Tape" in public and "Tape" in used
+    assert sorted(public - used - GATE_ONLY) == []

@@ -279,6 +279,19 @@ def test_metrics_aggregates():
     assert m.mean_auc == pytest.approx(0.8)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_metrics_nan_auc_folds():
+    nan = float("nan")
+    none = Metrics([1.0] * 3, [nan] * 3)
+    assert np.isnan(none.mean_auc) and np.isnan(none.std_auc) and np.isnan(none.se_auc)
+    one = Metrics([1.0] * 3, [nan, 0.5, nan])
+    assert one.mean_auc == 0.5 and np.isnan(one.std_auc)
+    two = Metrics([1.0] * 3, [0.5, nan, 0.7])
+    assert two.mean_auc == np.nanmean(two.auc_folds)
+    assert two.std_auc == np.nanstd(two.auc_folds, ddof=1)
+    assert Metrics([1.0], [nan]).std_auc == 0.0
+
+
 # ---------------------------------------------------------------- run_cv
 
 def test_run_cv_covers_every_sample_once():
@@ -394,7 +407,7 @@ def test_inductive_batch_equals_loop():
 
 def loop_predict(model, x_cols):
     """Reference inductive prediction: the patient attached to an explicit
-    (N+1)^2 graph, normalised and passed through the numpy GCN."""
+    (N+1)^2 graph, normalised and passed through the trained GCN layers."""
     cfg = model.cfg
     h_train = model.cache["H"]
     xs = [np.asarray(x, dtype=np.float64).reshape(-1, 1) for x in x_cols]

@@ -5,6 +5,11 @@ projected node features, with three regularisers (Dirichlet smoothness, a
 log-barrier on node degrees, and a Frobenius penalty) keeping the learned
 graph smooth, connected, and sparse. Non-learned constructors (kNN-RBF and
 meta-feature agreement) are provided as ablation baselines.
+
+Training evaluates the graph and its regularisers inside block.graph_block,
+tile by tile, from `cosine_normalize`'s projection. The dense primitives here
+are its reference, and `learned_adjacency` also forms the dense A that a
+fitted model caches for export and inductive prediction.
 """
 from __future__ import annotations
 

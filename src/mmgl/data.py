@@ -91,16 +91,31 @@ class ModalitySchema:
 
     @classmethod
     def from_dict(cls, obj):
-        try:
-            mods = tuple((m["name"], int(m["dim"])) for m in obj["modalities"])
-        except (KeyError, TypeError) as exc:
-            raise SchemaError(f"malformed schema: {exc}") from exc
-        return cls(
-            modalities=mods,
-            label_column=obj.get("label_column", "label"),
-            class_names=tuple(obj.get("class_names", ())),
-            meta_columns=tuple(obj.get("meta_columns", ())),
-        )
+        """Schema from parsed JSON; a field of the wrong type raises SchemaError."""
+        if not isinstance(obj, dict) or not isinstance(obj.get("modalities"), list):
+            raise SchemaError("malformed schema: needs an object with a 'modalities' list")
+        mods = []
+        for m in obj["modalities"]:
+            if not isinstance(m, dict) or not isinstance(m.get("name"), str):
+                raise SchemaError(f"malformed schema: modality {m!r} needs a string 'name'")
+            dim = m.get("dim")
+            if not isinstance(dim, int) or isinstance(dim, bool):
+                raise SchemaError(f"malformed schema: modality {m['name']!r} needs an integer "
+                                  f"'dim', got {dim!r}")
+            mods.append((m["name"], dim))
+        label_column = obj.get("label_column", "label")
+        if not isinstance(label_column, str):
+            raise SchemaError(f"malformed schema: 'label_column' must be a string, "
+                              f"got {label_column!r}")
+        names = {}
+        for key in ("class_names", "meta_columns"):
+            names[key] = obj.get(key, [])
+            if not isinstance(names[key], list) or not all(isinstance(v, str)
+                                                           for v in names[key]):
+                raise SchemaError(f"malformed schema: {key!r} must be a list of strings, "
+                                  f"got {names[key]!r}")
+        return cls(tuple(mods), label_column, tuple(names["class_names"]),
+                   tuple(names["meta_columns"]))
 
     def save(self, path):
         with open(path, "w") as f:

@@ -2,7 +2,11 @@
 plus numpy entry points to the normalisation and forward pass (each runs the
 tape layer on a throwaway tape) and the graph extension that spell out
 inductive prediction for one patient (train.predict_inductive_batch computes
-the same graph in closed form for many)."""
+the same graph in closed form for many).
+
+Training runs these layers inside block.graph_block, which never forms the
+normalised adjacency; `normalize_adj` and `gcn_forward` are its dense
+reference."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -11,6 +15,8 @@ import numpy as np
 
 from . import numcore as nc
 from .errors import DimensionError, ParameterError
+
+DEGREE_FLOOR = 1e-12  # floor on a node's degree; a node below it passes no gradient
 
 
 @dataclass
@@ -37,8 +43,8 @@ def normalize_adj(tape, a, add_self_loops=False):
     if add_self_loops:
         av = av + np.eye(n)
     deg = av.sum(axis=1)
-    live = deg > 1e-12  # the degree floor passes no gradient
-    s = 1.0 / np.sqrt(np.maximum(deg, 1e-12))
+    live = deg > DEGREE_FLOOR
+    s = 1.0 / np.sqrt(np.maximum(deg, DEGREE_FLOOR))
     out = av * s[:, None]
     out *= s
 

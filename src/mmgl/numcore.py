@@ -2,8 +2,10 @@
 
 A `Tape` records every primitive applied during a forward pass; `Tape.backward`
 replays the records in reverse and accumulates gradients into the participating
-`Param`s. All values are numpy float64 arrays; broadcasting follows numpy rules
-and is undone in the adjoints.
+`Param`s. A tape can be given the set of Params it trains: a node that no
+trainable Param feeds gets no gradient and its VJP never runs. All values are
+numpy float64 arrays; broadcasting follows numpy rules and is undone in the
+adjoints.
 """
 from __future__ import annotations
 
@@ -36,12 +38,13 @@ def glorot(rng, rows, cols, name=""):
 class Node:
     """One recorded value in a forward pass."""
 
-    __slots__ = ("value", "tape", "grad", "_parents", "_vjp", "_param")
+    __slots__ = ("value", "tape", "grad", "needs_grad", "_parents", "_vjp", "_param")
 
-    def __init__(self, value, tape, parents=(), vjp=None, param=None):
+    def __init__(self, value, tape, parents=(), vjp=None, param=None, needs_grad=False):
         self.value = value
         self.tape = tape
         self.grad = None
+        self.needs_grad = needs_grad  # a trainable Param feeds this node
         self._parents = parents
         self._vjp = vjp
         self._param = param
@@ -84,14 +87,24 @@ class Node:
 
 
 class Tape:
-    """Ordered record of primitives; one backward pass per forward pass."""
+    """Ordered record of primitives; one backward pass per forward pass.
 
-    def __init__(self):
+    `trainable`: the Params whose gradients backward forms; None trains every
+    Param entered with `leaf`. A VJP may skip the parents whose `needs_grad`
+    is False: backward discards what it returns for them.
+    """
+
+    def __init__(self, trainable=None):
         self.nodes = []
+        self.trainable = None if trainable is None else set(trainable)
         self._done = False
 
     def _record(self, value, parents=(), vjp=None, param=None):
-        node = Node(np.asarray(value, dtype=np.float64), self, parents, vjp, param)
+        if param is not None:
+            needs_grad = self.trainable is None or param in self.trainable
+        else:
+            needs_grad = any(p.needs_grad for p in parents)
+        node = Node(np.asarray(value, dtype=np.float64), self, parents, vjp, param, needs_grad)
         self.nodes.append(node)
         return node
 
@@ -112,6 +125,8 @@ class Tape:
         if loss.value.size != 1:
             raise ParameterError(f"loss must be scalar, got shape {loss.value.shape}")
         self._done = True
+        if not loss.needs_grad:
+            return
         loss.grad = np.ones_like(loss.value)
         for node in reversed(self.nodes):
             g = node.grad
@@ -121,7 +136,7 @@ class Tape:
                 node._param.grad += g
             if node._vjp is not None:
                 for parent, pg in zip(node._parents, node._vjp(g)):
-                    if pg is None:
+                    if pg is None or not parent.needs_grad:
                         continue
                     # node grads are never mutated in place, so aliasing is safe
                     parent.grad = pg if parent.grad is None else parent.grad + pg
@@ -277,6 +292,20 @@ def softmax_columns(s, tau=1.0):
     return tape._record(y, (s,), vjp)
 
 
+def masked_labels(labels, mask, n_classes):
+    """(row indices, their labels) of a loss mask (indices or booleans); the
+    mask must be non-empty and every label in it in [0, n_classes)."""
+    mask = np.asarray(mask)
+    if mask.dtype == bool:
+        mask = np.flatnonzero(mask)
+    if mask.size == 0:
+        raise ParameterError("cross_entropy_masked: empty mask")
+    lab = np.asarray(labels, dtype=np.int64)[mask]
+    if lab.min() < 0 or lab.max() >= n_classes:
+        raise DataError(f"label out of range [0, {n_classes}): {lab.min()}..{lab.max()}")
+    return mask, lab
+
+
 def cross_entropy_masked(logits, labels, mask):
     """Mean negative log-softmax of the true class over `mask` rows.
 
@@ -284,17 +313,8 @@ def cross_entropy_masked(logits, labels, mask):
     mask: index array selecting the rows that contribute to the loss.
     """
     tape = _tape_of(logits)
-    mask = np.asarray(mask)
-    if mask.dtype == bool:
-        mask = np.flatnonzero(mask)
-    if mask.size == 0:
-        raise ParameterError("cross_entropy_masked: empty mask")
-    labels = np.asarray(labels, dtype=np.int64)
     lv = logits.value
-    n, c = lv.shape
-    lab = labels[mask]
-    if lab.min() < 0 or lab.max() >= c:
-        raise DataError(f"label out of range [0, {c}): {lab.min()}..{lab.max()}")
+    mask, lab = masked_labels(labels, mask, lv.shape[1])
     sel = lv[mask]
     m = sel.max(axis=1, keepdims=True)
     e = np.exp(sel - m)

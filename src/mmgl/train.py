@@ -1,12 +1,17 @@
 """Joint objective, the two-phase iterative training schedule, cross-validated
-evaluation, the ablation grid, and metrics (accuracy, rank-based AUC)."""
+evaluation, the ablation grid, and metrics (accuracy, rank-based AUC).
+
+A training phase records the fusion, the learned graph's projection and one
+block.graph_block node on a tape that trains only the phase's optimizer's
+Params, so a frozen group gets no gradient. `total_loss` composes the same
+objective from the dense primitives and is the block's reference."""
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import agl, gcn, maff, numcore as nc
+from . import agl, block, gcn, maff, numcore as nc
 # impute_mean and zscore are unused here; bench/selftest.py checks that train binds them
 from .data import (  # noqa: F401
     Preprocessor, check_field_types, impute_mean, read_json, stratified_kfold, write_csv, zscore,
@@ -146,36 +151,51 @@ class Model:
             h = tape.leaf(self.concat_w).T @ x
         return h, maps
 
-    def adjacency(self, tape, h):
-        if self.cfg.graph == "learned":
-            a, _ = agl.learned_adjacency(tape, h, self.agl)
-            return a
-        n = h.value.shape[1]
+    def fixed_adjacency(self, h):
+        """The (N, N) adjacency of a kNN, meta or identity graph over fused
+        features h (d, N)."""
         if self.cfg.graph == "knn":
-            return tape.const(agl.knn_graph_rbf(h.value, self.cfg.knn_k, self.cfg.rbf_sigma).a)
+            return agl.knn_graph_rbf(h, self.cfg.knn_k, self.cfg.rbf_sigma).a
         if self.cfg.graph == "meta":
             if self.meta_adj is None:
                 raise ParameterError("graph='meta' needs a meta feature matrix")
-            return tape.const(self.meta_adj)
-        return tape.const(np.eye(n))
+            return self.meta_adj
+        return np.eye(h.shape[1])
 
-    def forward(self, tape, mods, dropout=False):
+    def forward(self, tape, mods, labels=None, mask=None, dropout=False):
+        """Fusion, then the graph block (block.graph_block), on `tape`.
+
+        The tape's trainable Params decide which gradients backward forms.
+        With labels, "terms" is the block's loss node [task, smooth, con,
+        reg]; without, it is None and only the logits are computed. "A" is
+        the fixed adjacency, or None for a learned graph, whose A is never
+        formed here.
+        """
         h, maps = self.fuse(tape, mods)
-        a = self.adjacency(tape, h)
-        a_norm = gcn.normalize_adj(tape, a, self.cfg.add_self_loops)
-        p = self.cfg.dropout if dropout else 0.0
-        logits = gcn.gcn_forward(tape, h, a_norm, self.gcn, p, self._drop_rng)
-        return {"H": h, "A": a, "A_norm": a_norm, "logits": logits, "maps": maps}
+        a = None
+        if self.cfg.graph == "learned":
+            source = {"zn": agl.cosine_normalize(tape.leaf(self.agl.w_a).T @ h)}
+        else:
+            a = self.fixed_adjacency(h.value)
+            source = {"adj": a}
+        keep = None
+        if dropout and self.cfg.dropout > 0.0:
+            p = self.cfg.dropout
+            keep = (self._drop_rng.random((h.value.shape[1], self.cfg.d_h)) >= p) / (1.0 - p)
+        terms, logits = block.graph_block(
+            tape, h, tape.leaf(self.gcn.w0), tape.leaf(self.gcn.w1), labels, mask,
+            add_self_loops=self.cfg.add_self_loops, keep=keep, **source)
+        return {"H": h.value, "A": a, "terms": terms, "logits": logits, "maps": maps}
 
     def refresh_cache(self, mods):
-        """Inference forward pass; caches H/A/logits/maps for eval and export."""
-        out = self.forward(nc.Tape(), mods, dropout=False)
-        self.cache = {
-            "H": out["H"].value,
-            "A": out["A"].value,
-            "logits": out["logits"].value,
-            "maps": out["maps"],
-        }
+        """Inference forward pass; caches H/A/logits/maps for eval and export.
+        A learned graph's A is formed here, as one dense product."""
+        out = self.forward(nc.Tape(trainable=()), mods)
+        a = out["A"]
+        if a is None:
+            tape = nc.Tape()
+            a = agl.learned_adjacency(tape, tape.const(out["H"]), self.agl)[0].value
+        self.cache = {"H": out["H"], "A": a, "logits": out["logits"], "maps": out["maps"]}
         return self.cache
 
 
@@ -200,24 +220,24 @@ def _check_finite(values, epoch):
 def train_epoch(model, mods, labels, mask, opt_a, opt_b, epoch):
     """One modular-iterative epoch: phase A updates fusion+AGL with the GCN
     frozen, phase B re-runs the forward pass and updates AGL+GCN with the
-    fusion frozen. Returns the loss breakdown after phase B."""
+    fusion frozen. A phase's trainable Params are its optimizer's; no other
+    gradient is formed. Returns the loss breakdown after phase B."""
     cfg = model.cfg
+    lam, alpha, beta = cfg.lam, cfg.alpha, cfg.beta
+    # d(objective)/d[task, smooth, con, reg]
+    weights = {"total": np.array([1.0, lam, lam * alpha, lam * beta]),
+               "graph-only": np.array([0.0, 1.0, alpha, beta])}
 
     def run_phase(opt, loss_kind):
         for p in model.all_params():
             p.zero_grad()
-        tape = nc.Tape()
-        out = model.forward(tape, mods, dropout=True)
-        total, parts = total_loss(
-            tape, out["logits"], labels, mask, out["H"], out["A"],
-            cfg.lam, cfg.alpha, cfg.beta,
-        )
-        graph = parts.pop("graph")  # not a history column
-        objective = graph if loss_kind == "graph-only" else total
-        values = {k: float(v.value) for k, v in parts.items()}
-        values["total"] = float(total.value)
+        tape = nc.Tape(trainable=opt.params)
+        terms = model.forward(tape, mods, labels, mask, dropout=True)["terms"]
+        task, smooth, con, reg = (float(v) for v in terms.value)
+        values = {"task": task, "smooth": smooth, "con": con, "reg": reg,
+                  "total": task + lam * (smooth + alpha * con + beta * reg)}
         _check_finite(values, epoch)
-        tape.backward(objective)
+        tape.backward(nc.sum_axis(terms * weights[loss_kind], axis=0, keepdims=False))
         opt.step()
         return values
 
@@ -236,8 +256,9 @@ def fit(schema, mods, labels, train_idx, cfg, n_classes, seed_key=None, meta=Non
         values = train_epoch(model, mods, labels, train_idx, opt_a, opt_b, epoch)
         history.append(values)
         if cfg.patience > 0:
-            cache = model.refresh_cache(mods)
-            acc = accuracy(cache["logits"][train_idx], labels[train_idx])
+            # the logits alone: no dense A is formed before the last epoch
+            logits = model.forward(nc.Tape(trainable=()), mods)["logits"]
+            acc = accuracy(logits[train_idx], labels[train_idx])
             if acc > best_acc:
                 best_acc, best_epoch = acc, epoch
             elif epoch - best_epoch >= cfg.patience:
@@ -313,7 +334,8 @@ class Metrics:
 
     @property
     def se_auc(self):
-        return self.std_auc / np.sqrt(len(self.auc_folds))
+        # over the folds that have an AUC; NaN with fewer than two of them
+        return self.std_auc / np.sqrt(max(np.count_nonzero(~np.isnan(self.auc_folds)), 1))
 
 
 def evaluate(model, labels, test_idx):

@@ -163,6 +163,57 @@ def test_cv_exit_code_contract_fuzzed_config(synth_dir, raw):
     assert code in (0, 2, 3, 4)
 
 
+@pytest.mark.parametrize("key,value,top", [
+    ("dim", "x", False), ("class_names", 5, True), ("name", ["a"], False),
+    ("dim", 3.7, False), ("dim", True, False), ("label_column", 0, True),
+    ("meta_columns", ["a", 1], True),
+])
+def test_cv_malformed_schema_exit_3(tmp_path, synth_dir, capsys, key, value, top):
+    schema = json.loads((synth_dir / "schema.json").read_text())
+    (schema if top else schema["modalities"][0])[key] = value
+    (synth_dir / "schema.json").write_text(json.dumps(schema))
+    assert run("cv", "--config", str(write_train_cfg(tmp_path)), "--data", str(synth_dir),
+               "--out", str(tmp_path / "o"), "--folds", "2") == 3
+    assert "malformed schema" in capsys.readouterr().err
+
+
+SCHEMA_JUNK = st.one_of(CONFIG_JUNK, st.integers(-1, 4), st.booleans(), st.floats(0.5, 3.5),
+                        st.lists(st.text(max_size=3), max_size=2),
+                        st.dictionaries(st.text(max_size=3), st.integers(0, 3), max_size=2))
+SCHEMA_FIELDS = ["modalities", "label_column", "class_names", "meta_columns", "mystery",
+                 (0, "name"), (0, "dim"), (1, "name"), (1, "dim"), (1, "mystery")]
+
+
+@st.composite
+def schema_bytes(draw, base):
+    """The schema of `base` (a parsed schema.json) with up to three fields
+    replaced by junk, or arbitrary bytes."""
+    if draw(st.integers(0, 4)) == 0:
+        return draw(st.binary(max_size=12))
+    schema = json.loads(json.dumps(base))
+    for field in draw(st.lists(st.sampled_from(SCHEMA_FIELDS), max_size=3)):
+        mods = schema.get("modalities")
+        if isinstance(field, str):
+            schema[field] = draw(SCHEMA_JUNK)
+        elif isinstance(mods, list) and field[0] < len(mods) and isinstance(mods[field[0]], dict):
+            mods[field[0]][field[1]] = draw(SCHEMA_JUNK)
+    return json.dumps(schema).encode()
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_cv_exit_code_contract_fuzzed_schema(tmp_path, synth_dir, data):
+    raw = data.draw(schema_bytes(json.loads((synth_dir / "schema.json").read_text())))
+    cfg = write_train_cfg(tmp_path, epochs=1)
+    with tempfile.TemporaryDirectory() as tmp:
+        (Path(tmp) / "features.csv").write_bytes((synth_dir / "features.csv").read_bytes())
+        (Path(tmp) / "schema.json").write_bytes(raw)
+        code = run("cv", "--config", str(cfg), "--data", tmp,
+                   "--out", str(Path(tmp) / "o"), "--folds", "2")
+    assert code in (0, 2, 3)
+
+
 @pytest.mark.parametrize("cfg", [
     {"modality_dims": ["x"]}, {"seed": -1}, {"meta_dims": "2"}, {"pattern": 5}, {"n": 10.5},
 ])
@@ -505,6 +556,17 @@ def test_predict_artifact_with_invalid_config_exit_3(tmp_path, trained, synth_di
         arrays = dict(z)
     cfg = json.loads(str(arrays["config_json"]))
     arrays["config_json"] = np.array(json.dumps(cfg | {"heads": 0}))
+    bad = tmp_path / "bad.npz"
+    np.savez(bad, **arrays)
+    assert run("predict", "--model", str(bad), "--features",
+               str(synth_dir / "features.csv"), "--out", str(tmp_path / "p.csv")) == 3
+
+
+def test_predict_artifact_with_malformed_schema_exit_3(tmp_path, trained, synth_dir):
+    with np.load(trained / "model.npz") as z:
+        arrays = dict(z)
+    schema = json.loads(str(arrays["schema_json"]))
+    arrays["schema_json"] = np.array(json.dumps(schema | {"class_names": 5}))
     bad = tmp_path / "bad.npz"
     np.savez(bad, **arrays)
     assert run("predict", "--model", str(bad), "--features",

@@ -178,6 +178,33 @@ def test_backward_unused_param_zero():
     assert np.array_equal(w.grad, np.ones((2, 2)))
 
 
+def test_backward_forms_only_trainable_gradients():
+    rng = np.random.default_rng(0)
+    a = nc.Param(rng.normal(size=(2, 3)), "a")
+    b = nc.Param(rng.normal(size=(3, 2)), "b")
+
+    def loss(tape):
+        lb = tape.leaf(b)
+        y = nc.relu(lb)
+        return sum_all(tape.leaf(a) @ y), lb, y
+
+    full = nc.Tape()
+    full.backward(loss(full)[0])
+    a_grad = a.grad.copy()
+    a.zero_grad()
+    b.zero_grad()
+    t = nc.Tape(trainable=[a])
+    out, lb, y = loss(t)
+    t.backward(out)
+    assert np.array_equal(a.grad, a_grad)
+    assert not b.grad.any()
+    # the branch only the frozen b feeds gets no gradient: its VJPs never run
+    assert not y.needs_grad and y.grad is None and lb.grad is None
+    frozen = nc.Tape(trainable=())
+    frozen.backward(loss(frozen)[0])
+    assert np.array_equal(a.grad, a_grad) and not b.grad.any()
+
+
 def test_backward_twice_is_error():
     w = nc.Param(np.ones((2, 2)), "w")
     t = make_tape()

@@ -285,10 +285,12 @@ def test_metrics_nan_auc_folds():
     none = Metrics([1.0] * 3, [nan] * 3)
     assert np.isnan(none.mean_auc) and np.isnan(none.std_auc) and np.isnan(none.se_auc)
     one = Metrics([1.0] * 3, [nan, 0.5, nan])
-    assert one.mean_auc == 0.5 and np.isnan(one.std_auc)
+    assert one.mean_auc == 0.5 and np.isnan(one.std_auc) and np.isnan(one.se_auc)
     two = Metrics([1.0] * 3, [0.5, nan, 0.7])
     assert two.mean_auc == np.nanmean(two.auc_folds)
     assert two.std_auc == np.nanstd(two.auc_folds, ddof=1)
+    # the standard error counts only the two folds that have an AUC
+    assert two.se_auc == two.std_auc / np.sqrt(2)
     assert Metrics([1.0], [nan]).std_auc == 0.0
 
 

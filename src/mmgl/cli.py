@@ -11,6 +11,7 @@ import json
 import os
 import sys
 import zipfile
+import zlib
 from dataclasses import replace
 from datetime import datetime, timezone
 from itertools import chain
@@ -126,23 +127,45 @@ def load_model(path):
         raise DataError(f"model artifact not found: {path}")
     try:
         return _read_model(path)
-    except (OSError, ValueError, KeyError, zipfile.BadZipFile, ConfigError) as exc:
+    # zipfile raises NotImplementedError for a compression method or version
+    # it cannot read; a damaged compressed member raises zlib.error
+    except (OSError, EOFError, ValueError, KeyError, NotImplementedError, zipfile.BadZipFile,
+            zlib.error, ConfigError) as exc:
         raise DataError(f"unreadable model artifact {path}: {exc}") from exc
+
+
+def _artifact_array(z, key):
+    """One array of a model artifact, checked for the kind the model reads:
+    `n_classes` a 0-d integer, `labels` integers, every other array real
+    floating and finite."""
+    value = z[key]
+    if key == "n_classes":
+        if value.ndim != 0 or not np.issubdtype(value.dtype, np.integer) or value < 1:
+            raise DataError(f"artifact array 'n_classes' must be one integer >= 1, "
+                            f"got {value.dtype} {value.shape}")
+    elif key == "labels":
+        if not np.issubdtype(value.dtype, np.integer):
+            raise DataError(f"artifact array 'labels' must be integers, got {value.dtype}")
+    elif not np.issubdtype(value.dtype, np.floating):
+        raise DataError(f"artifact array {key!r} must be real floating, got {value.dtype}")
+    elif not np.isfinite(value).all():
+        raise DataError(f"artifact array {key!r} has non-finite entries")
+    return value
 
 
 def _read_model(path):
     with np.load(path, allow_pickle=False) as z:
         schema = ModalitySchema.from_dict(json.loads(str(z["schema_json"])))
         cfg = TrainConfig.from_dict(json.loads(str(z["config_json"])))
-        n_classes = int(z["n_classes"])
+        n_classes = int(_artifact_array(z, "n_classes"))
         model = Model(schema, n_classes, cfg)
-        labels = z["labels"]
+        labels = _artifact_array(z, "labels")
         n = labels.shape[0] if labels.ndim == 1 else None
         m, d_in = schema.n_modalities, schema.d_in
         shapes = {"labels": (n,), "H": (cfg.dim_fused, n), "A": (n, n), "logits": (n, n_classes),
                   "impute_means": (d_in,), "z_mu": (d_in,), "z_sd": (d_in,),
                   "fuse_map": (m, m), "meta_adj": (n, n)}
-        arrays = {key: z[key] for key in shapes if key in z}
+        arrays = {key: _artifact_array(z, key) for key in shapes if key in z}
         for key, value in arrays.items():
             if value.shape != shapes[key]:
                 raise DataError(f"artifact array {key!r} has shape {value.shape}, "
@@ -150,7 +173,7 @@ def _read_model(path):
         if "meta_adj" in arrays:
             model.meta_adj = arrays["meta_adj"]
         for p in model.all_params():
-            p.value[...] = z["param:" + p.name]
+            p.value[...] = _artifact_array(z, "param:" + p.name)
         model.cache = {"H": arrays["H"], "A": arrays["A"], "logits": arrays["logits"],
                        "maps": None}
         if "fuse_map" in arrays:

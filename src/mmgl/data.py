@@ -230,17 +230,55 @@ def read_table(path, schema, require_label=True):
         raise SchemaError(
             f"schema dimensions sum to {schema.d_in} but file has {len(feat_cols)} feature columns"
         )
-    n = len(rows)
-    if n == 0:
+    if not rows:
         raise DataError(f"no data rows in {path}")
-    values = np.zeros((schema.d_in, n))
-    missing = np.zeros((schema.d_in, n), dtype=bool)
-    raw_labels = []
+    parsed = None
+    if all(len(row) == len(header) for row in rows):
+        cells = [row[:label_idx] + row[label_idx + 1:] for row in rows] if has_label else rows
+        parsed = _parse_cells(cells)
+    if parsed is None:
+        parsed = _walk_cells(rows, header, feat_cols)  # raises the first bad row's error
+    values, missing = parsed
+    bad = np.argwhere(~np.isfinite(values.T))  # float() accepts nan and inf
+    if bad.size:
+        r, j = bad[0]
+        raise ParseError(f"row {r + 2}, column {header[feat_cols[j]]!r}: "
+                         f"non-finite cell {rows[r][feat_cols[j]].strip()!r}")
+    raw_labels = [row[label_idx].strip() for row in rows] if has_label else None
+    return values, missing, raw_labels, [header[c] for c in feat_cols]
+
+
+def _parse_cells(cells):
+    """(values, missing), both (d_in, N), from equal-length rows of feature
+    cells, as `_walk_cells` gives them; None if a cell needs the walk.
+
+    Both conversions call float() on each cell, which accepts surrounding
+    whitespace. The second, after a failed first, marks the empty cells
+    missing; a whitespace-only cell fails it and is left to the walk.
+    """
+    try:
+        values = np.array(cells, dtype=np.float64)
+        missing = np.zeros(values.shape, dtype=bool)
+    except ValueError:
+        cells = np.array(cells, dtype=object)
+        missing = cells == ""
+        cells[missing] = "0"
+        try:
+            values = cells.astype(np.float64)
+        except ValueError:
+            return None
+    return np.ascontiguousarray(values.T), np.ascontiguousarray(missing.T)
+
+
+def _walk_cells(rows, header, feat_cols):
+    """Cell-by-cell parse in file order; raises ParseError at the first short
+    or long row or non-numeric cell."""
+    n = len(rows)
+    values = np.zeros((len(feat_cols), n))
+    missing = np.zeros((len(feat_cols), n), dtype=bool)
     for r, row in enumerate(rows):
         if len(row) != len(header):
             raise ParseError(f"row {r + 2}: expected {len(header)} cells, got {len(row)}")
-        if has_label:
-            raw_labels.append(row[label_idx].strip())
         for j, c in enumerate(feat_cols):
             cell = row[c].strip()
             if cell == "":
@@ -252,12 +290,7 @@ def read_table(path, schema, require_label=True):
                     raise ParseError(
                         f"row {r + 2}, column {header[c]!r}: non-numeric cell {cell!r}"
                     )
-    bad = np.argwhere(~np.isfinite(values.T))  # float() accepts nan and inf
-    if bad.size:
-        r, j = bad[0]
-        raise ParseError(f"row {r + 2}, column {header[feat_cols[j]]!r}: "
-                         f"non-finite cell {rows[r][feat_cols[j]].strip()!r}")
-    return values, missing, raw_labels if has_label else None, [header[c] for c in feat_cols]
+    return values, missing
 
 
 def write_csv(path, header, rows):

@@ -78,9 +78,13 @@ def fuse_batch(tape, xs, params):
     """Fuse per-modality feature blocks (d_m, N) into (H: d x N, AttentionMaps).
 
     Recorded as one tape node whose parents are the 4M+1 weight leaves and the
-    M inputs. Q, K and V are stacked as (M, heads, d_h, N); the scores
-    S[h, i, j] = <q_i, k_j> / tau are softmax-normalised over the queries i
-    ("column") or the keys j ("row"); modality m aggregates v_m + sum_j P[h, m, j] v_j.
+    M inputs. Q, K and V come from one GEMM per modality, [W_q | W_k | W_v]_m^T
+    x_m, and are views of that (M, 3 d_f, N) stack shaped (M, heads, d_h, N);
+    the scores S[h, i, j] = <q_i, k_j> / tau are softmax-normalised over the
+    queries i ("column") or the keys j ("row"); modality m aggregates
+    v_m + sum_j P[h, m, j] v_j, and W_m acts on it as one batched matmul over M.
+    The backward mirrors this: one GEMM per modality for the three weight
+    gradients and one for the input's.
     """
     m_count, heads, d_f = len(params.w_q), params.heads, params.d_f
     if len(xs) != m_count:
@@ -96,35 +100,46 @@ def fuse_batch(tape, xs, params):
             )
     leaves = [tape.leaf(p) for p in params.all_params()]
     xv = [x.value for x in xs]
-    wq, wk, wv = ([w.value for w in ws] for ws in (params.w_q, params.w_k, params.w_v))
+    wqkv = [np.concatenate((q.value, k.value, v.value), axis=1)
+            for q, k, v in zip(params.w_q, params.w_k, params.w_v)]
+    qkv = np.empty((m_count, 3 * d_f, n))
+    for m in range(m_count):
+        np.matmul(wqkv[m].T, xv[m], out=qkv[m])
     shape = (m_count, heads, d_f // heads, n)
-    q, k, v = (np.stack([w.T @ x for w, x in zip(ws, xv)]).reshape(shape)
-               for ws in (wq, wk, wv))
+    q, k, v = (qkv[:, i * d_f:(i + 1) * d_f].reshape(shape) for i in range(3))
     tau = params.tau
     axis = 1 if params.attention_axis == "column" else 2
-    s = np.einsum("ihcn,jhcn->hijn", q, k) / tau
+    # the softmax runs in place: each fresh (heads, M, M, N) temporary costs more
+    # than the arithmetic on it
+    p = np.einsum("ihcn,jhcn->hijn", q, k)
+    p /= tau
     # a diverging run's infinite scores give NaN here; the loss check reports it
     with np.errstate(invalid="ignore"):
-        e = np.exp(s - s.max(axis=axis, keepdims=True))
-        p = e / e.sum(axis=axis, keepdims=True)  # (heads, M, M, N)
+        p -= p.max(axis=axis, keepdims=True)
+        np.exp(p, out=p)
+        p /= p.sum(axis=axis, keepdims=True)  # (heads, M, M, N)
     u = (v + np.einsum("hmjn,jhcn->mhcn", p, v)).reshape(m_count, d_f, n)
     wm = np.stack([w.value for w in params.w_m])
-    vhat = np.einsum("mab,man->mbn", wm, u).reshape(m_count * d_f, n)
+    vhat = (np.swapaxes(wm, 1, 2) @ u).reshape(m_count * d_f, n)
     wh = params.w_h.value
 
     def vjp(g):
         g_vhat = (wh @ g).reshape(m_count, d_f, n)
-        g_u = np.einsum("mab,mbn->man", wm, g_vhat).reshape(shape)
-        g_p = np.einsum("mhcn,jhcn->hmjn", g_u, v)
-        g_s = p * (g_p - (p * g_p).sum(axis=axis, keepdims=True)) / tau
-        gq = np.einsum("hijn,jhcn->ihcn", g_s, k).reshape(m_count, d_f, n)
-        gk = np.einsum("hijn,ihcn->jhcn", g_s, q).reshape(m_count, d_f, n)
-        gv = (g_u + np.einsum("hmjn,mhcn->jhcn", p, g_u)).reshape(m_count, d_f, n)
-        g_w = [x @ gm.T for gs in (gq, gk, gv) for x, gm in zip(xv, gs)]
-        g_w += [*np.einsum("man,mbn->mab", u, g_vhat), vhat @ g.T]
+        g_u = (wm @ g_vhat).reshape(shape)
+        g_s = np.einsum("mhcn,jhcn->hmjn", g_u, v)  # dL/dP, made dL/dS in place
+        g_s -= (p * g_s).sum(axis=axis, keepdims=True)
+        g_s *= p
+        g_s /= tau
+        g_qkv = np.empty((m_count, 3 * d_f, n))
+        gq, gk, gv = (g_qkv[:, i * d_f:(i + 1) * d_f].reshape(shape) for i in range(3))
+        np.einsum("hijn,jhcn->ihcn", g_s, k, out=gq)
+        np.einsum("hijn,ihcn->jhcn", g_s, q, out=gk)
+        np.add(g_u, np.einsum("hmjn,mhcn->jhcn", p, g_u), out=gv)
+        g_wqkv = [x @ gm.T for x, gm in zip(xv, g_qkv)]
+        g_w = [gw[:, i * d_f:(i + 1) * d_f] for i in range(3) for gw in g_wqkv]
+        g_w += [*(u @ np.swapaxes(g_vhat, 1, 2)), vhat @ g.T]
         # inputs given as arrays became constants here: nothing reads their gradient
-        g_x = [wq[m] @ gq[m] + wk[m] @ gk[m] + wv[m] @ gv[m] if wants_grad[m] else None
-               for m in range(m_count)]
+        g_x = [wqkv[m] @ g_qkv[m] if wants_grad[m] else None for m in range(m_count)]
         return (*g_w, *g_x)
 
     h = tape._record(wh.T @ vhat, (*leaves, *xs), vjp)

@@ -341,7 +341,12 @@ def softmax_rows_values(logits):
 
 
 class Adam:
-    """Adam with bias correction over a fixed set of Params."""
+    """Adam with bias correction over a fixed set of Params.
+
+    The moments of all Params live in one flat vector each, so a step is a
+    handful of whole-array passes; the update is elementwise, so it equals
+    the per-Param loop bit for bit.
+    """
 
     def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
         if lr <= 0:
@@ -352,21 +357,26 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = [np.zeros_like(p.value) for p in self.params]
-        self.v = [np.zeros_like(p.value) for p in self.params]
+        self._ends = np.cumsum([p.value.size for p in self.params], dtype=np.int64)
+        size = int(self._ends[-1]) if self.params else 0
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
 
     def step(self):
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
-        for p, m, v in zip(self.params, self.m, self.v):
-            g = p.grad
-            m *= b1
-            m += (1 - b1) * g
-            v *= b2
-            v += (1 - b2) * g * g
-            mhat = m / (1 - b1 ** self.t)
-            vhat = v / (1 - b2 ** self.t)
-            p.value -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
+        if not self.params:
+            return
+        b1, b2, m, v = self.beta1, self.beta2, self.m, self.v
+        g = np.concatenate([p.grad.reshape(-1) for p in self.params])
+        m *= b1
+        m += (1 - b1) * g
+        v *= b2
+        v += (1 - b2) * g * g
+        mhat = m / (1 - b1 ** self.t)
+        vhat = v / (1 - b2 ** self.t)
+        update = self.lr * mhat / (np.sqrt(vhat) + self.eps)
+        for p, start, stop in zip(self.params, (0, *self._ends[:-1]), self._ends):
+            p.value -= update[start:stop].reshape(p.value.shape)
 
 
 def grad_check(build, params, h=1e-5, rng=None, max_coords=24):

@@ -6,6 +6,7 @@ import stat
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -589,6 +590,119 @@ def test_predict_shape_inconsistent_artifact_exit_3(tmp_path, trained, synth_dir
     np.savez(bad, **arrays)
     assert run("predict", "--model", str(bad), "--features",
                str(synth_dir / "features.csv"), "--out", str(tmp_path / "p.csv")) == 3
+
+
+def predict_with(tmp_path, synth_dir, arrays):
+    """Exit code of `mmgl predict` with a model artifact holding `arrays`,
+    and the probabilities it wrote (None if it wrote none)."""
+    bad = tmp_path / "bad.npz"
+    np.savez(bad, **arrays)
+    out = tmp_path / "p.csv"
+    if out.exists():
+        out.unlink()
+    code = run("predict", "--model", str(bad), "--features",
+               str(synth_dir / "features.csv"), "--out", str(out))
+    if not out.exists():
+        return code, None
+    with open(out, newline="") as f:
+        rows = list(csv.reader(f))[1:]
+    return code, np.array([[float(v) for v in row[2:]] for row in rows])
+
+
+@pytest.mark.parametrize("key,value", [
+    ("n_classes", np.array([3, 3])),
+    ("n_classes", np.array(3.7)),
+    ("n_classes", np.array(0)),
+    ("labels", lambda a: a.astype(np.float64)),
+    ("z_sd", lambda a: a.astype(str)),
+    ("H", lambda a: np.full_like(a, np.inf)),
+    ("z_sd", lambda a: np.full_like(a, np.nan)),
+    ("H", lambda a: a.astype(np.complex128)),
+    ("param:w_h", lambda a: a.astype(np.complex128)),
+    ("param:gcn.w0", lambda a: a.astype(str)),
+    ("A", lambda a: a.astype(bool)),
+], ids=["n_classes-pair", "n_classes-float", "n_classes-zero", "labels-float", "z_sd-str",
+        "H-inf", "z_sd-nan", "H-complex", "w_h-complex", "w0-str", "A-bool"])
+def test_predict_malformed_artifact_array_exit_3(tmp_path, trained, synth_dir, capsys,
+                                                 key, value):
+    with np.load(trained / "model.npz") as z:
+        arrays = dict(z)
+    arrays[key] = value(arrays[key]) if callable(value) else value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no ComplexWarning on the way to the exit code
+        code, probs = predict_with(tmp_path, synth_dir, arrays)
+    assert code == 3 and probs is None
+    assert f"artifact array {key!r}" in capsys.readouterr().err
+
+
+@st.composite
+def artifact_arrays(draw, base):
+    """The arrays of `base` (a model artifact) with a key dropped, or one
+    array's dtype or entries changed."""
+    arrays = dict(base)
+    key = draw(st.sampled_from(sorted(arrays)))
+    change = draw(st.sampled_from(["drop", "str", "complex", "int", "float32", "bool",
+                                   "nan", "inf", "scalar", "2-d"]))
+    a = arrays[key]
+    if change == "drop":
+        del arrays[key]
+    elif change in ("nan", "inf"):
+        if a.dtype.kind == "f" and a.size:
+            a = a.copy()
+            a.reshape(-1)[draw(st.integers(0, a.size - 1))] = np.nan if change == "nan" else np.inf
+            arrays[key] = a
+    elif change == "scalar":
+        arrays[key] = np.array(draw(st.sampled_from([0, 3, -1, 2.5])))
+    elif change == "2-d":
+        arrays[key] = np.atleast_2d(a)
+    else:
+        try:
+            arrays[key] = a.astype({"int": np.int64}.get(change, change))
+        except ValueError:  # a JSON string has no numeric value
+            pass
+    return arrays
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_predict_exit_code_contract_fuzzed_artifact(tmp_path, trained, synth_dir, data):
+    with np.load(trained / "model.npz") as z:
+        base = dict(z)
+    arrays = data.draw(artifact_arrays(base))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, probs = predict_with(tmp_path, synth_dir, arrays)
+    assert code in (0, 3)
+    if code == 0:
+        assert np.isfinite(probs).all() and np.allclose(probs.sum(axis=1), 1.0)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(compressed=st.booleans(), keep=st.floats(0.0, 1.0), flip=st.floats(0.0, 1.0))
+def test_predict_exit_code_contract_damaged_artifact(tmp_path, trained, synth_dir, compressed,
+                                                     keep, flip):
+    # the artifact's bytes truncated, with one byte inverted
+    with np.load(trained / "model.npz") as z:
+        arrays = dict(z)
+    (np.savez_compressed if compressed else np.savez)(tmp_path / "full.npz", **arrays)
+    raw = bytearray((tmp_path / "full.npz").read_bytes())
+    raw = raw[:int(keep * len(raw))]
+    if raw:
+        raw[min(int(flip * len(raw)), len(raw) - 1)] ^= 0xFF
+    bad = tmp_path / "bad.npz"
+    bad.write_bytes(bytes(raw))
+    out = tmp_path / "p.csv"
+    if out.exists():
+        out.unlink()
+    code = run("predict", "--model", str(bad), "--features",
+               str(synth_dir / "features.csv"), "--out", str(out))
+    assert code in (0, 3)
+    if code == 0:
+        with open(out, newline="") as f:
+            probs = np.array([[float(v) for v in row[2:]] for row in list(csv.reader(f))[1:]])
+        assert np.isfinite(probs).all() and np.allclose(probs.sum(axis=1), 1.0)
 
 
 COMPAT = Path(__file__).resolve().parent / "compat"

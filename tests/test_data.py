@@ -1,4 +1,6 @@
 """Dataset model: ingestion, imputation, normalisation, splits, generator."""
+import csv
+import io
 import warnings
 
 import numpy as np
@@ -12,6 +14,7 @@ from mmgl.data import (
     zscore,
 )
 from mmgl.errors import ConfigError, DataError, ParameterError, ParseError, SchemaError
+from reference_ops import read_table_walk
 
 
 def small_schema():
@@ -91,6 +94,104 @@ def test_load_csv_tadpole_scale(tmp_path):
     loaded = load_csv(str(tmp_path / "features.csv"), str(tmp_path / "schema.json"))
     assert loaded.n == 685 and loaded.schema.d_in == 366 and loaded.n_classes == 3
     assert all(np.allclose(a, b) for a, b in zip(loaded.modalities, ds.modalities))
+
+
+# Cells that float() reads after strip(), with the oddities it accepts, and
+# cells the parse must refuse. A cell that is only whitespace is blank.
+ODD_CELLS = [" 1.5 ", "1e5", "+.5", "-0", "1_0", "\u0663", "\u0661\u0662.\u0665", "\xa02\xa0",
+             "\t-3.25", "4.9e-325", "0.1234567890123456789"]
+BLANK_CELLS = ["", " ", "\t"]
+BAD_CELLS = ["oops", "0x10", "1,5", "1\x00", "\x00", "1 2", "_1"]
+NON_FINITE_CELLS = ["nan", "inf", "-Infinity", "NaN", "1e400"]
+
+
+def table_text(rows, label_at=5):
+    header = ["a_0", "a_1", "b_0", "b_1", "b_2"]
+    header.insert(label_at, "label")
+    lines = [header]
+    for i, row in enumerate(rows):
+        row = list(row)
+        if len(row) == 5:
+            row.insert(label_at, " xy"[1 + i % 2])
+        lines.append(row)
+    buf = io.StringIO()
+    csv.writer(buf).writerows(lines)
+    return buf.getvalue()
+
+
+def parse_both(tmp_path, text, require_label=True):
+    """read_table and the cell-walk oracle on one file: each side's result
+    or the text of the error it raised."""
+    path = tmp_path / "f.csv"
+    path.write_text(text, encoding="utf-8")
+    out = []
+    for parse in (read_table, read_table_walk):
+        try:
+            out.append(parse(path, small_schema(), require_label))
+        except ParseError as exc:
+            out.append(str(exc))
+    return out
+
+
+def assert_same_parse(got, want):
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert not isinstance(got, str), got
+    assert got[0].dtype == want[0].dtype and got[0].flags.c_contiguous
+    assert np.array_equal(got[0].view(np.int64), want[0].view(np.int64))  # bit for bit
+    assert np.array_equal(got[1], want[1]) and got[1].flags.c_contiguous
+    assert got[2:] == want[2:]
+
+
+@pytest.mark.parametrize("label_at", [0, 2, 5])
+@pytest.mark.parametrize("blanks", [[], [""], ["", " "]], ids=["complete", "empty", "whitespace"])
+def test_read_table_matches_cell_walk(tmp_path, label_at, blanks):
+    # complete, with empty cells, and with a whitespace-only cell: the three
+    # ways through the parse
+    cells = ODD_CELLS + blanks
+    rows = [[cells[(5 * r + j) % len(cells)] for j in range(5)] for r in range(7)]
+    got, want = parse_both(tmp_path, table_text(rows, label_at))
+    assert not isinstance(want, str), want
+    assert_same_parse(got, want)
+    assert want[1].sum() == sum(row.count(b) for row in rows for b in blanks)
+
+
+def test_read_table_without_label_column(tmp_path):
+    text = "a_0,a_1,b_0,b_1,b_2\n1,,3, 4 ,5\n6,7,8,9,1e5\n"
+    got, want = parse_both(tmp_path, text, require_label=False)
+    assert_same_parse(got, want)
+    assert got[2] is None
+
+
+@pytest.mark.parametrize("rows,message", [
+    ([["1", "2", "3", "4", "5"], ["1", "oops", "3", "", "5"]],
+     "row 3, column 'a_1': non-numeric cell 'oops'"),
+    ([["1", "2", "3", "4", "5"], ["1", "2", " nan ", "4", "5"]],
+     "row 3, column 'b_0': non-finite cell 'nan'"),
+    ([["1", "", "3", "4", "5"], ["1", "2", "3", "-inf", "5"]],
+     "row 3, column 'b_1': non-finite cell '-inf'"),
+    ([["1", "2", "3", "4", "5"], ["1", "2", "x"]], "row 3: expected 6 cells, got 3"),
+    ([["1", "2", "bad", "4", "5"], ["1", "2"]],
+     "row 2, column 'b_0': non-numeric cell 'bad'"),
+    ([["1", "2"], ["1", "2", "bad", "4", "5"]], "row 2: expected 6 cells, got 2"),
+    ([["1", "2", "3", "4", "5"], ["1", "2", "3", "4", "5", "6", "7"]],
+     "row 3: expected 6 cells, got 7"),
+])
+def test_read_table_error_text(tmp_path, rows, message):
+    got, want = parse_both(tmp_path, table_text(rows))
+    assert want == message
+    assert got == message
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.lists(st.sampled_from(ODD_CELLS + BLANK_CELLS + BAD_CELLS
+                                         + NON_FINITE_CELLS + ["7"] * 12),
+                         min_size=4, max_size=6), min_size=1, max_size=6))
+def test_read_table_fuzz_matches_cell_walk(tmp_path_factory, rows):
+    tmp_path = tmp_path_factory.mktemp("fuzz")
+    got, want = parse_both(tmp_path, table_text(rows))
+    assert_same_parse(got, want)
 
 
 def test_save_load_round_trip_with_missing(tmp_path):

@@ -146,6 +146,38 @@ def test_fuse_batch_matches_loop_reference(axis, heads, dims, n):
         assert_rel_close(g, g_ref)
 
 
+def permuted_params(p, perm):
+    """The same fusion with its modalities listed in the order `perm`."""
+    blocks = p.w_h.value.reshape(len(perm), p.d_f, p.d)[perm].reshape(p.w_h.value.shape)
+    return manual_params(*([ws[i].value for i in perm] for ws in (p.w_q, p.w_k, p.w_v, p.w_m)),
+                         blocks, p.d_f, p.d, p.heads, p.attention_axis)
+
+
+@pytest.mark.parametrize("axis", ["column", "row"])
+@pytest.mark.parametrize("heads", [1, 2])
+@pytest.mark.parametrize("dims", [(3, 4, 5, 2), (3, 3, 3, 3)])
+def test_fuse_modality_permutation(axis, heads, dims):
+    # listing the modalities in another order, with their weights and their
+    # d_f-row blocks of w_h, is the same fusion: H is unchanged, the attention
+    # maps and every per-modality gradient permute
+    rng = np.random.default_rng(24)
+    p = random_params(dims=dims, d_f=4, d=3, heads=heads, seed=25, axis=axis)
+    xs = [rng.normal(size=(d, 7)) for d in dims]
+    r = rng.normal(size=(3, 7))
+    perm = np.array([2, 0, 3, 1])
+    h, tensor, grads = fused_grads(fuse_batch, xs, p, r)
+    hp, tensor_p, grads_p = fused_grads(fuse_batch, [xs[i] for i in perm],
+                                        permuted_params(p, perm), r)
+    assert_rel_close(hp, h)
+    assert_rel_close(tensor_p, tensor[:, perm][:, :, perm])
+    m = len(dims)
+    for start in (0, m, 2 * m, 3 * m, 4 * m + 1):  # w_q, w_k, w_v, w_m; the inputs after w_h
+        for i, j in enumerate(perm):
+            assert_rel_close(grads_p[start + i], grads[start + j])
+    g_wh = grads[4 * m].reshape(m, 4, 3)
+    assert_rel_close(grads_p[4 * m], g_wh[perm].reshape(4 * m, 3))
+
+
 def test_fuse_batch_tape_nodes_independent_of_heads():
     rng = np.random.default_rng(23)
     xs = [rng.normal(size=(d, 4)) for d in (3, 4, 5)]

@@ -8,7 +8,7 @@ import pytest
 
 from mmgl import numcore as nc
 from mmgl.errors import DataError, DimensionError, MmglError, ParameterError
-from reference_ops import concat_rows, log, slice_rows, sum_all
+from reference_ops import AdamLoop, concat_rows, log, slice_rows, sum_all
 
 
 def make_tape():
@@ -333,6 +333,63 @@ def test_adam_step_counter():
     for expected in (1, 2, 3):
         opt.step()
         assert opt.t == expected
+
+
+def mixed_params(seed, shapes=((1,), (5, 8), (4 * 8, 6), (3,), (8, 8))):
+    rng = np.random.default_rng(seed)
+    return [nc.Param(rng.normal(size=s), f"p{i}") for i, s in enumerate(shapes)]
+
+
+def assert_same_bits(a, b):
+    assert np.array_equal(np.asarray(a).view(np.int64), np.asarray(b).view(np.int64))
+
+
+@pytest.mark.parametrize("lr", [0.01, 0.3])
+def test_adam_flat_matches_per_param_loop(lr):
+    flat, loop = mixed_params(1), mixed_params(1)
+    opt, ref = nc.Adam(flat, lr), AdamLoop(loop, lr)
+    rng = np.random.default_rng(2)
+    for step in range(8):
+        for p, q in zip(flat, loop):
+            g = rng.normal(size=p.value.shape) * 10.0 ** rng.integers(-6, 3)
+            if step == 3:
+                g[...] = 0.0  # a zero gradient still moves the moments
+            p.grad[...] = g
+            q.grad[...] = g
+        opt.step()
+        ref.step()
+        for p, q in zip(flat, loop):
+            assert_same_bits(p.value, q.value)
+    assert opt.t == ref.t == 8
+
+
+def test_adam_shared_param_keeps_moments_per_optimizer():
+    # as in two-phase training: the graph Params are stepped by both phases'
+    # optimizers, each with its own moments
+    flat, loop = mixed_params(3), mixed_params(3)
+    opts = [nc.Adam(flat[:3], 0.05), nc.Adam(flat[1:], 0.02)]
+    refs = [AdamLoop(loop[:3], 0.05), AdamLoop(loop[1:], 0.02)]
+    rng = np.random.default_rng(4)
+    for _ in range(6):
+        for opt, ref in zip(opts, refs):
+            for p, q in zip(opt.params, ref.params):
+                p.grad = rng.normal(size=p.value.shape)  # a replaced grad array is read too
+                q.grad = p.grad.copy()
+            opt.step()
+            ref.step()
+            for p, q in zip(flat, loop):
+                assert_same_bits(p.value, q.value)
+    for opt, ref in zip(opts, refs):
+        assert_same_bits(opt.m, np.concatenate([m.ravel() for m in ref.m]))
+        assert_same_bits(opt.v, np.concatenate([v.ravel() for v in ref.v]))
+
+
+def test_adam_without_params_is_a_no_op():
+    opt = nc.Adam([], 0.01)
+    for expected in (1, 2):
+        opt.step()
+        assert opt.t == expected
+    assert opt.m.size == opt.v.size == 0
 
 
 # ------------------------------------------------------------- grad_check

@@ -24,7 +24,7 @@ from .data import (  # noqa: F401
     ModalitySchema, Preprocessor, SynthConfig, impute_mean, load_csv, read_table,
     save_dataset, synth_generate, write_csv, zscore,
 )
-from .errors import ConfigError, DataError, ParameterError, TrainingDiverged
+from .errors import ConfigError, DataError, ParameterError, SchemaError, TrainingDiverged
 from .numcore import softmax_rows_values
 from .train import (
     Model, TrainConfig, accuracy, auc, fit, meta_rows, predict_inductive_batch, run_ablation,
@@ -100,9 +100,10 @@ def _train_config(args):
     return replace(cfg, **overrides) if overrides else cfg
 
 
-def save_model(model, labels, prep, path):
+def save_model(model, labels, prep, feature_names, path):
     """Self-describing artifact: parameters, training caches, preprocessing
-    statistics, schema, and the config snapshot."""
+    statistics, schema, the training table's feature names, and the config
+    snapshot."""
     arrays = {"param:" + p.name: p.value for p in model.all_params()}
     arrays.update(
         H=model.cache["H"], A=model.cache["A"], logits=model.cache["logits"],
@@ -117,6 +118,7 @@ def save_model(model, labels, prep, path):
         path,
         schema_json=json.dumps(model.schema.to_dict()),
         config_json=json.dumps(model.cfg.to_dict()),
+        feature_names_json=json.dumps(list(feature_names)),
         n_classes=model.n_classes,
         **arrays,
     )
@@ -128,9 +130,10 @@ def load_model(path):
     try:
         return _read_model(path)
     # zipfile raises NotImplementedError for a compression method or version
-    # it cannot read; a damaged compressed member raises zlib.error
-    except (OSError, EOFError, ValueError, KeyError, NotImplementedError, zipfile.BadZipFile,
-            zlib.error, ConfigError) as exc:
+    # it cannot read; a damaged compressed member raises zlib.error; json
+    # raises RecursionError for arrays nested too deeply
+    except (OSError, EOFError, ValueError, KeyError, NotImplementedError, RecursionError,
+            zipfile.BadZipFile, zlib.error, ConfigError) as exc:
         raise DataError(f"unreadable model artifact {path}: {exc}") from exc
 
 
@@ -179,7 +182,24 @@ def _read_model(path):
         if "fuse_map" in arrays:
             model.cache["fuse_map"] = arrays["fuse_map"]
         prep = Preprocessor(arrays["impute_means"], arrays["z_mu"], arrays["z_sd"])
-    return model, {"labels": arrays["labels"], "preprocessor": prep}
+        names = _feature_names(z, d_in)
+    return model, {"labels": arrays["labels"], "preprocessor": prep, "feature_names": names}
+
+
+def _feature_names(z, d_in):
+    """The training table's feature names in an artifact; None for an artifact
+    of an earlier version, which kept none."""
+    if "feature_names_json" not in z:
+        return None
+    try:
+        names = json.loads(str(z["feature_names_json"]))
+    except ValueError:
+        names = None
+    if not (isinstance(names, list) and len(names) == d_in
+            and all(isinstance(c, str) for c in names)):
+        raise DataError(f"artifact array 'feature_names_json' must be a JSON list of "
+                        f"{d_in} strings")
+    return names
 
 
 def cmd_synth(args):
@@ -203,7 +223,7 @@ def cmd_train(args):
     clean = prep.transform(ds)
     model, history = fit(clean.schema, clean.modalities, clean.labels, np.arange(clean.n),
                          cfg, clean.n_classes, meta=meta_rows(clean, cfg))
-    save_model(model, clean.labels, prep, outputs["model.npz"])
+    save_model(model, clean.labels, prep, clean.flat_feature_names(), outputs["model.npz"])
     write_history_csv(history, outputs["history.csv"])
     probs = softmax_rows_values(model.cache["logits"])
     write_csv(outputs["metrics.csv"], ["split", "acc", "auc"],
@@ -264,15 +284,21 @@ def cmd_export(args):
     return 0
 
 
-def _load_new_patients(path, schema):
-    """Feature table for unseen patients; the label column is optional."""
-    x, miss, _, _ = read_table(path, schema, require_label=False)
+def _load_new_patients(path, schema, names):
+    """Feature table for unseen patients; the label column is optional. The
+    feature columns must be `names`, the training table's, in order (None:
+    not checked)."""
+    x, miss, _, header = read_table(path, schema, require_label=False)
+    if names is not None and header != names:
+        j = next(j for j, (got, want) in enumerate(zip(header, names)) if got != want)
+        raise SchemaError(f"{path}: feature column {j + 1} is {header[j]!r}, but the model "
+                          f"was trained with {names[j]!r} there")
     return x, miss
 
 
 def cmd_predict(args):
     model, extras = load_model(args.model)
-    x, miss = _load_new_patients(args.features, model.schema)
+    x, miss = _load_new_patients(args.features, model.schema, extras["feature_names"])
     x = extras["preprocessor"].apply(x, miss)  # the training run's transform
     probs = predict_inductive_batch(model, model.schema.split(x))
     classes = model.schema.class_names or tuple(str(c) for c in range(model.n_classes))

@@ -221,6 +221,8 @@ def read_table(path, schema, require_label=True):
         raise DataError(f"cannot read {path}: {exc}") from exc
     if header is None:
         raise DataError(f"empty features file: {path}")
+    if header:  # a UTF-8 byte-order mark is not part of the first name
+        header[0] = header[0].removeprefix("\ufeff")
     has_label = schema.label_column in header
     if require_label and not has_label:
         raise SchemaError(f"label column {schema.label_column!r} missing from {path}")

@@ -5,6 +5,11 @@ width, an inter-modal score matrix is softmax-normalised into an attention map,
 and values are aggregated across modalities with a residual connection before
 two projection layers produce the fused feature. Everything is vectorised over
 patients, heads and modality pairs; the attention map is patient-specific.
+
+`fuse_batch` computes a fusion and records it as one tape node; the Fusion it
+returns can record the same node again on another tape without recomputing.
+Training uses this: phase B's fusion, made with the fusion weights frozen, is
+the node the next epoch's phase A records and differentiates.
 """
 from __future__ import annotations
 
@@ -74,15 +79,42 @@ class AttentionMaps:
         return self.tensor.mean(axis=(0, 3))
 
 
+class Fusion(AttentionMaps):
+    """The attention maps of one finished fuse_batch, with what its node needs
+    to be recorded again: the fused features H (d, N), the Params, the input
+    blocks and the VJP closure.
+
+    The closure reads W_h by reference, so a Fusion serves only while the
+    fusion Params keep the values it was made with, and its VJP must run
+    before an optimizer step moves them.
+    """
+
+    def __init__(self, tensor, params, xs, value, vjp):
+        super().__init__(tensor)
+        self.params, self.xs, self.value, self.vjp = params, xs, value, vjp
+
+    def record(self, tape, xs=None):
+        """Record this fusion on `tape` as one node with its value and VJP,
+        whose parents are fresh leaves of the 4M+1 Params and the M inputs:
+        the nodes `xs`, or new constants of the input blocks. No MAFF
+        arithmetic runs."""
+        if xs is None:
+            xs = [tape.const(x) for x in self.xs]
+        leaves = [tape.leaf(p) for p in self.params.all_params()]
+        return tape._record(self.value, (*leaves, *xs), self.vjp)
+
+
 def fuse_batch(tape, xs, params):
-    """Fuse per-modality feature blocks (d_m, N) into (H: d x N, AttentionMaps).
+    """Fuse per-modality feature blocks (d_m, N) into (H: d x N, Fusion).
 
     Recorded as one tape node whose parents are the 4M+1 weight leaves and the
-    M inputs. Q, K and V come from one GEMM per modality, [W_q | W_k | W_v]_m^T
-    x_m, and are views of that (M, 3 d_f, N) stack shaped (M, heads, d_h, N);
-    the scores S[h, i, j] = <q_i, k_j> / tau are softmax-normalised over the
-    queries i ("column") or the keys j ("row"); modality m aggregates
-    v_m + sum_j P[h, m, j] v_j, and W_m acts on it as one batched matmul over M.
+    M inputs; the returned Fusion holds the attention maps and can record the
+    node again on another tape. Q, K and V come from one GEMM per modality,
+    [W_q | W_k | W_v]_m^T x_m, and are views of that (M, 3 d_f, N) stack shaped
+    (M, heads, d_h, N); the scores S[h, i, j] = <q_i, k_j> / tau are
+    softmax-normalised over the queries i ("column") or the keys j ("row");
+    modality m aggregates v_m + sum_j P[h, m, j] v_j, and W_m acts on it as one
+    batched matmul over M.
     The backward mirrors this: one GEMM per modality for the three weight
     gradients and one for the input's.
     """
@@ -98,7 +130,6 @@ def fuse_batch(tape, xs, params):
                 f"modality block {x.value.shape} does not match projection rows "
                 f"{w.value.shape[0]} and {n} patients"
             )
-    leaves = [tape.leaf(p) for p in params.all_params()]
     xv = [x.value for x in xs]
     wqkv = [np.concatenate((q.value, k.value, v.value), axis=1)
             for q, k, v in zip(params.w_q, params.w_k, params.w_v)]
@@ -121,6 +152,9 @@ def fuse_batch(tape, xs, params):
     u = (v + np.einsum("hmjn,jhcn->mhcn", p, v)).reshape(m_count, d_f, n)
     wm = np.stack([w.value for w in params.w_m])
     vhat = (np.swapaxes(wm, 1, 2) @ u).reshape(m_count * d_f, n)
+    # read by reference, unlike wm and wqkv: the VJP must run before a step
+    # moves W_h. A phase's backward precedes its step, and a handed-on Fusion
+    # is differentiated only by the next phase A (train.train_epoch).
     wh = params.w_h.value
 
     def vjp(g):
@@ -142,8 +176,8 @@ def fuse_batch(tape, xs, params):
         g_x = [wqkv[m] @ g_qkv[m] if wants_grad[m] else None for m in range(m_count)]
         return (*g_w, *g_x)
 
-    h = tape._record(wh.T @ vhat, (*leaves, *xs), vjp)
-    return h, AttentionMaps(p)
+    fusion = Fusion(p, params, xv, wh.T @ vhat, vjp)
+    return fusion.record(tape, xs), fusion
 
 
 def fuse_one(tape, x_cols, params):

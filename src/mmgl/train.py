@@ -3,8 +3,11 @@ evaluation, the ablation grid, and metrics (accuracy, rank-based AUC).
 
 A training phase records the fusion, the learned graph's projection and one
 block.graph_block node on a tape that trains only the phase's optimizer's
-Params, so a frozen group gets no gradient. `total_loss` composes the same
-objective from the dense primitives and is the block's reference."""
+Params, so a frozen group gets no gradient. A MAFF fusion is computed once per
+fusion-weight state: phase B's, made with the fusion frozen, is recorded again
+by the next phase A, which differentiates it, and by the early-stopping and
+final cache forwards (`fit`). `total_loss` composes the same objective from
+the dense primitives and is the block's reference."""
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
@@ -139,17 +142,19 @@ class Model:
     def all_params(self):
         return self.fusion_params() + self.agl_params() + self.gcn_params()
 
-    def fuse(self, tape, mods):
-        maps = None
+    def fuse(self, tape, mods, fusion=None):
+        """The fused features (d, N) on `tape`, and for maff the maff.Fusion
+        (else None). A maff `fusion` of these `mods`, made with the current
+        fusion weights, is recorded again instead of computed; mlp and concat
+        fusion, one or two GEMMs, always compute."""
         if self.cfg.fusion == "maff":
-            h, maps = maff.fuse_batch(tape, mods, self.maff)
-        elif self.cfg.fusion == "mlp":
-            x = tape.const(np.concatenate([np.asarray(m) for m in mods], axis=0))
-            h = tape.leaf(self.mlp_w2).T @ nc.relu(tape.leaf(self.mlp_w1).T @ x)
-        else:
-            x = tape.const(np.concatenate([np.asarray(m) for m in mods], axis=0))
-            h = tape.leaf(self.concat_w).T @ x
-        return h, maps
+            if fusion is not None:
+                return fusion.record(tape), fusion
+            return maff.fuse_batch(tape, mods, self.maff)
+        x = tape.const(np.concatenate([np.asarray(m) for m in mods], axis=0))
+        if self.cfg.fusion == "mlp":
+            return tape.leaf(self.mlp_w2).T @ nc.relu(tape.leaf(self.mlp_w1).T @ x), None
+        return tape.leaf(self.concat_w).T @ x, None
 
     def fixed_adjacency(self, h):
         """The (N, N) adjacency of a kNN, meta or identity graph over fused
@@ -162,16 +167,17 @@ class Model:
             return self.meta_adj
         return np.eye(h.shape[1])
 
-    def forward(self, tape, mods, labels=None, mask=None, dropout=False):
-        """Fusion, then the graph block (block.graph_block), on `tape`.
+    def forward(self, tape, mods, labels=None, mask=None, dropout=False, fusion=None):
+        """Fusion (`fuse`, which may record `fusion` again), then the graph
+        block (block.graph_block), on `tape`.
 
         The tape's trainable Params decide which gradients backward forms.
         With labels, "terms" is the block's loss node [task, smooth, con,
         reg]; without, it is None and only the logits are computed. "A" is
         the fixed adjacency, or None for a learned graph, whose A is never
-        formed here.
+        formed here. "maps" is the maff.Fusion, or None.
         """
-        h, maps = self.fuse(tape, mods)
+        h, maps = self.fuse(tape, mods, fusion)
         a = None
         if self.cfg.graph == "learned":
             source = {"zn": agl.cosine_normalize(tape.leaf(self.agl.w_a).T @ h)}
@@ -187,10 +193,11 @@ class Model:
             add_self_loops=self.cfg.add_self_loops, keep=keep, **source)
         return {"H": h.value, "A": a, "terms": terms, "logits": logits, "maps": maps}
 
-    def refresh_cache(self, mods):
+    def refresh_cache(self, mods, fusion=None):
         """Inference forward pass; caches H/A/logits/maps for eval and export.
-        A learned graph's A is formed here, as one dense product."""
-        out = self.forward(nc.Tape(trainable=()), mods)
+        A learned graph's A is formed here, as one dense product. `fusion` as
+        in `fuse`."""
+        out = self.forward(nc.Tape(trainable=()), mods, fusion=fusion)
         a = out["A"]
         if a is None:
             tape = nc.Tape()
@@ -217,53 +224,68 @@ def _check_finite(values, epoch):
             raise TrainingDiverged(term, epoch)
 
 
-def train_epoch(model, mods, labels, mask, opt_a, opt_b, epoch):
+def train_epoch(model, mods, labels, mask, opt_a, opt_b, epoch, fusion=None):
     """One modular-iterative epoch: phase A updates fusion+AGL with the GCN
     frozen, phase B re-runs the forward pass and updates AGL+GCN with the
     fusion frozen. A phase's trainable Params are its optimizer's; no other
-    gradient is formed. Returns the loss breakdown after phase B."""
+    gradient is formed.
+
+    Returns (the loss breakdown after phase B, phase B's maff.Fusion or None).
+    The fusion is returned only when opt_b trains no fusion Param, so that the
+    fusion weights are still the ones phase B fused with; the next forward on
+    `mods` may then take it as `fusion` (`Model.fuse`). Phase A records a given
+    `fusion` and differentiates through it; without one it fuses."""
     cfg = model.cfg
     lam, alpha, beta = cfg.lam, cfg.alpha, cfg.beta
     # d(objective)/d[task, smooth, con, reg]
     weights = {"total": np.array([1.0, lam, lam * alpha, lam * beta]),
                "graph-only": np.array([0.0, 1.0, alpha, beta])}
 
-    def run_phase(opt, loss_kind):
+    def run_phase(opt, loss_kind, fusion):
         for p in model.all_params():
             p.zero_grad()
         tape = nc.Tape(trainable=opt.params)
-        terms = model.forward(tape, mods, labels, mask, dropout=True)["terms"]
+        out = model.forward(tape, mods, labels, mask, dropout=True, fusion=fusion)
+        terms = out["terms"]
         task, smooth, con, reg = (float(v) for v in terms.value)
         values = {"task": task, "smooth": smooth, "con": con, "reg": reg,
                   "total": task + lam * (smooth + alpha * con + beta * reg)}
         _check_finite(values, epoch)
+        # the fusion's VJP reads W_h by reference: backward runs before the step
         tape.backward(nc.sum_axis(terms * weights[loss_kind], axis=0, keepdims=False))
         opt.step()
-        return values
+        return values, out["maps"]
 
-    run_phase(opt_a, cfg.phase_a_loss)
-    return run_phase(opt_b, "total")
+    run_phase(opt_a, cfg.phase_a_loss, fusion)
+    values, fusion = run_phase(opt_b, "total", None)
+    frozen = set(model.fusion_params()).isdisjoint(opt_b.params)
+    return values, fusion if frozen else None
 
 
 def fit(schema, mods, labels, train_idx, cfg, n_classes, seed_key=None, meta=None):
-    """Train a Model; returns (model, per-epoch history)."""
+    """Train a Model; returns (model, per-epoch history).
+
+    Phase B's fusion of each epoch is handed to the next epoch's phase A, the
+    early-stopping forward and the final cache, so a maff fit fuses E+1 times
+    in E epochs. The hand-off is local to this call."""
     model = Model(schema, n_classes, cfg, seed_key=seed_key, meta=meta)
     opt_a = nc.Adam(model.fusion_params() + model.agl_params(), cfg.lr)
     opt_b = nc.Adam(model.agl_params() + model.gcn_params(), cfg.lr)
     history = []
     best_acc, best_epoch = -1.0, -1
+    fusion = None
     for epoch in range(cfg.epochs):
-        values = train_epoch(model, mods, labels, train_idx, opt_a, opt_b, epoch)
+        values, fusion = train_epoch(model, mods, labels, train_idx, opt_a, opt_b, epoch, fusion)
         history.append(values)
         if cfg.patience > 0:
             # the logits alone: no dense A is formed before the last epoch
-            logits = model.forward(nc.Tape(trainable=()), mods)["logits"]
+            logits = model.forward(nc.Tape(trainable=()), mods, fusion=fusion)["logits"]
             acc = accuracy(logits[train_idx], labels[train_idx])
             if acc > best_acc:
                 best_acc, best_epoch = acc, epoch
             elif epoch - best_epoch >= cfg.patience:
                 break
-    model.refresh_cache(mods)
+    model.refresh_cache(mods, fusion)
     return model, history
 
 

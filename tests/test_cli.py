@@ -592,6 +592,133 @@ def test_predict_shape_inconsistent_artifact_exit_3(tmp_path, trained, synth_dir
                str(synth_dir / "features.csv"), "--out", str(tmp_path / "p.csv")) == 3
 
 
+def predict_rows(trained, features, out):
+    """Exit code of `mmgl predict` on `features`, and the rows it wrote."""
+    if out.exists():
+        out.unlink()
+    code = run("predict", "--model", str(trained / "model.npz"), "--features", str(features),
+               "--out", str(out))
+    if not out.exists():
+        return code, None
+    with open(out, newline="") as f:
+        return code, list(csv.reader(f))[1:]
+
+
+def test_train_artifact_keeps_feature_names(trained, synth_dir):
+    header = (synth_dir / "features.csv").read_text().splitlines()[0].split(",")
+    with np.load(trained / "model.npz") as z:
+        assert json.loads(str(z["feature_names_json"])) == [h for h in header if h != "label"]
+
+
+@pytest.mark.parametrize("edit,column", [
+    ("first-to-end", 1), ("last-repeats-first", 6), ("renamed", 3)])
+def test_predict_refuses_a_foreign_header(tmp_path, trained, synth_dir, capsys, edit, column):
+    # the cells are those of the training table; only the header names differ
+    # from the training run's, so scoring them would read features by position
+    lines = (synth_dir / "features.csv").read_text().splitlines()
+    rows = [line.split(",")[:-1] for line in lines]  # the label column is last
+    if edit == "first-to-end":
+        rows = [r[1:] + r[:1] for r in rows]
+    elif edit == "last-repeats-first":
+        rows[0][-1] = rows[0][0]
+    else:
+        rows[0][2] = rows[0][2].upper()
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(",".join(r) for r in rows) + "\n")
+    code, written = predict_rows(trained, bad, tmp_path / "p.csv")
+    assert code == 3 and written is None
+    assert f"feature column {column} is {rows[0][column - 1]!r}" in capsys.readouterr().err
+
+
+def test_predict_header_with_byte_order_mark(tmp_path, trained, synth_dir):
+    marked = tmp_path / "marked.csv"
+    marked.write_bytes(b"\xef\xbb\xbf" + (synth_dir / "features.csv").read_bytes())
+    code, got = predict_rows(trained, marked, tmp_path / "p_marked.csv")
+    assert code == 0
+    assert got == predict_rows(trained, synth_dir / "features.csv", tmp_path / "p.csv")[1]
+
+
+def test_predict_rows_permute_with_the_input(tmp_path, trained):
+    # 70 unseen patients fill three 32-patient scoring blocks; a permutation
+    # moves them across blocks and block positions
+    cfg = tmp_path / "synth70.json"
+    cfg.write_text(json.dumps({"n": 70, "classes": 2, "modality_dims": [3, 3],
+                               "separation": 3.0, "seed": 6}))
+    assert run("synth", "--config", str(cfg), "--out", str(tmp_path / "new")) == 0
+    header, *body = (tmp_path / "new" / "features.csv").read_text().splitlines()
+    perm = np.random.default_rng(0).permutation(len(body))
+    (tmp_path / "perm.csv").write_text("\n".join([header] + [body[i] for i in perm]) + "\n")
+    code, rows = predict_rows(trained, tmp_path / "new" / "features.csv", tmp_path / "p.csv")
+    code_perm, rows_perm = predict_rows(trained, tmp_path / "perm.csv", tmp_path / "q.csv")
+    assert code == code_perm == 0 and len(rows) == 70
+    assert [r[1:] for r in rows_perm] == [rows[i][1:] for i in perm]
+
+
+HEADER_EDITS = (None, "rename", "duplicate", "reorder", "drop", "add-label")
+# "" and whitespace are missing cells, which predict imputes; the rest are refused
+CELLS = ("", "  ", "nan", "-inf", "1e400", "abc", "\x00")
+
+
+@st.composite
+def predict_table(draw, header, rows):
+    """A predict features CSV made from the training table's `header` and
+    `rows` (label column removed) by header edits, cell replacements, a row of
+    the wrong length, a BOM and latin-1 bytes. Returns the file's bytes and
+    the exit code `mmgl predict` must give."""
+    names = list(header)
+    header, rows = list(header), [list(r) for r in rows]
+    d = len(header)
+    valid_cells = True
+    for _ in range(draw(st.integers(0, 3))):
+        r, c, cell = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, d - 1)), \
+            draw(st.sampled_from(CELLS))
+        rows[r][c] = cell
+        valid_cells &= cell.strip() == ""
+    edit = draw(st.sampled_from(HEADER_EDITS))
+    i, j = draw(st.lists(st.integers(0, d - 1), min_size=2, max_size=2, unique=True))
+    if edit == "rename":
+        header[i] = draw(st.sampled_from(["", header[i] + "x", " " + header[i], "label_"]))
+    elif edit == "duplicate":
+        header[i] = header[j]
+    elif edit in ("reorder", "drop"):
+        for line in [header, *rows]:
+            line[i], line[j] = line[j], line[i]
+            if edit == "drop":
+                del line[j]
+    elif edit == "add-label":
+        for line, value in zip([header, *rows], ["label"] + ["c1"] * len(rows)):
+            line.insert(i, value)
+    length = draw(st.sampled_from([None, "short", "long"]))
+    if length:
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        row[:] = row[:-1] if length == "short" else row + ["0.5"]
+    latin = draw(st.booleans())
+    if latin:  # é as one latin-1 byte, which is not UTF-8
+        rows[draw(st.integers(0, len(rows) - 1))][0] = "\xe9"
+    text = "".join(",".join(line) + "\n" for line in [header, *rows])
+    data = (b"\xef\xbb\xbf" if draw(st.booleans()) else b"") + \
+        text.encode("latin-1" if latin else "utf-8")
+    matches = [h for h in header if h != "label"] == names
+    return data, 0 if matches and valid_cells and not length and not latin else 3
+
+
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_predict_exit_code_contract_fuzzed_features(tmp_path, trained, synth_dir, data):
+    # exit 0 only for the training header, in order; never a traceback
+    lines = (synth_dir / "features.csv").read_text().splitlines()
+    table = [line.split(",")[:-1] for line in lines]  # the label column is last
+    raw, want = data.draw(predict_table(table[0], table[1:]))
+    (tmp_path / "new.csv").write_bytes(raw)
+    code, rows = predict_rows(trained, tmp_path / "new.csv", tmp_path / "p.csv")
+    assert code == want
+    if code == 0:
+        probs = np.array([[float(v) for v in r[2:]] for r in rows])
+        assert len(rows) == len(table) - 1 and np.isfinite(probs).all()
+        assert np.allclose(probs.sum(axis=1), 1.0)
+
+
 def predict_with(tmp_path, synth_dir, arrays):
     """Exit code of `mmgl predict` with a model artifact holding `arrays`,
     and the probabilities it wrote (None if it wrote none)."""
@@ -621,8 +748,13 @@ def predict_with(tmp_path, synth_dir, arrays):
     ("param:w_h", lambda a: a.astype(np.complex128)),
     ("param:gcn.w0", lambda a: a.astype(str)),
     ("A", lambda a: a.astype(bool)),
+    ("feature_names_json", lambda a: np.array(json.dumps(json.loads(str(a))[:-1]))),
+    ("feature_names_json", lambda a: np.array(json.dumps(json.loads(str(a))[:-1] + [7]))),
+    ("feature_names_json", lambda a: np.array("m0_0,m0_1")),
+    ("feature_names_json", lambda a: np.array([str(a)])),
 ], ids=["n_classes-pair", "n_classes-float", "n_classes-zero", "labels-float", "z_sd-str",
-        "H-inf", "z_sd-nan", "H-complex", "w_h-complex", "w0-str", "A-bool"])
+        "H-inf", "z_sd-nan", "H-complex", "w_h-complex", "w0-str", "A-bool", "names-short",
+        "names-number", "names-not-json", "names-1-d"])
 def test_predict_malformed_artifact_array_exit_3(tmp_path, trained, synth_dir, capsys,
                                                  key, value):
     with np.load(trained / "model.npz") as z:
@@ -633,6 +765,14 @@ def test_predict_malformed_artifact_array_exit_3(tmp_path, trained, synth_dir, c
         code, probs = predict_with(tmp_path, synth_dir, arrays)
     assert code == 3 and probs is None
     assert f"artifact array {key!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["schema_json", "config_json", "feature_names_json"])
+def test_predict_artifact_with_deeply_nested_json_exit_3(tmp_path, trained, synth_dir, key):
+    with np.load(trained / "model.npz") as z:
+        arrays = dict(z)
+    arrays[key] = np.array("[" * 100_000 + "]" * 100_000)
+    assert predict_with(tmp_path, synth_dir, arrays) == (3, None)
 
 
 @st.composite

@@ -350,6 +350,37 @@ def test_preprocessor_zeroes_constant_feature_of_new_patients():
     assert np.array_equal(out, [[0.0], [0.0]])
 
 
+@settings(max_examples=40, deadline=None)
+@given(col=st.integers(0, 8), scale=st.floats(0.5, 20.0), shift=st.floats(-50.0, 50.0),
+       fold=st.sampled_from([None, 0, 1]))
+def test_preprocessor_invariant_to_positive_affine_rescale(col, scale, shift, fold):
+    # z-scoring undoes a x + b (a > 0) of a raw column, missing cells included:
+    # the imputation mean and the statistics move with the column
+    ds = synth_generate(SynthConfig(n=40, modality_dims=(3, 4, 2), missing_rate=0.2, seed=9))
+    rows = None if fold is None else stratified_kfold(ds.labels, 3, 0).folds[fold][0]
+    x = ds.stacked()
+    ref = x if rows is None else x[:, rows]
+    assert ref[col].std() > 0.1  # far above the 1e-12 zero-spread floor
+    x[col] = scale * x[col] + shift
+    moved = MultiModalDataset(ds.schema, ds.schema.split(x), ds.labels, ds.missing)
+    want = Preprocessor.fit(ds, rows).transform(ds).stacked()
+    got = Preprocessor.fit(moved, rows).transform(moved).stacked()
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def test_read_table_strips_a_byte_order_mark(tmp_path):
+    schema = small_schema()
+    text = "a_0,a_1,b_0,b_1,b_2,label\n1,2,3,4,5,x\n"
+    plain = read_table(write_csv(tmp_path, text, schema)[0], schema)
+    marked = read_table(write_csv(tmp_path, "\ufeff" + text, schema)[0], schema)
+    assert marked[3] == plain[3] == ["a_0", "a_1", "b_0", "b_1", "b_2"]
+    assert np.array_equal(marked[0], plain[0]) and marked[2] == plain[2]
+    # a mark before the label column's name still finds the label
+    labelled_first = read_table(write_csv(tmp_path, "\ufefflabel,a_0,a_1,b_0,b_1,b_2\n"
+                                          "x,1,2,3,4,5\n", schema)[0], schema)
+    assert labelled_first[2] == ["x"]
+
+
 def test_schema_split():
     schema = ModalitySchema((("a", 2), ("b", 1), ("c", 3)))
     flat = np.arange(12.0).reshape(6, 2)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mmgl import numcore as nc
+from mmgl import maff, numcore as nc
 from mmgl.agl import NORM_GUARD
 from mmgl.data import Preprocessor, SynthConfig, stratified_kfold, synth_generate, zscore
 from mmgl.errors import ConfigError, ParameterError, TrainingDiverged
@@ -170,6 +170,72 @@ def test_divergence_names_term():
         train_epoch(model, ds.modalities, ds.labels, np.arange(ds.n), opt_a, opt_b, 7)
     assert exc.value.term in ("task", "smooth", "con", "reg", "total")
     assert exc.value.epoch == 7
+
+
+def count_fusions(monkeypatch):
+    """A list that gets one entry per MAFF forward computed (not recorded)."""
+    calls = []
+    fuse_batch = maff.fuse_batch
+    monkeypatch.setattr(maff, "fuse_batch", lambda *args: calls.append(1) or fuse_batch(*args))
+    return calls
+
+
+@pytest.mark.parametrize("fusion", ["maff", "mlp", "concat"])
+@pytest.mark.parametrize("graph", ["learned", "knn"])
+def test_fit_hand_off_matches_recompute(monkeypatch, fusion, graph):
+    # phase B's fusion serves the next phase A, early stopping and the cache;
+    # the oracle fuses afresh at every forward, as before the hand-off
+    ds = tiny_dataset(n=30, classes=3, seed=4)
+    cfg = tiny_cfg(epochs=12, fusion=fusion, graph=graph, patience=3, dropout=0.3, knn_k=5)
+    got, history = fit_tiny(ds, cfg)
+    fuse = Model.fuse
+    monkeypatch.setattr(Model, "fuse", lambda self, tape, mods, fusion=None: fuse(self, tape, mods))
+    want, oracle = fit_tiny(ds, cfg)
+    assert history == oracle
+    for key in ("H", "A", "logits"):
+        assert np.array_equal(got.cache[key], want.cache[key]), key
+    if fusion == "maff":
+        assert np.array_equal(got.cache["maps"].tensor, want.cache["maps"].tensor)
+    assert all(np.array_equal(p.value, q.value)
+               for p, q in zip(got.all_params(), want.all_params()))
+
+
+@pytest.mark.parametrize("patience", [0, 50])
+def test_maff_fit_fuses_once_per_fusion_weight_state(monkeypatch, patience):
+    calls = count_fusions(monkeypatch)
+    _, history = fit_tiny(tiny_dataset(), tiny_cfg(epochs=6, patience=patience))
+    assert len(history) == 6 and len(calls) == 6 + 1
+
+
+@pytest.mark.parametrize("phase_b", ["fusion", "agl+gcn", "nothing"])
+def test_hand_off_only_while_phase_b_keeps_the_fusion(monkeypatch, phase_b):
+    # with a fusion Param in phase B's optimizer the fusion weights move after
+    # phase B fused, so nothing is handed on; otherwise reusing what is handed
+    # on gives what recomputing gives
+    ds = tiny_dataset(n=30, seed=6)
+    cfg = tiny_cfg(dropout=0.2)
+    calls = count_fusions(monkeypatch)
+
+    def run(hand_off):
+        model = Model(ds.schema, ds.n_classes, cfg)
+        opt_a = nc.Adam(model.fusion_params() + model.agl_params(), cfg.lr)
+        opt_b = nc.Adam({"fusion": model.all_params(), "nothing": [],
+                         "agl+gcn": model.agl_params() + model.gcn_params()}[phase_b], cfg.lr)
+        fusion, rows = None, []
+        for epoch in range(4):
+            values, fusion = train_epoch(model, ds.modalities, ds.labels, np.arange(ds.n),
+                                         opt_a, opt_b, epoch, fusion if hand_off else None)
+            assert (fusion is None) == (phase_b == "fusion")
+            rows.append(values)
+        return rows, [p.value.copy() for p in model.all_params()]
+
+    rows, params = run(hand_off=True)
+    assert len(calls) == (8 if phase_b == "fusion" else 5)
+    calls.clear()
+    rows_ref, params_ref = run(hand_off=False)
+    assert len(calls) == 8  # without a hand-off both phases fuse
+    assert rows == rows_ref
+    assert all(np.array_equal(p, q) for p, q in zip(params, params_ref))
 
 
 def test_graph_only_phase_a_loss():

@@ -6,10 +6,9 @@ log-barrier on node degrees, and a Frobenius penalty) keeping the learned
 graph smooth, connected, and sparse. Non-learned constructors (kNN-RBF and
 meta-feature agreement) are provided as ablation baselines.
 
-Training evaluates the graph and its regularisers inside block.graph_block,
-tile by tile, from `cosine_normalize`'s projection. The dense primitives here
-are its reference, and `learned_adjacency` also forms the dense A that a
-fitted model caches for export and inductive prediction.
+`cosine_edges` is the learned graph's one edge rule, for block.graph_block's
+row tiles (in training and in a fitted model's A) and for inductive scoring.
+The dense tape primitives here are the block's reference, run only in tests.
 """
 from __future__ import annotations
 
@@ -40,10 +39,9 @@ def init_agl(d, d_a, rng):
 
 @dataclass
 class LearnedGraph:
-    """Adjacency with provenance; `pre_relu` kept for learned graphs."""
+    """An adjacency; `pre_relu` kept for learned graphs."""
 
     a: np.ndarray
-    provenance: str  # learned | knn | meta | dense
     pre_relu: np.ndarray = None
 
 
@@ -57,6 +55,14 @@ def cosine_normalize(z):
     return z / norm
 
 
+def cosine_edges(z_rows, z):
+    """The learned graph's edge weights relu(z_rows^T z), (R, N), between the
+    unit-norm projections z_rows (d_a, R) and z (d_a, N); no unit diagonal."""
+    a = z_rows.T @ z
+    np.maximum(a, 0.0, out=a)
+    return a
+
+
 def learned_adjacency(tape, h, params):
     """Differentiable adjacency node relu(Zn^T Zn) with a unit diagonal, where
     Zn is the column-normalised projection W_a^T H. Returns (A, Zn).
@@ -66,8 +72,7 @@ def learned_adjacency(tape, h, params):
     """
     zn = cosine_normalize(tape.leaf(params.w_a).T @ h)
     znv = zn.value
-    a = znv.T @ znv
-    np.maximum(a, 0.0, out=a)
+    a = cosine_edges(znv, znv)
     np.fill_diagonal(a, 1.0)
 
     def vjp(g):
@@ -82,7 +87,7 @@ def learned_graph(h, params):
     """Non-differentiable wrapper: numpy features in, LearnedGraph out."""
     tape = nc.Tape()
     a, zn = learned_adjacency(tape, tape.const(np.asarray(h, dtype=np.float64)), params)
-    return LearnedGraph(a.value, "learned", zn.value.T @ zn.value)
+    return LearnedGraph(a.value, zn.value.T @ zn.value)
 
 
 def smoothness_loss(tape, h, a):
@@ -174,7 +179,7 @@ def knn_graph_rbf(h, k, sigma):
     a = top_k(w, k, axis=1)
     a = np.maximum(a, a.T)
     np.fill_diagonal(a, 1.0)
-    return LearnedGraph(a, "knn")
+    return LearnedGraph(a)
 
 
 def meta_graph(meta, threshold):
@@ -192,9 +197,4 @@ def meta_graph(meta, threshold):
         agree += meta[r][:, None] == meta[r][None, :]
     a = np.where(agree >= threshold, agree / n_meta, 0.0)
     np.fill_diagonal(a, 1.0)
-    return LearnedGraph(a, "meta")
-
-
-def identity_graph(n):
-    """Self-loops only; turns the GCN into a per-node MLP."""
-    return LearnedGraph(np.eye(n), "dense")
+    return LearnedGraph(a)

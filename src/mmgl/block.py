@@ -22,16 +22,17 @@ pre-activation and V its activation times W1: row_i = dL_i . L_i + g_U,i . U_i
 and col_i = V_i . dV_i + P_i . dP_i, where dP_i is the tile's own row of
 A_norm g_U.
 
+A fitted model's A (train.Model.adjacency) stacks the same row tiles.
 agl.learned_adjacency, gcn.normalize_adj, gcn.gcn_forward and
-train.total_loss compose the same function from dense primitives; the tests
-hold the block to them.
+train.total_loss compose the block's function from dense primitives; they run
+only in the tests, which hold the block to them.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from . import numcore as nc
-from .agl import DEGREE_GUARD
+from .agl import DEGREE_GUARD, cosine_edges
 from .errors import DimensionError, ParameterError
 from .gcn import DEGREE_FLOOR
 
@@ -40,17 +41,17 @@ from .gcn import DEGREE_FLOOR
 TILE = 128
 
 
-def _tiles(zn, adj):
+def row_tiles(zn, adj=None):
     """(lo, hi, A[lo:hi]) over the row tiles of A. A learned tile is
-    relu(Zn_r^T Zn) with a unit diagonal, a fresh array; a fixed one is a view."""
+    agl.cosine_edges of Zn's columns lo:hi with a unit diagonal, a fresh array;
+    a fixed one is a view."""
     n = adj.shape[0] if zn is None else zn.shape[1]
     for lo in range(0, n, TILE):
         hi = min(lo + TILE, n)
         if zn is None:
             yield lo, hi, adj[lo:hi]
             continue
-        a = zn[:, lo:hi].T @ zn
-        np.maximum(a, 0.0, out=a)
+        a = cosine_edges(zn[:, lo:hi], zn)
         r = np.arange(hi - lo)
         a[r, r + lo] = 1.0
         yield lo, hi, a
@@ -109,7 +110,7 @@ def graph_block(tape, h, w0, w1, labels=None, mask=None, *, zn=None, adj=None,
         raise DimensionError(f"GCN weights {w0v.shape}, {w1v.shape} do not fit H {hv.shape}")
 
     def tiles():
-        return _tiles(znv, adj)
+        return row_tiles(znv, adj)
 
     # pass 1: degrees and the Frobenius sum
     rowsum = np.empty(n)

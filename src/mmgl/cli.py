@@ -101,15 +101,11 @@ def _train_config(args):
 
 
 def save_model(model, labels, prep, feature_names, path):
-    """Self-describing artifact: parameters, training caches, preprocessing
-    statistics, schema, the training table's feature names, and the config
-    snapshot."""
+    """Self-describing artifact: parameters, the fused training features H,
+    preprocessing statistics, schema, the training table's feature names, and
+    the config snapshot. No graph: `load_model` derives it (Model.adjacency)."""
     arrays = {"param:" + p.name: p.value for p in model.all_params()}
-    arrays.update(
-        H=model.cache["H"], A=model.cache["A"], logits=model.cache["logits"],
-        labels=np.asarray(labels),
-        **vars(prep),
-    )
+    arrays.update(H=model.cache["H"], labels=np.asarray(labels), **vars(prep))
     if model.cfg.fusion == "maff" and model.cache.get("maps") is not None:
         arrays["fuse_map"] = model.cache["maps"].global_map()
     if model.meta_adj is not None:
@@ -165,9 +161,9 @@ def _read_model(path):
         labels = _artifact_array(z, "labels")
         n = labels.shape[0] if labels.ndim == 1 else None
         m, d_in = schema.n_modalities, schema.d_in
-        shapes = {"labels": (n,), "H": (cfg.dim_fused, n), "A": (n, n), "logits": (n, n_classes),
-                  "impute_means": (d_in,), "z_mu": (d_in,), "z_sd": (d_in,),
-                  "fuse_map": (m, m), "meta_adj": (n, n)}
+        # an earlier version's `A` and `logits` are not read
+        shapes = {"labels": (n,), "H": (cfg.dim_fused, n), "impute_means": (d_in,),
+                  "z_mu": (d_in,), "z_sd": (d_in,), "fuse_map": (m, m), "meta_adj": (n, n)}
         arrays = {key: _artifact_array(z, key) for key in shapes if key in z}
         for key, value in arrays.items():
             if value.shape != shapes[key]:
@@ -177,8 +173,11 @@ def _read_model(path):
             model.meta_adj = arrays["meta_adj"]
         for p in model.all_params():
             p.value[...] = _artifact_array(z, "param:" + p.name)
-        model.cache = {"H": arrays["H"], "A": arrays["A"], "logits": arrays["logits"],
-                       "maps": None}
+        try:
+            a = model.adjacency(arrays["H"])
+        except ParameterError as exc:  # a meta graph without meta_adj, knn_k >= N
+            raise DataError(f"the artifact's graph cannot be rebuilt: {exc}") from exc
+        model.cache = {"H": arrays["H"], "A": a, "maps": None}
         if "fuse_map" in arrays:
             model.cache["fuse_map"] = arrays["fuse_map"]
         prep = Preprocessor(arrays["impute_means"], arrays["z_mu"], arrays["z_sd"])

@@ -1,12 +1,11 @@
-"""Two-layer graph convolutional classifier over the learned patient graph,
-plus numpy entry points to the normalisation and forward pass (each runs the
-tape layer on a throwaway tape) and the graph extension that spell out
-inductive prediction for one patient (train.predict_inductive_batch computes
-the same graph in closed form for many).
+"""Two-layer graph convolutional classifier over the learned patient graph.
 
-Training runs these layers inside block.graph_block, which never forms the
-normalised adjacency; `normalize_adj` and `gcn_forward` are its dense
-reference."""
+Training and inductive scoring run these layers in closed form, never forming
+the normalised adjacency (block.graph_block, train.predict_inductive_batch);
+every degree is floored at `DEGREE_FLOOR`. The tape layers `normalize_adj` and
+`gcn_forward`, their numpy entry points (each runs the tape layer on a
+throwaway tape) and `extend_adjacency`, which attaches one patient to the
+trained graph, are the dense reference and run only in the tests."""
 from __future__ import annotations
 
 from dataclasses import dataclass

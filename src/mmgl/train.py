@@ -6,8 +6,9 @@ block.graph_block node on a tape that trains only the phase's optimizer's
 Params, so a frozen group gets no gradient. A MAFF fusion is computed once per
 fusion-weight state: phase B's, made with the fusion frozen, is recorded again
 by the next phase A, which differentiates it, and by the early-stopping and
-final cache forwards (`fit`). `total_loss` composes the same objective from
-the dense primitives and is the block's reference."""
+final cache forwards (`fit`). `Model.adjacency` forms the dense A of every
+graph kind. `total_loss` composes the block's objective from the dense
+primitives; it runs only in the tests, as the block's reference."""
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
@@ -156,9 +157,16 @@ class Model:
             return tape.leaf(self.mlp_w2).T @ nc.relu(tape.leaf(self.mlp_w1).T @ x), None
         return tape.leaf(self.concat_w).T @ x, None
 
-    def fixed_adjacency(self, h):
-        """The (N, N) adjacency of a kNN, meta or identity graph over fused
-        features h (d, N)."""
+    def graph_projection(self, h):
+        """The learned graph's unit-norm projection Zn (d_a, N) of fused
+        features h (d, N), off the tape; the same values as on it."""
+        return agl.cosine_normalize(nc.Tape().const(self.agl.w_a.value.T @ h)).value
+
+    def adjacency(self, h):
+        """The dense (N, N) adjacency over fused features h (d, N). A learned
+        graph's stacks block.row_tiles, the tiles training visits."""
+        if self.cfg.graph == "learned":
+            return np.concatenate([a for _, _, a in block.row_tiles(self.graph_projection(h))])
         if self.cfg.graph == "knn":
             return agl.knn_graph_rbf(h, self.cfg.knn_k, self.cfg.rbf_sigma).a
         if self.cfg.graph == "meta":
@@ -173,17 +181,14 @@ class Model:
 
         The tape's trainable Params decide which gradients backward forms.
         With labels, "terms" is the block's loss node [task, smooth, con,
-        reg]; without, it is None and only the logits are computed. "A" is
-        the fixed adjacency, or None for a learned graph, whose A is never
-        formed here. "maps" is the maff.Fusion, or None.
+        reg]; without, it is None and only the logits are computed. "maps" is
+        the maff.Fusion, or None. A learned graph's A is never formed here.
         """
         h, maps = self.fuse(tape, mods, fusion)
-        a = None
         if self.cfg.graph == "learned":
             source = {"zn": agl.cosine_normalize(tape.leaf(self.agl.w_a).T @ h)}
         else:
-            a = self.fixed_adjacency(h.value)
-            source = {"adj": a}
+            source = {"adj": self.adjacency(h.value)}
         keep = None
         if dropout and self.cfg.dropout > 0.0:
             p = self.cfg.dropout
@@ -191,18 +196,14 @@ class Model:
         terms, logits = block.graph_block(
             tape, h, tape.leaf(self.gcn.w0), tape.leaf(self.gcn.w1), labels, mask,
             add_self_loops=self.cfg.add_self_loops, keep=keep, **source)
-        return {"H": h.value, "A": a, "terms": terms, "logits": logits, "maps": maps}
+        return {"H": h.value, "terms": terms, "logits": logits, "maps": maps}
 
     def refresh_cache(self, mods, fusion=None):
-        """Inference forward pass; caches H/A/logits/maps for eval and export.
-        A learned graph's A is formed here, as one dense product. `fusion` as
-        in `fuse`."""
+        """Inference forward pass; caches H/A/logits/maps for eval and export,
+        A from `adjacency`. `fusion` as in `fuse`."""
         out = self.forward(nc.Tape(trainable=()), mods, fusion=fusion)
-        a = out["A"]
-        if a is None:
-            tape = nc.Tape()
-            a = agl.learned_adjacency(tape, tape.const(out["H"]), self.agl)[0].value
-        self.cache = {"H": out["H"], "A": a, "logits": out["logits"], "maps": out["maps"]}
+        self.cache = {"H": out["H"], "A": self.adjacency(out["H"]), "logits": out["logits"],
+                      "maps": out["maps"]}
         return self.cache
 
 
@@ -385,13 +386,8 @@ def _edge_weights(model):
     training side is computed once."""
     cfg, h_train = model.cfg, model.cache["H"]
     if cfg.graph == "learned":
-        w_a = model.agl.w_a.value
-
-        def unit(h):  # the learned graph's column normalisation, off the tape
-            return agl.cosine_normalize(nc.Tape().const(w_a.T @ h)).value
-
-        z_train = unit(h_train)
-        return lambda h: np.maximum(z_train.T @ unit(h), 0.0)
+        z_train = model.graph_projection(h_train)
+        return lambda h: agl.cosine_edges(z_train, model.graph_projection(h))
     if cfg.graph == "knn":
         k = min(cfg.knn_k, h_train.shape[1])
         return lambda h: agl.top_k(agl.rbf_kernel(h_train, h, cfg.rbf_sigma), k, axis=0)
@@ -436,8 +432,8 @@ def predict_inductive_batch(model, mods):
     for lo in range(0, n, PREDICT_BLOCK):
         h = model.fuse(nc.Tape(), [m[:, lo:lo + PREDICT_BLOCK] for m in mods])[0].value
         w = edge_weights(h)  # (N, block)
-        s = 1.0 / np.sqrt(np.maximum(deg[:, None] + w, 1e-12))
-        s_n = 1.0 / np.sqrt(np.maximum(w.sum(axis=0) + self_w, 1e-12))  # (block,)
+        s = 1.0 / np.sqrt(np.maximum(deg[:, None] + w, gcn.DEGREE_FLOOR))
+        s_n = 1.0 / np.sqrt(np.maximum(w.sum(axis=0) + self_w, gcn.DEGREE_FLOOR))  # (block,)
         p_n = w0.T @ h  # (d_h, block)
         ws = w * s
         y = (s[:, :, None] * p_train[:, None, :]).reshape(n_train, -1)

@@ -4,9 +4,9 @@ import pytest
 
 from mmgl import numcore as nc
 from mmgl.agl import (
-    DEGREE_GUARD, NORM_GUARD, AglParams, connectivity_loss, graph_loss, identity_graph,
-    init_agl, knn_graph_rbf, learned_adjacency, learned_graph, meta_graph, rbf_kernel,
-    smoothness_loss, sparsity_reg,
+    DEGREE_GUARD, NORM_GUARD, AglParams, connectivity_loss, graph_loss, init_agl,
+    knn_graph_rbf, learned_adjacency, learned_graph, meta_graph, rbf_kernel, smoothness_loss,
+    sparsity_reg,
 )
 from mmgl.errors import DimensionError, ParameterError
 from reference_ops import log, sum_all
@@ -27,7 +27,6 @@ def test_identical_patients_all_ones():
     h = np.tile(np.array([[1.0], [2.0]]), (1, 4))
     g = learned_graph(h, identity_agl(2))
     assert np.allclose(g.a, 1.0)
-    assert g.provenance == "learned"
 
 
 def test_orthogonal_embeddings_zero_off_diagonal():
@@ -379,7 +378,6 @@ def test_knn_fully_connected_at_max_k():
     g = knn_graph_rbf(h, 4, 1.0)
     off = ~np.eye(5, dtype=bool)
     assert np.all(g.a[off] > 0)
-    assert g.provenance == "knn"
 
 
 def test_knn_separated_clusters():
@@ -451,7 +449,6 @@ def test_meta_identical_rows():
     meta = np.array([[1.0, 1.0], [0.0, 0.0], [2.0, 2.0]])
     g = meta_graph(meta, 1)
     assert np.allclose(g.a, 1.0)
-    assert g.provenance == "meta"
 
 
 def test_meta_total_disagreement():
@@ -474,11 +471,7 @@ def test_meta_threshold_validation():
         meta_graph(meta, 3)
 
 
-# -------------------------------------------------------------- fallbacks
-
-def test_dense_and_identity_graphs():
-    assert np.array_equal(identity_graph(3).a, np.eye(3))
-
+# ------------------------------------------------------------------- init
 
 def test_init_agl_validation():
     with pytest.raises(ParameterError):

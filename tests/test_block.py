@@ -267,7 +267,7 @@ def dense_phase_grads(model, mods, labels, mask, rng, loss_kind):
     if cfg.graph == "learned":
         a, _ = learned_adjacency(tape, h, model.agl)
     else:
-        a = tape.const(model.fixed_adjacency(h.value))
+        a = tape.const(model.adjacency(h.value))
     logits = gcn_forward(tape, h, normalize_adj(tape, a, cfg.add_self_loops), model.gcn,
                          cfg.dropout, rng)
     total, parts = total_loss(tape, logits, labels, mask, h, a, cfg.lam, cfg.alpha, cfg.beta)
@@ -372,13 +372,45 @@ def test_block_argument_errors():
 
 
 def test_fit_forms_the_dense_graph_once(monkeypatch):
-    # early stopping reads the block's logits; only the final cache forms A
+    # early stopping reads the block's logits; only the final cache forms A,
+    # and not through the dense reference
     model, mods, labels, mask = phase_model(n=30)
     calls = []
-    dense_adjacency = agl.learned_adjacency
-    monkeypatch.setattr(agl, "learned_adjacency",
-                        lambda *args: calls.append(1) or dense_adjacency(*args))
+    adjacency = Model.adjacency
+    monkeypatch.setattr(Model, "adjacency",
+                        lambda self, h: calls.append(1) or adjacency(self, h))
+    monkeypatch.setattr(agl, "learned_adjacency", None)
     cfg = replace(model.cfg, epochs=6, patience=10)
     fitted, history = fit(model.schema, mods, labels, mask, cfg, 3)
     assert len(history) == 6 and len(calls) == 1
     assert fitted.cache["A"].shape == (30, 30)
+
+
+@pytest.mark.parametrize("n", [150, 685])
+def test_cached_graph_is_the_trained_graph(monkeypatch, n):
+    # the cached A is, bit for bit, the row tiles the block visited in the
+    # fit's last forward; at both sizes a dense Zn^T Zn differs in last bits
+    tiles, row_tiles, graph_block_ = {}, block.row_tiles, block.graph_block
+
+    def recording_tiles(zn, adj=None):
+        for lo, hi, a in row_tiles(zn, adj):
+            if recording_tiles.on:
+                tiles[lo] = a.copy()
+            yield lo, hi, a
+
+    def recording_block(*args, **kwargs):
+        recording_tiles.on = True
+        try:
+            return graph_block_(*args, **kwargs)
+        finally:
+            recording_tiles.on = False
+
+    recording_tiles.on = False
+    monkeypatch.setattr(block, "row_tiles", recording_tiles)
+    monkeypatch.setattr(block, "graph_block", recording_block)
+    rng = np.random.default_rng(n)
+    schema = ModalitySchema((("a", 12), ("b", 6)))
+    cfg = TrainConfig(epochs=3, lr=0.01)  # d_a = 16, as by default
+    mods = [rng.normal(size=(12, n)), rng.normal(size=(6, n))]
+    fitted, _ = fit(schema, mods, rng.integers(0, 3, size=n), np.arange(0, n, 2), cfg, 3)
+    assert np.array_equal(fitted.cache["A"], np.concatenate([tiles[lo] for lo in sorted(tiles)]))

@@ -1,5 +1,6 @@
 """End-to-end command-line behaviour: artifacts, determinism, exit codes."""
 import csv
+import importlib
 import json
 import os
 import stat
@@ -15,7 +16,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import mmgl
-from mmgl.cli import main
+from mmgl import cli
+from mmgl.cli import load_model, main
 from mmgl.data import SynthConfig, load_csv
 from mmgl.train import TrainConfig
 
@@ -427,17 +429,88 @@ def test_export_graph_edges(tmp_path, trained):
     out = tmp_path / "graph.csv"
     assert run("export", "--model", str(trained / "model.npz"),
                "--what", "graph", "--out", str(out)) == 0
-    with np.load(trained / "model.npz") as z:
-        a = z["A"]
+    a = load_model(trained / "model.npz")[0].cache["A"]
     n = a.shape[0]
     upper = np.triu(a, 1)
     with open(out, newline="") as f:
         rows = list(csv.reader(f))
     assert rows[0] == ["src", "dst", "weight"]
     assert len(rows) - 1 == n + int((upper != 0).sum())
+    assert all(a[int(i), int(j)] == float(w) for i, j, w in rows[1:])
     nodes = (tmp_path / "graph.nodes.csv").read_text().strip().splitlines()
     assert nodes[0] == "node,label"
     assert len(nodes) == 1 + n
+
+
+@pytest.mark.parametrize("graph", ["learned", "knn", "meta", "identity"])
+def test_loaded_graph_is_the_fitted_graph(tmp_path, synth_dir, monkeypatch, graph):
+    # the artifact stores no graph and no logits: loading derives the graph,
+    # bit for bit the one the fitted model cached
+    fitted = {}
+    save_model = cli.save_model
+    monkeypatch.setattr(cli, "save_model", lambda model, *args: fitted.update(
+        A=model.cache["A"]) or save_model(model, *args))
+    cfg = write_train_cfg(tmp_path, graph=graph, knn_k=5)
+    assert run("train", "--config", str(cfg), "--data", str(synth_dir),
+               "--out", str(tmp_path / "run")) == 0
+    with np.load(tmp_path / "run" / "model.npz") as z:
+        assert "A" not in z and "logits" not in z
+    assert np.array_equal(load_model(tmp_path / "run" / "model.npz")[0].cache["A"], fitted["A"])
+
+
+@pytest.mark.parametrize("graph,edit", [
+    ("meta", lambda arrays, cfg: arrays.pop("meta_adj")),
+    ("knn", lambda arrays, cfg: cfg.update(knn_k=24)),  # the artifact's N
+    ("knn", lambda arrays, cfg: cfg.update(knn_k=30)),
+], ids=["meta-without-meta_adj", "knn_k-is-N", "knn_k-above-N"])
+def test_artifact_graph_not_rebuildable_exit_3(tmp_path, synth_dir, capsys, graph, edit):
+    cfg = write_train_cfg(tmp_path, graph=graph, knn_k=5)
+    assert run("train", "--config", str(cfg), "--data", str(synth_dir),
+               "--out", str(tmp_path / "run")) == 0
+    with np.load(tmp_path / "run" / "model.npz") as z:
+        arrays = dict(z)
+    config = json.loads(str(arrays["config_json"]))
+    edit(arrays, config)
+    arrays["config_json"] = np.array(json.dumps(config))
+    bad = tmp_path / "bad.npz"
+    np.savez(bad, **arrays)
+    capsys.readouterr()
+    for argv in (["export", "--what", "graph"], ["predict", "--features",
+                                                 str(synth_dir / "features.csv")]):
+        assert run(*argv, "--model", str(bad), "--out", str(tmp_path / "out.csv")) == 3
+        assert "graph cannot be rebuilt" in capsys.readouterr().err
+
+
+# The dense tape path: the tiled block's reference, which only the tests run.
+DENSE_REFERENCE = [("agl", "learned_adjacency"), ("agl", "graph_loss"), ("gcn", "normalize_adj"),
+                   ("gcn", "gcn_forward"), ("train", "total_loss"),
+                   ("numcore", "cross_entropy_masked")]
+
+
+@pytest.mark.parametrize("graph", ["learned", "knn"])
+def test_commands_never_run_the_dense_reference(tmp_path, synth_dir, monkeypatch, graph):
+    modules = [m for name, m in sys.modules.items() if name.startswith("mmgl.")]
+    for module, name in DENSE_REFERENCE:
+        fn = getattr(importlib.import_module(f"mmgl.{module}"), name)
+
+        def refuse(*args, name=name, **kwargs):
+            raise AssertionError(f"{name} ran outside the tests")
+
+        for mod in modules:  # every binding, as `from m import f` makes its own
+            for key, value in list(vars(mod).items()):
+                if value is fn:
+                    monkeypatch.setattr(mod, key, refuse)
+    cfg = str(write_train_cfg(tmp_path, graph=graph, knn_k=5))
+    data, features = str(synth_dir), str(synth_dir / "features.csv")
+    model = str(tmp_path / "run" / "model.npz")
+    assert run("train", "--config", cfg, "--data", data, "--out", str(tmp_path / "run")) == 0
+    for mode in ("transductive", "inductive"):
+        assert run("cv", "--config", cfg, "--data", data, "--out", str(tmp_path / mode),
+                   "--folds", "2", "--eval-mode", mode) == 0
+    assert run("export", "--model", model, "--what", "graph",
+               "--out", str(tmp_path / "graph.csv")) == 0
+    assert run("predict", "--model", model, "--features", features,
+               "--out", str(tmp_path / "p.csv")) == 0
 
 
 def test_export_fuse_map(tmp_path, trained):
@@ -581,7 +654,7 @@ def test_predict_wrong_width_exit_3(tmp_path, trained):
                "--features", str(bad), "--out", str(tmp_path / "p.csv")) == 3
 
 
-@pytest.mark.parametrize("key,trim", [("A", 0), ("H", 1), ("z_mu", 0)])
+@pytest.mark.parametrize("key,trim", [("H", 1), ("z_mu", 0)])
 def test_predict_shape_inconsistent_artifact_exit_3(tmp_path, trained, synth_dir, key, trim):
     with np.load(trained / "model.npz") as z:
         arrays = dict(z)
@@ -747,13 +820,12 @@ def predict_with(tmp_path, synth_dir, arrays):
     ("H", lambda a: a.astype(np.complex128)),
     ("param:w_h", lambda a: a.astype(np.complex128)),
     ("param:gcn.w0", lambda a: a.astype(str)),
-    ("A", lambda a: a.astype(bool)),
     ("feature_names_json", lambda a: np.array(json.dumps(json.loads(str(a))[:-1]))),
     ("feature_names_json", lambda a: np.array(json.dumps(json.loads(str(a))[:-1] + [7]))),
     ("feature_names_json", lambda a: np.array("m0_0,m0_1")),
     ("feature_names_json", lambda a: np.array([str(a)])),
 ], ids=["n_classes-pair", "n_classes-float", "n_classes-zero", "labels-float", "z_sd-str",
-        "H-inf", "z_sd-nan", "H-complex", "w_h-complex", "w0-str", "A-bool", "names-short",
+        "H-inf", "z_sd-nan", "H-complex", "w_h-complex", "w0-str", "names-short",
         "names-number", "names-not-json", "names-1-d"])
 def test_predict_malformed_artifact_array_exit_3(tmp_path, trained, synth_dir, capsys,
                                                  key, value):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mmgl import maff, numcore as nc
-from mmgl.agl import NORM_GUARD
+from mmgl.agl import NORM_GUARD, knn_graph_rbf, learned_graph, meta_graph
 from mmgl.data import Preprocessor, SynthConfig, stratified_kfold, synth_generate, zscore
 from mmgl.errors import ConfigError, ParameterError, TrainingDiverged
 from mmgl.gcn import extend_adjacency, gcn_forward_np, normalize_adj_np
@@ -178,6 +178,25 @@ def count_fusions(monkeypatch):
     fuse_batch = maff.fuse_batch
     monkeypatch.setattr(maff, "fuse_batch", lambda *args: calls.append(1) or fuse_batch(*args))
     return calls
+
+
+@pytest.mark.parametrize("graph", ["learned", "knn", "meta", "identity"])
+def test_model_adjacency(graph):
+    # the one dense A of every graph kind; a learned graph's, stacked from
+    # the block's row tiles, matches the dense reference to rounding
+    rng = np.random.default_rng(31)
+    meta = rng.integers(0, 3, size=(3, 300)).astype(float)
+    model = Model(tiny_dataset().schema, 2, tiny_cfg(graph=graph, knn_k=4, d_f=16), meta=meta)
+    h = rng.normal(size=(16, 300))
+    a = model.adjacency(h)
+    want = {"learned": lambda: learned_graph(h, model.agl).a,
+            "knn": lambda: knn_graph_rbf(h, 4, 1.0).a,
+            "meta": lambda: meta_graph(meta, 1).a,
+            "identity": lambda: np.eye(300)}[graph]()
+    np.testing.assert_allclose(a, want, rtol=0.0, atol=1e-15)
+    assert np.array_equal(np.diag(a), np.ones(300))
+    if graph != "learned":
+        assert np.array_equal(a, want)
 
 
 @pytest.mark.parametrize("fusion", ["maff", "mlp", "concat"])

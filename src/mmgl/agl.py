@@ -3,12 +3,14 @@
 The adjacency is the ReLU of a learned weighted cosine similarity between
 projected node features, with three regularisers (Dirichlet smoothness, a
 log-barrier on node degrees, and a Frobenius penalty) keeping the learned
-graph smooth, connected, and sparse. Non-learned constructors (kNN-RBF and
-meta-feature agreement) are provided as ablation baselines.
+graph smooth, connected, and sparse. Non-learned graphs (kNN-RBF, meta-feature
+agreement and the identity) are provided as ablation baselines.
 
-`cosine_edges` is the learned graph's one edge rule, for block.graph_block's
-row tiles (in training and in a fitted model's A) and for inductive scoring.
-The dense tape primitives here are the block's reference, run only in tests.
+An edge rule, edges(lo, hi), gives rows lo:hi of a graph's A off the diagonal
+as a fresh (hi - lo, N) array, read only as block.row_tiles: the learned
+graph's takes `cosine_edges` of its projection (also the inductive kernel),
+and `knn_edges` and `meta_edges` build the others' from O(N d) state. The
+dense tape primitives here are the block's reference, run only in tests.
 """
 from __future__ import annotations
 
@@ -19,6 +21,9 @@ import numpy as np
 from . import numcore as nc
 from .errors import DimensionError, ParameterError
 
+# Rows per tile of A. Fixed, never sized from N: BLAS rounds a product differently
+# depending on its width, and the outputs must not depend on the workload.
+TILE = 128
 NORM_GUARD = 1e-12  # floor on embedding norms; a degenerate node gets ~0 similarity
 DEGREE_GUARD = 1e-8  # keeps the log barrier finite for near-isolated nodes
 
@@ -166,35 +171,44 @@ def top_k(w, k, axis):
     return out
 
 
-def knn_graph_rbf(h, k, sigma):
-    """RBF-kernel kNN graph on numpy features (d, N); symmetrised by max."""
+def knn_edges(h, k, sigma):
+    """The kNN-RBF graph's edge rule over features h (d, N): each node lists
+    its k most similar others (rbf_kernel, in row tiles), and a pair listed
+    either way is an edge, weighted by the larger listed weight."""
     h = np.asarray(h, dtype=np.float64)
     n = h.shape[1]
-    if not 1 <= k < n:
-        raise ParameterError(f"k must be in [1, N), got k={k}, N={n}")
-    if sigma <= 0:
-        raise ParameterError(f"sigma must be positive, got {sigma}")
-    w = rbf_kernel(h, h, sigma)
-    np.fill_diagonal(w, -np.inf)  # self excluded from the neighbour ranking
-    a = top_k(w, k, axis=1)
-    a = np.maximum(a, a.T)
-    np.fill_diagonal(a, 1.0)
-    return LearnedGraph(a)
+    if not (1 <= k < n and sigma > 0):
+        raise ParameterError(f"kNN needs 1 <= k < N and sigma > 0, got k={k}, N={n}, "
+                             f"sigma={sigma}")
+    nbrs, w = np.empty((n, k), dtype=np.intp), np.empty((n, k))
+    for lo in range(0, n, TILE):
+        sims = rbf_kernel(h[:, lo:lo + TILE], h, sigma)
+        np.fill_diagonal(sims[:, lo:], -np.inf)  # self excluded from the neighbour ranking
+        nbrs[lo:lo + TILE] = top = np.argpartition(sims, -k, axis=1)[:, -k:]
+        w[lo:lo + TILE] = np.take_along_axis(sims, top, axis=1)
+
+    def edges(lo, hi):
+        a = np.zeros((hi - lo, n))
+        j, t = np.nonzero((nbrs >= lo) & (nbrs < hi))  # the nodes listing rows lo:hi
+        a[nbrs[j, t] - lo, j] = w[j, t]
+        np.maximum.at(a, (np.arange(hi - lo)[:, None], nbrs[lo:hi]), w[lo:hi])
+        return a
+
+    return edges
 
 
-def meta_graph(meta, threshold):
-    """Agreement graph over discrete meta feature rows (n_meta, N).
-
-    Edge weight is the fraction of meta columns two patients agree on, kept
-    only when the agreement count reaches `threshold`.
-    """
+def meta_edges(meta, threshold):
+    """The agreement graph's edge rule over discrete meta rows (n_meta, N): the
+    fraction of meta columns two patients agree on, if at least `threshold`."""
     meta = np.asarray(meta)
     n_meta, n = meta.shape
     if not 1 <= threshold <= n_meta:
         raise ParameterError(f"threshold must be in [1, {n_meta}], got {threshold}")
-    agree = np.zeros((n, n))
-    for r in range(n_meta):
-        agree += meta[r][:, None] == meta[r][None, :]
-    a = np.where(agree >= threshold, agree / n_meta, 0.0)
-    np.fill_diagonal(a, 1.0)
-    return LearnedGraph(a)
+
+    def edges(lo, hi):
+        a = np.zeros((hi - lo, n))  # agreement counts
+        for r in range(n_meta):
+            a += meta[r, lo:hi, None] == meta[r]
+        return np.divide(a * (a >= threshold), n_meta, out=a)
+
+    return edges

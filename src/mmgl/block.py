@@ -1,11 +1,11 @@
 """The learned-graph block that training runs: adjacency, degree
 normalisation, the two-layer GCN and the four loss terms as one tape node.
 
-No (N, N) array is kept. Each pass visits A as row tiles of `TILE` rows,
-recomputed from the unit-norm projection Zn (d_a, N) with one K=d_a GEMM for a
-learned graph, or sliced from the fixed adjacency for the kNN, meta and
-identity graphs. Every graph kind gives a symmetric A, so a product with A^T
-is taken as one with A, and A's column sums as its row sums.
+No (N, N) array is formed. Each pass visits A as `row_tiles` of `TILE` rows,
+made afresh by the graph kind's edge rule (agl): for a learned graph, one
+K=d_a GEMM of the unit-norm projection Zn (d_a, N). Every graph kind gives a
+symmetric A, so a product with A^T is taken as one with A, and A's column
+sums as its row sums.
 
 With s = deg^-1/2 of A~ = A (+ I), P = H^T W0 and A_norm = s A~ s:
 
@@ -22,7 +22,7 @@ pre-activation and V its activation times W1: row_i = dL_i . L_i + g_U,i . U_i
 and col_i = V_i . dV_i + P_i . dP_i, where dP_i is the tile's own row of
 A_norm g_U.
 
-A fitted model's A (train.Model.adjacency) stacks the same row tiles.
+Inductive scoring and export read a fitted model's A through the same tiles.
 agl.learned_adjacency, gcn.normalize_adj, gcn.gcn_forward and
 train.total_loss compose the block's function from dense primitives; they run
 only in the tests, which hold the block to them.
@@ -32,28 +32,22 @@ from __future__ import annotations
 import numpy as np
 
 from . import numcore as nc
-from .agl import DEGREE_GUARD, cosine_edges
-from .errors import DimensionError, ParameterError
+from .agl import DEGREE_GUARD, TILE
+from .errors import DimensionError
 from .gcn import DEGREE_FLOOR
 
-# Rows per tile. Fixed, never sized from N: BLAS rounds a product differently
-# depending on its width, and the outputs must not depend on the workload.
-TILE = 128
 
-
-def row_tiles(zn, adj=None):
-    """(lo, hi, A[lo:hi]) over the row tiles of A. A learned tile is
-    agl.cosine_edges of Zn's columns lo:hi with a unit diagonal, a fresh array;
-    a fixed one is a view."""
-    n = adj.shape[0] if zn is None else zn.shape[1]
+def row_tiles(n, edges, diag=1.0):
+    """(lo, hi, A[lo:hi]) over the row tiles of the (N, N) adjacency whose
+    edge rule is `edges` (agl): fresh arrays, with `diag` on A's diagonal (1;
+    2 gives the rows of A + I)."""
     for lo in range(0, n, TILE):
         hi = min(lo + TILE, n)
-        if zn is None:
-            yield lo, hi, adj[lo:hi]
-            continue
-        a = cosine_edges(zn[:, lo:hi], zn)
+        a = edges(lo, hi)
+        if a.shape != (hi - lo, n):
+            raise DimensionError(f"rows {lo}:{hi} of a graph over {n} nodes have shape {a.shape}")
         r = np.arange(hi - lo)
-        a[r, r + lo] = 1.0
+        a[r, r + lo] = diag
         yield lo, hi, a
 
 
@@ -84,13 +78,13 @@ def _label_weights(labels, mask, n, n_classes):
     return np.bincount(mask, minlength=n) / mask.size, full
 
 
-def graph_block(tape, h, w0, w1, labels=None, mask=None, *, zn=None, adj=None,
+def graph_block(tape, h, w0, w1, labels=None, mask=None, *, edges, zn=None,
                 add_self_loops=False, keep=None):
     """Loss terms and logits of the graph, the GCN and the joint objective.
 
-    h: fused features (d, N); zn: the learned graph's unit-norm projection
-    (d_a, N), or adj: a fixed symmetric (N, N) adjacency; w0 (d, d_h), w1
-    (d_h, C); keep: the dropout keep mask (N, d_h), already scaled, or None.
+    h: fused features (d, N); edges: A's edge rule (row_tiles); zn: the learned
+    graph's Zn (d_a, N) that `edges` reads, else None; w0 (d, d_h), w1 (d_h, C);
+    keep: the dropout keep mask (N, d_h), already scaled, or None.
     h, zn, w0 and w1 are Nodes; the VJP forms the gradients of those whose
     `needs_grad` is set, and no other.
 
@@ -98,24 +92,16 @@ def graph_block(tape, h, w0, w1, labels=None, mask=None, *, zn=None, adj=None,
     con, reg], and logits the (N, C) array. Without labels only the logits are
     computed and terms is None.
     """
-    if (zn is None) == (adj is None):
-        raise ParameterError("graph_block needs exactly one of zn and adj")
     hv, w0v, w1v = h.value, w0.value, w1.value
     znv = None if zn is None else zn.value
     d, n = hv.shape
-    if (adj is not None and adj.shape != (n, n)) or (znv is not None and znv.shape[1] != n):
-        raise DimensionError(f"H has {n} columns but the graph source is "
-                             f"{(adj if znv is None else znv).shape}")
     if w0v.shape[0] != d or w1v.shape[0] != w0v.shape[1]:
         raise DimensionError(f"GCN weights {w0v.shape}, {w1v.shape} do not fit H {hv.shape}")
-
-    def tiles():
-        return row_tiles(znv, adj)
 
     # pass 1: degrees and the Frobenius sum
     rowsum = np.empty(n)
     frob = 0.0
-    for lo, hi, a in tiles():
+    for lo, hi, a in row_tiles(n, edges):
         rowsum[lo:hi] = a.sum(axis=1)
         frob += np.vdot(a, a)
     deg = rowsum + 1.0 if add_self_loops else rowsum
@@ -128,7 +114,7 @@ def graph_block(tape, h, w0, w1, labels=None, mask=None, *, zn=None, adj=None,
     sp = col * p
     rhs = np.concatenate([sp, x], axis=1)
     prod = np.empty((n, rhs.shape[1]))
-    for lo, hi, a in tiles():
+    for lo, hi, a in row_tiles(n, edges):
         prod[lo:hi] = a @ rhs
     d_h = p.shape[1]
     u = prod[:, :d_h] + sp if add_self_loops else prod[:, :d_h]
@@ -145,7 +131,7 @@ def graph_block(tape, h, w0, w1, labels=None, mask=None, *, zn=None, adj=None,
     if labels is not None:
         wt, lab = _label_weights(labels, mask, n, v.shape[1])
         task, gl, yl = 0.0, np.empty_like(v), np.zeros_like(v)
-    for lo, hi, a in tiles():
+    for lo, hi, a in row_tiles(n, edges):
         lg = a @ sv
         if add_self_loops:
             lg += sv[lo:hi]
@@ -193,7 +179,7 @@ def graph_block(tape, h, w0, w1, labels=None, mask=None, *, zn=None, adj=None,
             # pass 4: rows of A (s o g_U); for a learned graph also the dA
             # tile, masked to the edges off the diagonal, folded into dZn. Its
             # unit diagonal keeps every degree >= 1, above the floor.
-            for lo, hi, a in tiles():
+            for lo, hi, a in row_tiles(n, edges):
                 yu = a @ su
                 if add_self_loops:
                     yu += su[lo:hi]
@@ -211,8 +197,7 @@ def graph_block(tape, h, w0, w1, labels=None, mask=None, *, zn=None, adj=None,
                 a *= k_reg
                 da += a
                 da *= edge
-                r = np.arange(hi - lo)
-                da[r, r + lo] = 0.0
+                np.fill_diagonal(da[:, lo:], 0.0)
                 dz += znv[:, lo:hi] @ da
                 dz[:, lo:hi] += znv @ da.T
             grads["w0"] = hv @ dp if want_w0 else None

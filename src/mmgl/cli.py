@@ -19,6 +19,7 @@ from itertools import chain
 import numpy as np
 
 from . import __version__
+from .block import row_tiles
 # impute_mean and zscore are unused here; bench/selftest.py checks that cli binds them
 from .data import (  # noqa: F401
     ModalitySchema, Preprocessor, SynthConfig, impute_mean, load_csv, read_table,
@@ -102,14 +103,14 @@ def _train_config(args):
 
 def save_model(model, labels, prep, feature_names, path):
     """Self-describing artifact: parameters, the fused training features H,
-    preprocessing statistics, schema, the training table's feature names, and
-    the config snapshot. No graph: `load_model` derives it (Model.adjacency)."""
+    preprocessing statistics, schema, feature names, config snapshot and a meta
+    graph's rows `meta` (n_meta, N). No graph: `load_model` rebuilds its rule."""
     arrays = {"param:" + p.name: p.value for p in model.all_params()}
     arrays.update(H=model.cache["H"], labels=np.asarray(labels), **vars(prep))
     if model.cfg.fusion == "maff" and model.cache.get("maps") is not None:
         arrays["fuse_map"] = model.cache["maps"].global_map()
-    if model.meta_adj is not None:
-        arrays["meta_adj"] = model.meta_adj
+    if model.meta is not None:
+        arrays["meta"] = model.meta
     np.savez(
         path,
         schema_json=json.dumps(model.schema.to_dict()),
@@ -163,21 +164,23 @@ def _read_model(path):
         m, d_in = schema.n_modalities, schema.d_in
         # an earlier version's `A` and `logits` are not read
         shapes = {"labels": (n,), "H": (cfg.dim_fused, n), "impute_means": (d_in,),
-                  "z_mu": (d_in,), "z_sd": (d_in,), "fuse_map": (m, m), "meta_adj": (n, n)}
-        arrays = {key: _artifact_array(z, key) for key in shapes if key in z}
+                  "z_mu": (d_in,), "z_sd": (d_in,), "fuse_map": (m, m)}
+        if "meta_adj" in z and "meta" not in z:
+            raise DataError("a meta graph stored as 'meta_adj' (earlier format) must be retrained")
+        arrays = {key: _artifact_array(z, key) for key in (*shapes, "meta") if key in z}
+        shapes["meta"] = np.shape(arrays.get("meta"))[:1] + (n,)  # any number of meta rows
         for key, value in arrays.items():
             if value.shape != shapes[key]:
                 raise DataError(f"artifact array {key!r} has shape {value.shape}, "
                                 f"expected {shapes[key]}")
-        if "meta_adj" in arrays:
-            model.meta_adj = arrays["meta_adj"]
+        model.meta = arrays.get("meta")
         for p in model.all_params():
             p.value[...] = _artifact_array(z, "param:" + p.name)
         try:
-            a = model.adjacency(arrays["H"])
-        except ParameterError as exc:  # a meta graph without meta_adj, knn_k >= N
+            edges = model.edge_rule(arrays["H"])
+        except ParameterError as exc:  # a meta graph without meta rows, knn_k >= N
             raise DataError(f"the artifact's graph cannot be rebuilt: {exc}") from exc
-        model.cache = {"H": arrays["H"], "A": a, "maps": None}
+        model.cache = {"H": arrays["H"], "edges": edges, "maps": None}
         if "fuse_map" in arrays:
             model.cache["fuse_map"] = arrays["fuse_map"]
         prep = Preprocessor(arrays["impute_means"], arrays["z_mu"], arrays["z_sd"])
@@ -260,10 +263,12 @@ def cmd_ablate(args):
 def cmd_export(args):
     model, extras = load_model(args.model)
     if args.what == "graph":
-        a = model.cache["A"]
-        pairs = chain(zip(range(len(a)), range(len(a))), zip(*np.nonzero(np.triu(a, 1))))
+        n = model.cache["H"].shape[1]
+        upper = ([lo + int(i), int(j), repr(float(a[i, j]))]
+                 for lo, _, a in row_tiles(n, model.cache["edges"])
+                 for i, j in zip(*np.nonzero(np.triu(a, lo + 1))))
         write_csv(args.out, ["src", "dst", "weight"],
-                  ([int(i), int(j), repr(float(a[i, j]))] for i, j in pairs))
+                  chain(([i, i, repr(1.0)] for i in range(n)), upper))
         write_csv(os.path.splitext(args.out)[0] + ".nodes.csv", ["node", "label"],
                   ([i, int(y)] for i, y in enumerate(extras["labels"])))
     elif args.what == "fuse-map":

@@ -1,11 +1,11 @@
 """Two-layer graph convolutional classifier over the learned patient graph.
 
-Training and inductive scoring run these layers in closed form, never forming
-the normalised adjacency (block.graph_block, train.predict_inductive_batch);
-every degree is floored at `DEGREE_FLOOR`. The tape layers `normalize_adj` and
-`gcn_forward`, their numpy entry points (each runs the tape layer on a
-throwaway tape) and `extend_adjacency`, which attaches one patient to the
-trained graph, are the dense reference and run only in the tests."""
+Training and inductive scoring run these layers in closed form over A's row
+tiles (block.graph_block, train.predict_inductive_batch), never forming A or
+its normalisation; every degree is floored at `DEGREE_FLOOR`. The tape layers
+`normalize_adj` and `gcn_forward`, their numpy entry points (each runs the
+tape layer on a throwaway tape) and `extend_adjacency`, which attaches one
+patient to a trained graph, are the dense reference and run only in tests."""
 from __future__ import annotations
 
 from dataclasses import dataclass

@@ -125,10 +125,11 @@ class Tape:
         if loss.value.size != 1:
             raise ParameterError(f"loss must be scalar, got shape {loss.value.shape}")
         self._done = True
+        nodes, self.nodes = self.nodes, []  # no node -> tape -> node cycle outlives backward
         if not loss.needs_grad:
             return
         loss.grad = np.ones_like(loss.value)
-        for node in reversed(self.nodes):
+        for node in reversed(nodes):
             g = node.grad
             if g is None:
                 continue

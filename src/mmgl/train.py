@@ -6,9 +6,9 @@ block.graph_block node on a tape that trains only the phase's optimizer's
 Params, so a frozen group gets no gradient. A MAFF fusion is computed once per
 fusion-weight state: phase B's, made with the fusion frozen, is recorded again
 by the next phase A, which differentiates it, and by the early-stopping and
-final cache forwards (`fit`). `Model.adjacency` forms the dense A of every
-graph kind. `total_loss` composes the block's objective from the dense
-primitives; it runs only in the tests, as the block's reference."""
+final cache forwards (`fit`). The fitted model keeps its last forward's edge
+rule (`Model.edge_rule`). `total_loss` composes the block's objective from the
+dense primitives; it runs only in the tests, as the block's reference."""
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
@@ -71,6 +71,8 @@ class TrainConfig:
         for name, allowed in choices.items():
             if getattr(self, name) not in allowed:
                 raise ConfigError(f"{name} must be one of {allowed}, got {getattr(self, name)!r}")
+        if self.eval_mode == "inductive" and self.graph == "meta":
+            raise ConfigError("eval_mode='inductive' is not supported for graph='meta'")
         if self.d_f % self.heads != 0:
             raise ConfigError(f"d_f={self.d_f} not divisible by heads={self.heads}")
         if not 0.0 <= self.dropout < 1.0:
@@ -121,9 +123,7 @@ class Model:
             self.concat_w = nc.glorot(rng, schema.d_in, d, "concat.w")
         self.agl = agl.init_agl(d, d_a, rng) if cfg.graph == "learned" else None
         self.gcn = gcn.init_gcn(d, cfg.d_h, n_classes, rng)
-        self.meta_adj = None
-        if cfg.graph == "meta" and meta is not None:
-            self.meta_adj = agl.meta_graph(meta, cfg.meta_threshold).a
+        self.meta = None if cfg.graph != "meta" or meta is None else np.asarray(meta, float)
         self._drop_rng = np.random.default_rng(key + [977])
         self.cache = {}
 
@@ -162,18 +162,19 @@ class Model:
         features h (d, N), off the tape; the same values as on it."""
         return agl.cosine_normalize(nc.Tape().const(self.agl.w_a.value.T @ h)).value
 
-    def adjacency(self, h):
-        """The dense (N, N) adjacency over fused features h (d, N). A learned
-        graph's stacks block.row_tiles, the tiles training visits."""
+    def edge_rule(self, h, zn=None):
+        """The graph's edge rule (agl) over fused features h (d, N); a learned
+        graph's reads Zn, `zn` if given, else graph_projection(h)."""
         if self.cfg.graph == "learned":
-            return np.concatenate([a for _, _, a in block.row_tiles(self.graph_projection(h))])
+            zn = self.graph_projection(h) if zn is None else zn
+            return lambda lo, hi: agl.cosine_edges(zn[:, lo:hi], zn)
         if self.cfg.graph == "knn":
-            return agl.knn_graph_rbf(h, self.cfg.knn_k, self.cfg.rbf_sigma).a
+            return agl.knn_edges(h, self.cfg.knn_k, self.cfg.rbf_sigma)
         if self.cfg.graph == "meta":
-            if self.meta_adj is None:
+            if self.meta is None:
                 raise ParameterError("graph='meta' needs a meta feature matrix")
-            return self.meta_adj
-        return np.eye(h.shape[1])
+            return agl.meta_edges(self.meta, self.cfg.meta_threshold)
+        return lambda lo, hi: np.zeros((hi - lo, h.shape[1]))  # identity: no edge
 
     def forward(self, tape, mods, labels=None, mask=None, dropout=False, fusion=None):
         """Fusion (`fuse`, which may record `fusion` again), then the graph
@@ -182,28 +183,25 @@ class Model:
         The tape's trainable Params decide which gradients backward forms.
         With labels, "terms" is the block's loss node [task, smooth, con,
         reg]; without, it is None and only the logits are computed. "maps" is
-        the maff.Fusion, or None. A learned graph's A is never formed here.
+        the maff.Fusion, or None, and "edges" the edge rule the block read.
         """
         h, maps = self.fuse(tape, mods, fusion)
-        if self.cfg.graph == "learned":
-            source = {"zn": agl.cosine_normalize(tape.leaf(self.agl.w_a).T @ h)}
-        else:
-            source = {"adj": self.adjacency(h.value)}
+        zn = None if self.agl is None else agl.cosine_normalize(tape.leaf(self.agl.w_a).T @ h)
+        edges = self.edge_rule(h.value, None if zn is None else zn.value)
         keep = None
         if dropout and self.cfg.dropout > 0.0:
             p = self.cfg.dropout
             keep = (self._drop_rng.random((h.value.shape[1], self.cfg.d_h)) >= p) / (1.0 - p)
         terms, logits = block.graph_block(
             tape, h, tape.leaf(self.gcn.w0), tape.leaf(self.gcn.w1), labels, mask,
-            add_self_loops=self.cfg.add_self_loops, keep=keep, **source)
-        return {"H": h.value, "terms": terms, "logits": logits, "maps": maps}
+            edges=edges, zn=zn, add_self_loops=self.cfg.add_self_loops, keep=keep)
+        return {"H": h.value, "terms": terms, "logits": logits, "maps": maps, "edges": edges}
 
     def refresh_cache(self, mods, fusion=None):
-        """Inference forward pass; caches H/A/logits/maps for eval and export,
-        A from `adjacency`. `fusion` as in `fuse`."""
+        """Inference forward pass; caches H, the edge rule, the logits and the
+        maps for eval, export and inductive scoring. `fusion` as in `fuse`."""
         out = self.forward(nc.Tape(trainable=()), mods, fusion=fusion)
-        self.cache = {"H": out["H"], "A": self.adjacency(out["H"]), "logits": out["logits"],
-                      "maps": out["maps"]}
+        self.cache = {k: out[k] for k in ("H", "edges", "logits", "maps")}
         return self.cache
 
 
@@ -279,7 +277,6 @@ def fit(schema, mods, labels, train_idx, cfg, n_classes, seed_key=None, meta=Non
         values, fusion = train_epoch(model, mods, labels, train_idx, opt_a, opt_b, epoch, fusion)
         history.append(values)
         if cfg.patience > 0:
-            # the logits alone: no dense A is formed before the last epoch
             logits = model.forward(nc.Tape(trainable=()), mods, fusion=fusion)["logits"]
             acc = accuracy(logits[train_idx], labels[train_idx])
             if acc > best_acc:
@@ -403,8 +400,9 @@ def predict_inductive_batch(model, mods):
     (gcn.extend_adjacency): its edge weights w, a unit self-weight, training
     edges untouched. With A~ = A (+ I), s = (deg + w)^-1/2 on the training
     nodes and s_n = (sum w + a~_nn)^-1/2 on the patient, layer 1 of every
-    training node is s (A~ (s o P) + w s_n p_n), P = H^T W0, which is one GEMM
-    for a whole block of patients; the rest is elementwise and axis-0 sums.
+    training node is s (A~ (s o P) + w s_n p_n), P = H^T W0, one GEMM per row
+    tile of A~ for a whole block of patients; the rest is elementwise and
+    axis-0 sums.
 
     Patients sit on the column axis of every product, fusion included, and
     the last block is padded with copies of the last patient. So each
@@ -419,15 +417,12 @@ def predict_inductive_batch(model, mods):
     pad = -n % PREDICT_BLOCK
     mods = [np.pad(np.asarray(m, dtype=np.float64), ((0, 0), (0, pad)), mode="edge")
             for m in mods]
-    a = model.cache["A"]
-    n_train = a.shape[0]
-    self_w = 1.0  # the patient's own diagonal entry in A~
-    if model.cfg.add_self_loops:
-        a = a + np.eye(n_train)
-        self_w = 2.0
-    deg = a.sum(axis=1)
+    h_train, edges = model.cache["H"], model.cache["edges"]
+    n_train = h_train.shape[1]
+    self_w = 2.0 if model.cfg.add_self_loops else 1.0  # a node's own diagonal entry in A~
+    deg = np.concatenate([a.sum(axis=1) for _, _, a in block.row_tiles(n_train, edges, self_w)])
     w0, w1 = model.gcn.w0.value, model.gcn.w1.value
-    p_train = model.cache["H"].T @ w0  # (N, d_h)
+    p_train = h_train.T @ w0  # (N, d_h)
     probs = np.empty((n + pad, model.n_classes))
     for lo in range(0, n, PREDICT_BLOCK):
         h = model.fuse(nc.Tape(), [m[:, lo:lo + PREDICT_BLOCK] for m in mods])[0].value
@@ -437,7 +432,10 @@ def predict_inductive_batch(model, mods):
         p_n = w0.T @ h  # (d_h, block)
         ws = w * s
         y = (s[:, :, None] * p_train[:, None, :]).reshape(n_train, -1)
-        u = (a @ y).reshape(n_train, PREDICT_BLOCK, -1)  # A~ (s o P) for every patient
+        u = np.empty_like(y)
+        for r0, r1, a in block.row_tiles(n_train, edges, self_w):
+            u[r0:r1] = a @ y  # A~ (s o P) for every patient
+        u = u.reshape(n_train, PREDICT_BLOCK, -1)
         u += (w * s_n)[:, :, None] * p_n.T
         u *= s[:, :, None]
         np.maximum(u, 0.0, out=u)  # hidden rows of the training nodes
@@ -533,14 +531,11 @@ def fallback_meta(ds):
 
 def run_ablation(dataset, cfg, fusions=("maff", "mlp", "concat"),
                  graphs=("learned", "knn", "meta"), k=10, threads=1):
-    """Fusion x graph-construction grid of cross-validated metrics."""
-    rows = []
-    for fusion in fusions:
-        for graph in graphs:
-            cell_cfg = replace(cfg, fusion=fusion, graph=graph)
-            res = run_cv(dataset, cell_cfg, k=k, threads=threads)
-            rows.append({"fusion": fusion, "graph": graph, "result": res})
-    return rows
+    """Fusion x graph-construction grid of cross-validated metrics. Every
+    cell's config is checked before the first cell trains."""
+    cells = [replace(cfg, fusion=fusion, graph=graph) for fusion in fusions for graph in graphs]
+    return [{"fusion": c.fusion, "graph": c.graph,
+             "result": run_cv(dataset, c, k=k, threads=threads)} for c in cells]
 
 
 def _fmt(x):

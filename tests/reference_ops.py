@@ -2,13 +2,56 @@
 reference constructions (per-head attention loops, term-by-term graph losses,
 loss reductions) built from these and the `numcore` primitives serve as
 oracles for the fused tape nodes in `mmgl`. Loops: the per-Param Adam step and
-the cell-by-cell CSV parse are oracles for their whole-array versions."""
+the cell-by-cell CSV parse are oracles for their whole-array versions. Dense
+graphs: the kNN and meta graphs built whole are oracles for their edge rules'
+row tiles, and `dense_graph` stacks those tiles for the tests to inspect."""
 import csv
 
 import numpy as np
 
-from mmgl.errors import DimensionError, ParseError, SchemaError
+from mmgl.agl import rbf_kernel, top_k
+from mmgl.block import row_tiles
+from mmgl.errors import DimensionError, ParameterError, ParseError, SchemaError
 from mmgl.numcore import _tape_of, _wrap
+
+
+def dense_graph(n, edges):
+    """The (N, N) adjacency whose edge rule is `edges`, stacked from its row
+    tiles."""
+    return np.concatenate([a for _, _, a in row_tiles(n, edges)])
+
+
+def knn_graph_rbf(h, k, sigma):
+    """The RBF-kernel kNN graph (N, N) on features (d, N), symmetrised by
+    max, from one (N, N) kernel product."""
+    h = np.asarray(h, dtype=np.float64)
+    n = h.shape[1]
+    if not 1 <= k < n:
+        raise ParameterError(f"k must be in [1, N), got k={k}, N={n}")
+    if sigma <= 0:
+        raise ParameterError(f"sigma must be positive, got {sigma}")
+    w = rbf_kernel(h, h, sigma)
+    np.fill_diagonal(w, -np.inf)  # self excluded from the neighbour ranking
+    a = top_k(w, k, axis=1)
+    a = np.maximum(a, a.T)
+    np.fill_diagonal(a, 1.0)
+    return a
+
+
+def meta_graph(meta, threshold):
+    """Agreement graph (N, N) over discrete meta feature rows (n_meta, N): the
+    fraction of meta columns two patients agree on, kept only when the
+    agreement count reaches `threshold`."""
+    meta = np.asarray(meta)
+    n_meta, n = meta.shape
+    if not 1 <= threshold <= n_meta:
+        raise ParameterError(f"threshold must be in [1, {n_meta}], got {threshold}")
+    agree = np.zeros((n, n))
+    for r in range(n_meta):
+        agree += meta[r][:, None] == meta[r][None, :]
+    a = np.where(agree >= threshold, agree / n_meta, 0.0)
+    np.fill_diagonal(a, 1.0)
+    return a
 
 
 def log(a):

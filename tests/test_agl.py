@@ -4,12 +4,12 @@ import pytest
 
 from mmgl import numcore as nc
 from mmgl.agl import (
-    DEGREE_GUARD, NORM_GUARD, AglParams, connectivity_loss, graph_loss, init_agl,
-    knn_graph_rbf, learned_adjacency, learned_graph, meta_graph, rbf_kernel, smoothness_loss,
+    DEGREE_GUARD, NORM_GUARD, TILE, AglParams, connectivity_loss, graph_loss, init_agl,
+    knn_edges, learned_adjacency, learned_graph, meta_edges, rbf_kernel, smoothness_loss,
     sparsity_reg,
 )
 from mmgl.errors import DimensionError, ParameterError
-from reference_ops import log, sum_all
+from reference_ops import dense_graph, knn_graph_rbf, log, meta_graph, sum_all
 
 
 def identity_agl(d):
@@ -372,28 +372,38 @@ def test_fused_primitive_grad_check(term):
 
 # ------------------------------------------------------------------- knn
 
+def knn_tiles(h, k, sigma):
+    """The kNN graph's row tiles (agl.knn_edges), stacked."""
+    return dense_graph(h.shape[1], knn_edges(h, k, sigma))
+
+
+def meta_tiles(meta, threshold):
+    """The meta graph's row tiles (agl.meta_edges), stacked."""
+    return dense_graph(np.shape(meta)[1], meta_edges(meta, threshold))
+
+
 def test_knn_fully_connected_at_max_k():
     rng = np.random.default_rng(9)
     h = rng.normal(size=(2, 5))
-    g = knn_graph_rbf(h, 4, 1.0)
+    a = knn_tiles(h, 4, 1.0)
     off = ~np.eye(5, dtype=bool)
-    assert np.all(g.a[off] > 0)
+    assert np.all(a[off] > 0)
 
 
 def test_knn_separated_clusters():
     h = np.concatenate([np.zeros((2, 4)), np.full((2, 4), 100.0)], axis=1)
     h += np.random.default_rng(10).normal(size=h.shape) * 0.01
-    g = knn_graph_rbf(h, 2, 1.0)
-    assert np.all(g.a[:4, 4:] == 0.0) and np.all(g.a[4:, :4] == 0.0)
+    a = knn_tiles(h, 2, 1.0)
+    assert np.all(a[:4, 4:] == 0.0) and np.all(a[4:, :4] == 0.0)
 
 
 def test_knn_symmetric_non_negative_unit_diag():
     rng = np.random.default_rng(11)
     h = rng.normal(size=(3, 9))
-    g = knn_graph_rbf(h, 3, 0.8)
-    assert np.array_equal(g.a, g.a.T)
-    assert np.all(g.a >= 0)
-    assert np.allclose(np.diag(g.a), 1.0)
+    a = knn_tiles(h, 3, 0.8)
+    assert np.array_equal(a, a.T)
+    assert np.all(a >= 0)
+    assert np.allclose(np.diag(a), 1.0)
 
 
 def knn_row_loop(h, k, sigma):
@@ -421,7 +431,25 @@ def test_knn_matches_row_loop_with_ties(k):
     h[:, 3] = h[:, 4] = h[:, 5]
     w = rbf_kernel(h, h, 0.9)
     assert w[0, 1] == w[0, 2] and w[5, 3] == w[5, 4]
-    assert np.array_equal(knn_graph_rbf(h, k, 0.9).a, knn_row_loop(h, k, 0.9))
+    assert np.array_equal(knn_tiles(h, k, 0.9), knn_row_loop(h, k, 0.9))
+    assert np.array_equal(knn_graph_rbf(h, k, 0.9), knn_row_loop(h, k, 0.9))
+
+
+@pytest.mark.parametrize("n", [TILE - 1, TILE])
+def test_knn_tiles_match_dense_within_one_tile(n):
+    # one tile covers every row, so its kernel rows are the whole product's
+    h = np.random.default_rng(n).normal(size=(6, n))
+    assert np.array_equal(knn_tiles(h, 7, 1.5), knn_graph_rbf(h, 7, 1.5))
+
+
+@pytest.mark.parametrize("n", [TILE + 1, 300, 685])
+def test_knn_tiles_match_dense_above_one_tile(n):
+    # a tile's kernel rows may differ from the whole product's in the last
+    # bit, but not the edges they select
+    h = np.random.default_rng(n).normal(size=(16, n))
+    a, ref = knn_tiles(h, 10, 4.0), knn_graph_rbf(h, 10, 4.0)
+    assert np.array_equal(a > 0, ref > 0)
+    np.testing.assert_allclose(a, ref, rtol=0.0, atol=1e-15)
 
 
 def test_rbf_kernel_matches_pairwise_differences():
@@ -436,39 +464,43 @@ def test_rbf_kernel_matches_pairwise_differences():
 def test_knn_parameter_errors():
     h = np.zeros((2, 5))
     with pytest.raises(ParameterError):
-        knn_graph_rbf(h, 0, 1.0)
+        knn_edges(h, 0, 1.0)
     with pytest.raises(ParameterError):
-        knn_graph_rbf(h, 5, 1.0)
+        knn_edges(h, 5, 1.0)
     with pytest.raises(ParameterError):
-        knn_graph_rbf(h, 2, 0.0)
+        knn_edges(h, 2, 0.0)
 
 
 # ------------------------------------------------------------------- meta
 
 def test_meta_identical_rows():
     meta = np.array([[1.0, 1.0], [0.0, 0.0], [2.0, 2.0]])
-    g = meta_graph(meta, 1)
-    assert np.allclose(g.a, 1.0)
+    assert np.allclose(meta_tiles(meta, 1), 1.0)
 
 
 def test_meta_total_disagreement():
     meta = np.array([[0.0, 1.0], [0.0, 1.0]])
-    g = meta_graph(meta, 1)
-    assert np.allclose(g.a, np.eye(2))
+    assert np.allclose(meta_tiles(meta, 1), np.eye(2))
 
 
 def test_meta_partial_agreement():
     meta = np.array([[1.0, 1.0], [2.0, 2.0], [0.0, 1.0]])  # agree on 2 of 3
-    assert meta_graph(meta, 2).a[0, 1] == pytest.approx(2 / 3)
-    assert meta_graph(meta, 3).a[0, 1] == 0.0
+    assert meta_tiles(meta, 2)[0, 1] == pytest.approx(2 / 3)
+    assert meta_tiles(meta, 3)[0, 1] == 0.0
 
 
 def test_meta_threshold_validation():
     meta = np.zeros((2, 3))
     with pytest.raises(ParameterError):
-        meta_graph(meta, 0)
+        meta_edges(meta, 0)
     with pytest.raises(ParameterError):
-        meta_graph(meta, 3)
+        meta_edges(meta, 3)
+
+
+@pytest.mark.parametrize("threshold", [1, 2, 4])
+def test_meta_tiles_match_dense(threshold):
+    meta = np.random.default_rng(threshold).integers(0, 3, size=(4, 2 * TILE + 5)).astype(float)
+    assert np.array_equal(meta_tiles(meta, threshold), meta_graph(meta, threshold))
 
 
 # ------------------------------------------------------------------- init

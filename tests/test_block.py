@@ -11,13 +11,14 @@ import pytest
 from mmgl import agl, block
 from mmgl import numcore as nc
 from mmgl.agl import (
-    AglParams, cosine_normalize, init_agl, knn_graph_rbf, learned_adjacency, meta_graph,
+    AglParams, cosine_edges, cosine_normalize, init_agl, knn_edges, learned_adjacency, meta_edges,
 )
-from mmgl.block import TILE, graph_block
+from mmgl.block import TILE, graph_block, row_tiles
 from mmgl.data import ModalitySchema
 from mmgl.errors import DataError, DimensionError, ParameterError
 from mmgl.gcn import gcn_forward, init_gcn, normalize_adj
 from mmgl.train import Model, TrainConfig, fit, total_loss, train_epoch
+from reference_ops import dense_graph
 
 TERMS = ("task", "smooth", "con", "reg")
 TOTAL = np.array([1.0, 0.7, 0.7 * 0.3, 0.7 * 0.4])  # lam=0.7, alpha=0.3, beta=0.4
@@ -35,6 +36,17 @@ def weighted(terms, weights):
     return out
 
 
+def learned_edges(zn):
+    """The learned graph's edge rule over its unit-norm projection Zn (d_a, N),
+    as train.Model.edge_rule builds it."""
+    return lambda lo, hi: cosine_edges(zn[:, lo:hi], zn)
+
+
+def identity_edges(n):
+    """The identity graph's edge rule: no edge off the diagonal."""
+    return lambda lo, hi: np.zeros((hi - lo, n))
+
+
 def make_case(n, d=4, d_a=3, d_h=5, c=3, seed=0, graph="learned"):
     rng = np.random.default_rng(seed)
     h = nc.Param(rng.normal(size=(d, n)), "H")
@@ -44,22 +56,22 @@ def make_case(n, d=4, d_a=3, d_h=5, c=3, seed=0, graph="learned"):
     if graph == "learned":
         source = init_agl(d, d_a, rng)
     elif graph == "knn":
-        source = knn_graph_rbf(h.value, min(3, n - 1), 1.5).a
+        source = knn_edges(h.value, min(3, n - 1), 1.5)
     elif graph == "meta":
-        source = meta_graph(rng.integers(0, 2, size=(3, n)), 1).a
+        source = meta_edges(rng.integers(0, 2, size=(3, n)), 1)
     else:
-        source = np.eye(n)
+        source = identity_edges(n)
     return h, source, gp, labels, mask
 
 
 def dense(tape, h, source, gp, labels, mask, weights, self_loops, p, seed):
-    """The dense tape: learned_adjacency -> normalize_adj -> gcn_forward ->
-    total_loss."""
+    """The dense tape: learned_adjacency (or the stacked tiles of a fixed
+    graph's edge rule) -> normalize_adj -> gcn_forward -> total_loss."""
     h = tape.leaf(h)
     if isinstance(source, AglParams):
         a, _ = learned_adjacency(tape, h, source)
     else:
-        a = tape.const(source)
+        a = tape.const(dense_graph(h.value.shape[1], source))
     logits = gcn_forward(tape, h, normalize_adj(tape, a, self_loops), gp, p,
                          np.random.default_rng(seed))
     _, parts = total_loss(tape, logits, labels, mask, h, a, 1.0, 1.0, 1.0)
@@ -74,9 +86,10 @@ def tiled(tape, h, source, gp, labels, mask, weights, self_loops, p, seed):
     if p > 0:
         keep = (np.random.default_rng(seed).random((n, d_h)) >= p) / (1.0 - p)
     if isinstance(source, AglParams):
-        graph = {"zn": cosine_normalize(tape.leaf(source.w_a).T @ h)}
+        zn = cosine_normalize(tape.leaf(source.w_a).T @ h)
+        graph = {"zn": zn, "edges": learned_edges(zn.value)}
     else:
-        graph = {"adj": source}
+        graph = {"edges": source}
     terms, logits = graph_block(tape, h, tape.leaf(gp.w0), tape.leaf(gp.w1), labels, mask,
                                 add_self_loops=self_loops, keep=keep, **graph)
     return nc.sum_axis(terms * weights, axis=0, keepdims=False), terms.value, logits
@@ -143,7 +156,7 @@ def test_block_zero_projection_column():
 
 @pytest.mark.parametrize("self_loops", [False, True])
 def test_block_isolated_node(self_loops, monkeypatch):
-    # node 4 has no edge and no self-weight: its degree falls to the floor
+    # node 4 has no edge: its degree is its unit self-weight alone
     monkeypatch.setattr(block, "TILE", 3)
     h, _, gp, labels, mask = make_case(10, seed=5)
     rng = np.random.default_rng(5)
@@ -151,7 +164,8 @@ def test_block_isolated_node(self_loops, monkeypatch):
     a = (a + a.T) / 2
     a[4] = 0.0
     a[:, 4] = 0.0
-    assert_block_matches_dense(h, a, gp, labels, mask, self_loops=self_loops)
+    assert_block_matches_dense(h, lambda lo, hi: a[lo:hi].copy(), gp, labels, mask,
+                               self_loops=self_loops)
 
 
 @pytest.mark.parametrize("tile", [1, 3, 4])
@@ -174,7 +188,7 @@ def test_block_gradient_of_zn(monkeypatch):
         zl, hc = tape.leaf(zn), tape.const(h.value)
         if tiled_block:
             terms, _ = graph_block(tape, hc, tape.leaf(gp.w0), tape.leaf(gp.w1),
-                                   labels, mask, zn=zl)
+                                   labels, mask, edges=learned_edges(zl.value), zn=zl)
             return nc.sum_axis(terms * TOTAL, axis=0, keepdims=False)
         a = nc.relu(zl.T @ zl) * (1.0 - eye) + eye
         logits = gcn_forward(tape, hc, normalize_adj(tape, a), gp)
@@ -208,7 +222,7 @@ def test_block_forms_only_trainable_gradients():
     h, source, gp, labels, mask = make_case(6, seed=2)
     tape = nc.Tape(trainable=[gp.w0])
     hn, w0, w1 = tape.leaf(h), tape.leaf(gp.w0), tape.leaf(gp.w1)
-    terms, _ = graph_block(tape, hn, w0, w1, labels, mask, adj=np.eye(6))
+    terms, _ = graph_block(tape, hn, w0, w1, labels, mask, edges=identity_edges(6))
     for p in (h, gp.w0, gp.w1):
         p.zero_grad()
     tape.backward(nc.sum_axis(terms * TOTAL, axis=0, keepdims=False))
@@ -226,7 +240,7 @@ def test_block_without_labels_gives_logits_only():
     zn = cosine_normalize(tape.const(source.w_a.value.T) @ hn)
     w0, w1 = tape.const(gp.w0.value), tape.const(gp.w1.value)
     recorded = len(tape.nodes)
-    terms, logits = graph_block(tape, hn, w0, w1, zn=zn)
+    terms, logits = graph_block(tape, hn, w0, w1, edges=learned_edges(zn.value), zn=zn)
     _, _, logits_ref = tiled(nc.Tape(), h, source, gp, labels, mask, TOTAL, False, 0.0, 0)
     assert terms is None and len(tape.nodes) == recorded
     assert np.array_equal(logits, logits_ref)
@@ -267,7 +281,7 @@ def dense_phase_grads(model, mods, labels, mask, rng, loss_kind):
     if cfg.graph == "learned":
         a, _ = learned_adjacency(tape, h, model.agl)
     else:
-        a = tape.const(model.adjacency(h.value))
+        a = tape.const(dense_graph(h.value.shape[1], model.edge_rule(h.value)))
     logits = gcn_forward(tape, h, normalize_adj(tape, a, cfg.add_self_loops), model.gcn,
                          cfg.dropout, rng)
     total, parts = total_loss(tape, logits, labels, mask, h, a, cfg.lam, cfg.alpha, cfg.beta)
@@ -294,11 +308,12 @@ def test_phase_gradients_match_dense_tape_and_frozen_groups_get_none(phase_a_los
 
 
 def phase_tapes(model, mods, labels, mask, monkeypatch):
+    """The nodes of each phase's tape; backward drops them from the tape."""
     tapes = []
     backward = nc.Tape.backward
 
     def keep_tape(tape, loss):
-        tapes.append(tape)
+        tapes.append(tape.nodes)
         return backward(tape, loss)
 
     monkeypatch.setattr(nc.Tape, "backward", keep_tape)
@@ -311,8 +326,8 @@ def phase_tapes(model, mods, labels, mask, monkeypatch):
 
 def test_learned_phase_tapes_hold_no_square_node(monkeypatch):
     model, mods, labels, mask = phase_model(n=40)
-    for tape in phase_tapes(model, mods, labels, mask, monkeypatch):
-        shapes = [node.value.shape for node in tape.nodes]
+    for nodes in phase_tapes(model, mods, labels, mask, monkeypatch):
+        shapes = [node.value.shape for node in nodes]
         assert (40, 40) not in shapes
 
 
@@ -323,14 +338,14 @@ def test_frozen_groups_get_no_gradient_node(monkeypatch):
     # gradient.
     model, mods, labels, mask = phase_model()
     tape_a, tape_b = phase_tapes(model, mods, labels, mask, monkeypatch)
-    assert [n.value.shape for n in tape_a.nodes] == [n.value.shape for n in tape_b.nodes]
+    assert [n.value.shape for n in tape_a] == [n.value.shape for n in tape_b]
 
-    def graded(tape, params, users=False):
+    def graded(nodes, params, users=False):
         """Whether each leaf of `params` (and, with users, each node they
         feed) got a gradient."""
         ids = {id(p) for p in params}
-        leaves = [n for n in tape.nodes if id(n._param) in ids]
-        fed = [n for n in tape.nodes if any(p in leaves for p in n._parents)] if users else []
+        leaves = [n for n in nodes if id(n._param) in ids]
+        fed = [n for n in nodes if any(p in leaves for p in n._parents)] if users else []
         assert leaves
         return [n.grad is not None for n in leaves + fed]
 
@@ -339,7 +354,7 @@ def test_frozen_groups_get_no_gradient_node(monkeypatch):
     assert not any(graded(tape_a, model.gcn_params()))
     assert all(graded(tape_b, model.gcn_params()))
     # the fused features reach the graph block without a gradient in phase B
-    block_b = next(n for n in tape_b.nodes
+    block_b = next(n for n in tape_b
                    if getattr(n._vjp, "__qualname__", "").startswith("graph_block"))
     assert block_b._parents[0].value.shape == (model.cfg.dim_fused, 40)
     assert not block_b._parents[0].needs_grad and block_b._parents[0].grad is None
@@ -361,39 +376,42 @@ def test_block_argument_errors():
     h, source, gp, labels, mask = make_case(6, seed=1)
     tape = nc.Tape()
     hn, w0, w1 = tape.leaf(h), tape.leaf(gp.w0), tape.leaf(gp.w1)
-    with pytest.raises(ParameterError, match="exactly one"):
+    with pytest.raises(TypeError, match="edges"):
         graph_block(tape, hn, w0, w1, labels, mask)
     with pytest.raises(DimensionError):
-        graph_block(tape, hn, w0, w1, labels, mask, adj=np.eye(5))
+        graph_block(tape, hn, w0, w1, labels, mask, edges=identity_edges(5))
     with pytest.raises(ParameterError, match="empty mask"):
-        graph_block(tape, hn, w0, w1, labels, [], adj=np.eye(6))
+        graph_block(tape, hn, w0, w1, labels, [], edges=identity_edges(6))
     with pytest.raises(DataError, match="out of range"):
-        graph_block(tape, hn, w0, w1, labels + 3, mask, adj=np.eye(6))
+        graph_block(tape, hn, w0, w1, labels + 3, mask, edges=identity_edges(6))
 
 
-def test_fit_forms_the_dense_graph_once(monkeypatch):
-    # early stopping reads the block's logits; only the final cache forms A,
-    # and not through the dense reference
-    model, mods, labels, mask = phase_model(n=30)
-    calls = []
-    adjacency = Model.adjacency
-    monkeypatch.setattr(Model, "adjacency",
-                        lambda self, h: calls.append(1) or adjacency(self, h))
+@pytest.mark.parametrize("graph", ["learned", "knn"])
+def test_fit_forms_no_dense_graph(monkeypatch, graph):
+    # every forward builds the graph's edge rule once and the final cache
+    # keeps the last one: a knn fit of E epochs builds 2E + 1 neighbour lists
+    model, mods, labels, mask = phase_model(n=30, graph=graph)
+    rules = []
+    edge_rule = Model.edge_rule
+    monkeypatch.setattr(Model, "edge_rule",
+                        lambda *args: rules.append(edge_rule(*args)) or rules[-1])
+    knn_edges_, builds = agl.knn_edges, []
+    monkeypatch.setattr(agl, "knn_edges", lambda *args: builds.append(1) or knn_edges_(*args))
     monkeypatch.setattr(agl, "learned_adjacency", None)
-    cfg = replace(model.cfg, epochs=6, patience=10)
-    fitted, history = fit(model.schema, mods, labels, mask, cfg, 3)
-    assert len(history) == 6 and len(calls) == 1
-    assert fitted.cache["A"].shape == (30, 30)
+    fitted, history = fit(model.schema, mods, labels, mask, replace(model.cfg, epochs=6), 3)
+    assert len(history) == 6 and len(rules) == 2 * 6 + 1
+    assert len(builds) == (len(rules) if graph == "knn" else 0)
+    assert "A" not in fitted.cache and fitted.cache["edges"] is rules[-1]
 
 
 @pytest.mark.parametrize("n", [150, 685])
 def test_cached_graph_is_the_trained_graph(monkeypatch, n):
-    # the cached A is, bit for bit, the row tiles the block visited in the
-    # fit's last forward; at both sizes a dense Zn^T Zn differs in last bits
-    tiles, row_tiles, graph_block_ = {}, block.row_tiles, block.graph_block
+    # the cached edge rule gives, bit for bit, the row tiles the block visited
+    # in the fit's last forward; at both sizes a dense Zn^T Zn differs in last bits
+    tiles, graph_block_ = {}, block.graph_block
 
-    def recording_tiles(zn, adj=None):
-        for lo, hi, a in row_tiles(zn, adj):
+    def recording_tiles(n, edges):
+        for lo, hi, a in row_tiles(n, edges):
             if recording_tiles.on:
                 tiles[lo] = a.copy()
             yield lo, hi, a
@@ -413,4 +431,39 @@ def test_cached_graph_is_the_trained_graph(monkeypatch, n):
     cfg = TrainConfig(epochs=3, lr=0.01)  # d_a = 16, as by default
     mods = [rng.normal(size=(12, n)), rng.normal(size=(6, n))]
     fitted, _ = fit(schema, mods, rng.integers(0, 3, size=n), np.arange(0, n, 2), cfg, 3)
-    assert np.array_equal(fitted.cache["A"], np.concatenate([tiles[lo] for lo in sorted(tiles)]))
+    assert np.array_equal(dense_graph(n, fitted.cache["edges"]),
+                          np.concatenate([tiles[lo] for lo in sorted(tiles)]))
+
+
+# ------------------------------------------------ the row tiles' contract
+
+def kind_model(graph, n, rng):
+    """A Model of one graph kind over n patients, and fused features for it."""
+    schema = ModalitySchema((("a", 3), ("b", 2)))
+    meta = rng.integers(0, 3, size=(3, n))
+    return Model(schema, 3, TrainConfig(graph=graph, knn_k=7), meta=meta), rng.normal(size=(16, n))
+
+
+@pytest.mark.parametrize("n", [TILE - 1, TILE + 1, 2 * TILE + 5])
+@pytest.mark.parametrize("graph", ["learned", "knn", "meta", "identity"])
+def test_row_tiles_contract(graph, n):
+    # criterion 4 on the tiles every command reads: symmetric (exactly, but
+    # for the learned graph's two products), non-negative, unit diagonal
+    model, h = kind_model(graph, n, np.random.default_rng(n))
+    a = dense_graph(n, model.edge_rule(h))
+    if graph == "learned":
+        np.testing.assert_allclose(a, a.T, rtol=0.0, atol=1e-12)
+        assert (a == 0).any() and (a > 0).mean() > 0.1
+    else:
+        assert np.array_equal(a, a.T)
+    assert (a >= 0).all() and np.array_equal(np.diag(a), np.ones(n))
+    if graph == "knn":
+        assert ((a > 0).sum(axis=1) >= 7 + 1).all()
+
+
+@pytest.mark.parametrize("n", [TILE - 1, TILE + 1, 2 * TILE + 5])
+def test_learned_tiles_invariant_to_power_of_two_rescale(n):
+    model, h = kind_model("learned", n, np.random.default_rng(n))
+    a = dense_graph(n, model.edge_rule(h))
+    for scale in (2.0 ** -20, 0.5, 8.0, 2.0 ** 30):
+        assert np.array_equal(dense_graph(n, model.edge_rule(scale * h)), a)

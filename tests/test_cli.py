@@ -20,6 +20,7 @@ from mmgl import cli
 from mmgl.cli import load_model, main
 from mmgl.data import SynthConfig, load_csv
 from mmgl.train import TrainConfig
+from reference_ops import dense_graph
 
 
 def run(*argv):
@@ -414,6 +415,28 @@ def test_ablate_grid_and_cell_matches_cv(tmp_path, synth_dir):
     assert cell["std_acc"] == ref["std"][1]
 
 
+@pytest.mark.parametrize("flag,names", [("--fusions", "maff,bogus"),
+                                        ("--graphs", "learned,bogus")])
+def test_ablate_bad_cell_exit_2_before_training(tmp_path, synth_dir, monkeypatch, capsys,
+                                                flag, names):
+    fits = []
+    monkeypatch.setattr("mmgl.train.fit", lambda *args, **kw: fits.append(1))
+    assert run("ablate", "--config", str(write_train_cfg(tmp_path)), "--data", str(synth_dir),
+               "--out", str(tmp_path / "ablate"), "--folds", "2", flag, names) == 2
+    assert "bogus" in capsys.readouterr().err and fits == []
+    assert not (tmp_path / "ablate" / "ablation.csv").exists()
+
+
+def test_cv_inductive_meta_exit_2_before_training(tmp_path, synth_dir, monkeypatch, capsys):
+    fits = []
+    monkeypatch.setattr("mmgl.train.fit", lambda *args, **kw: fits.append(1))
+    cfg = write_train_cfg(tmp_path, graph="meta")
+    assert run("cv", "--config", str(cfg), "--data", str(synth_dir), "--out",
+               str(tmp_path / "cv"), "--folds", "2", "--eval-mode", "inductive") == 2
+    assert "inductive" in capsys.readouterr().err and fits == []
+    assert not (tmp_path / "cv").exists()
+
+
 # ----------------------------------------------------------------- export
 
 @pytest.fixture()
@@ -429,8 +452,9 @@ def test_export_graph_edges(tmp_path, trained):
     out = tmp_path / "graph.csv"
     assert run("export", "--model", str(trained / "model.npz"),
                "--what", "graph", "--out", str(out)) == 0
-    a = load_model(trained / "model.npz")[0].cache["A"]
-    n = a.shape[0]
+    cache = load_model(trained / "model.npz")[0].cache
+    n = cache["H"].shape[1]
+    a = dense_graph(n, cache["edges"])
     upper = np.triu(a, 1)
     with open(out, newline="") as f:
         rows = list(csv.reader(f))
@@ -444,25 +468,29 @@ def test_export_graph_edges(tmp_path, trained):
 
 @pytest.mark.parametrize("graph", ["learned", "knn", "meta", "identity"])
 def test_loaded_graph_is_the_fitted_graph(tmp_path, synth_dir, monkeypatch, graph):
-    # the artifact stores no graph and no logits: loading derives the graph,
-    # bit for bit the one the fitted model cached
+    # the artifact stores no graph and no logits (a meta graph its meta rows):
+    # loading rebuilds the edge rule, whose tiles are bit for bit the fitted
+    # model's
     fitted = {}
     save_model = cli.save_model
     monkeypatch.setattr(cli, "save_model", lambda model, *args: fitted.update(
-        A=model.cache["A"]) or save_model(model, *args))
+        A=dense_graph(24, model.cache["edges"])) or save_model(model, *args))
     cfg = write_train_cfg(tmp_path, graph=graph, knn_k=5)
     assert run("train", "--config", str(cfg), "--data", str(synth_dir),
                "--out", str(tmp_path / "run")) == 0
     with np.load(tmp_path / "run" / "model.npz") as z:
-        assert "A" not in z and "logits" not in z
-    assert np.array_equal(load_model(tmp_path / "run" / "model.npz")[0].cache["A"], fitted["A"])
+        assert not {"A", "logits", "meta_adj"} & set(z)
+        assert ("meta" in z) == (graph == "meta")
+    loaded = load_model(tmp_path / "run" / "model.npz")[0].cache["edges"]
+    assert np.array_equal(dense_graph(24, loaded), fitted["A"])
 
 
 @pytest.mark.parametrize("graph,edit", [
-    ("meta", lambda arrays, cfg: arrays.pop("meta_adj")),
+    ("meta", lambda arrays, cfg: arrays.pop("meta")),
+    ("meta", lambda arrays, cfg: cfg.update(meta_threshold=3)),  # above the 2 meta rows
     ("knn", lambda arrays, cfg: cfg.update(knn_k=24)),  # the artifact's N
     ("knn", lambda arrays, cfg: cfg.update(knn_k=30)),
-], ids=["meta-without-meta_adj", "knn_k-is-N", "knn_k-above-N"])
+], ids=["meta-without-meta", "meta_threshold-above-rows", "knn_k-is-N", "knn_k-above-N"])
 def test_artifact_graph_not_rebuildable_exit_3(tmp_path, synth_dir, capsys, graph, edit):
     cfg = write_train_cfg(tmp_path, graph=graph, knn_k=5)
     assert run("train", "--config", str(cfg), "--data", str(synth_dir),
@@ -479,6 +507,26 @@ def test_artifact_graph_not_rebuildable_exit_3(tmp_path, synth_dir, capsys, grap
                                                  str(synth_dir / "features.csv")]):
         assert run(*argv, "--model", str(bad), "--out", str(tmp_path / "out.csv")) == 3
         assert "graph cannot be rebuilt" in capsys.readouterr().err
+
+
+def test_artifact_with_earlier_meta_adj_exit_3(tmp_path, synth_dir, capsys):
+    # an earlier version stored a meta graph as its dense agreement matrix
+    # and no meta rows: such an artifact is refused, never read
+    cfg = write_train_cfg(tmp_path, graph="meta")
+    assert run("train", "--config", str(cfg), "--data", str(synth_dir),
+               "--out", str(tmp_path / "run")) == 0
+    with np.load(tmp_path / "run" / "model.npz") as z:
+        arrays = dict(z)
+    arrays["meta_adj"] = np.eye(24)
+    del arrays["meta"]
+    bad = tmp_path / "old.npz"
+    np.savez(bad, **arrays)
+    capsys.readouterr()
+    for what in ("graph", "embeddings"):
+        assert run("export", "--model", str(bad), "--what", what,
+                   "--out", str(tmp_path / "out.csv")) == 3
+        assert "must be retrained" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
 
 
 # The dense tape path: the tiled block's reference, which only the tests run.

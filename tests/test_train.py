@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mmgl import maff, numcore as nc
-from mmgl.agl import NORM_GUARD, knn_graph_rbf, learned_graph, meta_graph
+from mmgl.agl import NORM_GUARD, TILE, learned_graph
 from mmgl.data import Preprocessor, SynthConfig, stratified_kfold, synth_generate, zscore
 from mmgl.errors import ConfigError, ParameterError, TrainingDiverged
 from mmgl.gcn import extend_adjacency, gcn_forward_np, normalize_adj_np
@@ -19,6 +19,7 @@ from mmgl.train import (
     total_loss, train_epoch, write_ablation_csv, write_history_csv,
     write_metrics_csv,
 )
+from reference_ops import dense_graph, knn_graph_rbf, meta_graph
 
 
 def tiny_dataset(n=24, classes=2, dims=(3, 3), seed=0, separation=3.0):
@@ -45,6 +46,12 @@ def test_config_validation():
                dict(d_f=6, heads=4), dict(dropout=1.0)):
         with pytest.raises(ConfigError):
             TrainConfig(**kw)
+
+
+def test_config_refuses_inductive_meta():
+    # an unseen patient has no edges to score by in a meta graph
+    with pytest.raises(ConfigError, match="inductive"):
+        TrainConfig(graph="meta", eval_mode="inductive")
 
 
 def test_config_unknown_key():
@@ -182,21 +189,24 @@ def count_fusions(monkeypatch):
 
 @pytest.mark.parametrize("graph", ["learned", "knn", "meta", "identity"])
 def test_model_adjacency(graph):
-    # the one dense A of every graph kind; a learned graph's, stacked from
-    # the block's row tiles, matches the dense reference to rounding
-    rng = np.random.default_rng(31)
-    meta = rng.integers(0, 3, size=(3, 300)).astype(float)
-    model = Model(tiny_dataset().schema, 2, tiny_cfg(graph=graph, knn_k=4, d_f=16), meta=meta)
-    h = rng.normal(size=(16, 300))
-    a = model.adjacency(h)
-    want = {"learned": lambda: learned_graph(h, model.agl).a,
-            "knn": lambda: knn_graph_rbf(h, 4, 1.0).a,
-            "meta": lambda: meta_graph(meta, 1).a,
-            "identity": lambda: np.eye(300)}[graph]()
-    np.testing.assert_allclose(a, want, rtol=0.0, atol=1e-15)
-    assert np.array_equal(np.diag(a), np.ones(300))
-    if graph != "learned":
-        assert np.array_equal(a, want)
+    # every graph kind's row tiles (Model.edge_rule) against its dense
+    # reference: bit for bit for the meta and identity graphs, and for kNN
+    # within one tile; to rounding, on the same edges, for the learned graph
+    # and for kNN above one tile
+    for n in (TILE, 300):
+        rng = np.random.default_rng(31)
+        meta = rng.integers(0, 3, size=(3, n)).astype(float)
+        model = Model(tiny_dataset().schema, 2, tiny_cfg(graph=graph, knn_k=4, d_f=16), meta=meta)
+        h = rng.normal(size=(16, n))
+        a = dense_graph(n, model.edge_rule(h))
+        want = {"learned": lambda: learned_graph(h, model.agl).a,
+                "knn": lambda: knn_graph_rbf(h, 4, 1.0),
+                "meta": lambda: meta_graph(meta, 1),
+                "identity": lambda: np.eye(n)}[graph]()
+        np.testing.assert_allclose(a, want, rtol=0.0, atol=1e-15)
+        assert np.array_equal(a > 0, want > 0)
+        if graph in ("meta", "identity") or (graph == "knn" and n <= TILE):
+            assert np.array_equal(a, want)
 
 
 @pytest.mark.parametrize("fusion", ["maff", "mlp", "concat"])
@@ -211,8 +221,10 @@ def test_fit_hand_off_matches_recompute(monkeypatch, fusion, graph):
     monkeypatch.setattr(Model, "fuse", lambda self, tape, mods, fusion=None: fuse(self, tape, mods))
     want, oracle = fit_tiny(ds, cfg)
     assert history == oracle
-    for key in ("H", "A", "logits"):
+    for key in ("H", "logits"):
         assert np.array_equal(got.cache[key], want.cache[key]), key
+    assert np.array_equal(dense_graph(ds.n, got.cache["edges"]),
+                          dense_graph(ds.n, want.cache["edges"]))
     if fusion == "maff":
         assert np.array_equal(got.cache["maps"].tensor, want.cache["maps"].tensor)
     assert all(np.array_equal(p.value, q.value)
@@ -521,7 +533,8 @@ def loop_predict(model, x_cols):
         sims[nbrs] = w[nbrs]
     else:
         sims = np.zeros(h_train.shape[1])
-    a_norm = normalize_adj_np(extend_adjacency(model.cache["A"], sims), cfg.add_self_loops)
+    a_train = dense_graph(h_train.shape[1], model.cache["edges"])
+    a_norm = normalize_adj_np(extend_adjacency(a_train, sims), cfg.add_self_loops)
     logits = gcn_forward_np(np.concatenate([h_train, h_new], axis=1), a_norm, model.gcn)
     return nc.softmax_rows_values(logits[-1:])[0]
 
@@ -580,7 +593,7 @@ def test_inductive_edges_of_training_patient_match_learned_graph():
     idx = np.arange(0, 60, 7)
     h = model.fuse(nc.Tape(), [m[:, idx] for m in ds.modalities])[0].value
     w = _edge_weights(model)(h)  # (N, B)
-    a = model.cache["A"]
+    a = dense_graph(ds.n, model.cache["edges"])
     assert (a > 0).mean() < 0.9  # some edges are cut by the ReLU
     for b, i in enumerate(idx):
         off = np.arange(ds.n) != i
@@ -660,6 +673,16 @@ def test_history_csv_format(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "epoch,total,task,smooth,con,reg"
     assert len(lines) == 5
+
+
+@pytest.mark.parametrize("fusions,graphs", [(("maff", "bogus"), ("learned",)),
+                                            (("maff",), ("learned", "bogus"))])
+def test_ablation_checks_every_cell_before_training(monkeypatch, fusions, graphs):
+    trained = []
+    monkeypatch.setattr("mmgl.train.run_cv", lambda *args, **kw: trained.append(args))
+    with pytest.raises(ConfigError, match="bogus"):
+        run_ablation(tiny_dataset(), tiny_cfg(), fusions=fusions, graphs=graphs, k=2)
+    assert trained == []
 
 
 def test_ablation_csv_format(tmp_path):

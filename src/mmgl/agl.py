@@ -6,11 +6,16 @@ log-barrier on node degrees, and a Frobenius penalty) keeping the learned
 graph smooth, connected, and sparse. Non-learned graphs (kNN-RBF, meta-feature
 agreement and the identity) are provided as ablation baselines.
 
-An edge rule, edges(lo, hi), gives rows lo:hi of a graph's A off the diagonal
-as a fresh (hi - lo, N) array, read only as block.row_tiles: the learned
-graph's takes `cosine_edges` of its projection (also the inductive kernel),
-and `knn_edges` and `meta_edges` build the others' from O(N d) state. The
-dense tape primitives here are the block's reference, run only in tests.
+An edge rule, edges(rows, cols), gives the block A[rows][:, cols] of a graph's
+adjacency as a fresh array, with any value where a row node meets itself;
+rows and cols are slices or sorted index arrays over the N nodes. It is read
+only as block.row_tiles, which writes the diagonal: over all N nodes in
+training, export and the inductive passes every patient shares, and over one
+unseen patient's neighbours for that patient's correction. The learned
+graph's rule takes `cosine_edges` of its projection (also the inductive
+kernel), and `knn_edges`, `meta_edges` and `no_edges` build the others' from
+O(N d) state. The dense tape primitives here are the block's reference, run
+only in tests.
 """
 from __future__ import annotations
 
@@ -158,9 +163,13 @@ def graph_loss(tape, h, a, alpha, beta):
 
 def rbf_kernel(a, b, sigma):
     """(N, B) similarities exp(-||a_i - b_j||^2 / 2 sigma^2) between the columns
-    of a (d, N) and b (d, B), the squared distance in Gram form floored at 0."""
-    d2 = (a * a).sum(axis=0)[:, None] + (b * b).sum(axis=0)[None, :] - 2.0 * a.T @ b
-    return np.exp(-np.maximum(d2, 0.0) / (2.0 * sigma * sigma))
+    of a (d, N) and b (d, B), the squared distance in Gram form floored at 0;
+    in place in one (N, B) buffer besides the Gram product."""
+    d2 = (a * a).sum(axis=0)[:, None] + (b * b).sum(axis=0)[None, :]
+    d2 -= 2.0 * a.T @ b
+    np.maximum(d2, 0.0, out=d2)
+    d2 /= -2.0 * sigma * sigma
+    return np.exp(d2, out=d2)
 
 
 def top_k(w, k, axis):
@@ -186,12 +195,21 @@ def knn_edges(h, k, sigma):
         np.fill_diagonal(sims[:, lo:], -np.inf)  # self excluded from the neighbour ranking
         nbrs[lo:lo + TILE] = top = np.argpartition(sims, -k, axis=1)[:, -k:]
         w[lo:lo + TILE] = np.take_along_axis(sims, top, axis=1)
+        del sims, top  # freed before the next tile's kernel is formed
+    nodes = np.arange(n)
 
-    def edges(lo, hi):
-        a = np.zeros((hi - lo, n))
-        j, t = np.nonzero((nbrs >= lo) & (nbrs < hi))  # the nodes listing rows lo:hi
-        a[nbrs[j, t] - lo, j] = w[j, t]
-        np.maximum.at(a, (np.arange(hi - lo)[:, None], nbrs[lo:hi]), w[lo:hi])
+    def edges(rows, cols):
+        rows, cols = nodes[rows], nodes[cols]
+        a = np.zeros((rows.size, cols.size))
+        # the rows' own lists, then the columns' lists written into a^T; a
+        # node lists another at most once, so no (i, j) repeats in one pass
+        for listing, listed, out in ((rows, cols, a), (cols, rows, a.T)):
+            at = np.full(n, -1)
+            at[listed] = np.arange(listed.size)
+            pos = at[nbrs[listing]]
+            i, t = np.nonzero(pos >= 0)
+            j = pos[i, t]
+            out[i, j] = np.maximum(out[i, j], w[listing[i], t])
         return a
 
     return edges
@@ -205,10 +223,17 @@ def meta_edges(meta, threshold):
     if not 1 <= threshold <= n_meta:
         raise ParameterError(f"threshold must be in [1, {n_meta}], got {threshold}")
 
-    def edges(lo, hi):
-        a = np.zeros((hi - lo, n))  # agreement counts
+    def edges(rows, cols):
+        m_rows, m_cols = meta[:, rows], meta[:, cols]
+        a = np.zeros((m_rows.shape[1], m_cols.shape[1]))  # agreement counts
         for r in range(n_meta):
-            a += meta[r, lo:hi, None] == meta[r]
+            a += m_rows[r, :, None] == m_cols[r]
         return np.divide(a * (a >= threshold), n_meta, out=a)
 
     return edges
+
+
+def no_edges(n):
+    """The identity graph's edge rule over n nodes: no edge off the diagonal."""
+    nodes = np.arange(n)
+    return lambda rows, cols: np.zeros((nodes[rows].size, nodes[cols].size))

@@ -2,10 +2,10 @@
 normalisation, the two-layer GCN and the four loss terms as one tape node.
 
 No (N, N) array is formed. Each pass visits A as `row_tiles` of `TILE` rows,
-made afresh by the graph kind's edge rule (agl): for a learned graph, one
-K=d_a GEMM of the unit-norm projection Zn (d_a, N). Every graph kind gives a
-symmetric A, so a product with A^T is taken as one with A, and A's column
-sums as its row sums.
+made afresh by the graph kind's edge rule (agl) over all N nodes: for a
+learned graph, one K=d_a GEMM of the unit-norm projection Zn (d_a, N). Every
+graph kind gives a symmetric A, so a product with A^T is taken as one with A,
+and A's column sums as its row sums.
 
 With s = deg^-1/2 of A~ = A (+ I), P = H^T W0 and A_norm = s A~ s:
 
@@ -22,7 +22,9 @@ pre-activation and V its activation times W1: row_i = dL_i . L_i + g_U,i . U_i
 and col_i = V_i . dV_i + P_i . dP_i, where dP_i is the tile's own row of
 A_norm g_U.
 
-Inductive scoring and export read a fitted model's A through the same tiles.
+Export and inductive scoring read a fitted model's A through the same tiles;
+inductive scoring also reads the tiles of A[S][:, S] over one patient's
+neighbours S (`row_tiles` with `nodes`).
 agl.learned_adjacency, gcn.normalize_adj, gcn.gcn_forward and
 train.total_loss compose the block's function from dense primitives; they run
 only in the tests, which hold the block to them.
@@ -37,17 +39,21 @@ from .errors import DimensionError
 from .gcn import DEGREE_FLOOR
 
 
-def row_tiles(n, edges, diag=1.0):
+def row_tiles(n, edges, diag=1.0, nodes=None):
     """(lo, hi, A[lo:hi]) over the row tiles of the (N, N) adjacency whose
     edge rule is `edges` (agl): fresh arrays, with `diag` on A's diagonal (1;
-    2 gives the rows of A + I)."""
-    for lo in range(0, n, TILE):
-        hi = min(lo + TILE, n)
-        a = edges(lo, hi)
-        if a.shape != (hi - lo, n):
-            raise DimensionError(f"rows {lo}:{hi} of a graph over {n} nodes have shape {a.shape}")
+    2 gives the rows of A + I). Given `nodes`, sorted distinct indices S, the
+    tiles are those of A[S][:, S] and lo:hi index S."""
+    size = n if nodes is None else len(nodes)
+    cols = slice(None) if nodes is None else nodes
+    for lo in range(0, size, TILE):
+        hi = min(lo + TILE, size)
+        a = edges(slice(lo, hi) if nodes is None else nodes[lo:hi], cols)
+        if a.shape != (hi - lo, size):
+            raise DimensionError(f"rows {lo}:{hi} of a graph over {size} nodes have shape "
+                                 f"{a.shape}")
         r = np.arange(hi - lo)
-        a[r, r + lo] = diag
+        a[r, r + lo] = diag  # where a row node meets itself
         yield lo, hi, a
 
 

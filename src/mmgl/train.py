@@ -3,11 +3,12 @@ evaluation, the ablation grid, and metrics (accuracy, rank-based AUC).
 
 A training phase records the fusion, the learned graph's projection and one
 block.graph_block node on a tape that trains only the phase's optimizer's
-Params, so a frozen group gets no gradient. A MAFF fusion is computed once per
-fusion-weight state: phase B's, made with the fusion frozen, is recorded again
-by the next phase A, which differentiates it, and by the early-stopping and
-final cache forwards (`fit`). The fitted model keeps its last forward's edge
-rule (`Model.edge_rule`). `total_loss` composes the block's objective from the
+Params, so a frozen group gets no gradient. A MAFF fusion, and a fixed graph's
+edge rule built from it, are computed once per fusion-weight state: phase B's,
+made with the fusion frozen, are handed on to the next phase A, which
+differentiates the fusion, and to the early-stopping and final cache forwards
+(`fit`). The fitted model keeps its last forward's edge rule
+(`Model.edge_rule`). `total_loss` composes the block's objective from the
 dense primitives; it runs only in the tests, as the block's reference."""
 from __future__ import annotations
 
@@ -167,27 +168,35 @@ class Model:
         graph's reads Zn, `zn` if given, else graph_projection(h)."""
         if self.cfg.graph == "learned":
             zn = self.graph_projection(h) if zn is None else zn
-            return lambda lo, hi: agl.cosine_edges(zn[:, lo:hi], zn)
+            return lambda rows, cols: agl.cosine_edges(zn[:, rows], zn[:, cols])
         if self.cfg.graph == "knn":
             return agl.knn_edges(h, self.cfg.knn_k, self.cfg.rbf_sigma)
         if self.cfg.graph == "meta":
             if self.meta is None:
                 raise ParameterError("graph='meta' needs a meta feature matrix")
             return agl.meta_edges(self.meta, self.cfg.meta_threshold)
-        return lambda lo, hi: np.zeros((hi - lo, h.shape[1]))  # identity: no edge
+        return agl.no_edges(h.shape[1])
 
-    def forward(self, tape, mods, labels=None, mask=None, dropout=False, fusion=None):
-        """Fusion (`fuse`, which may record `fusion` again), then the graph
-        block (block.graph_block), on `tape`.
+    def forward(self, tape, mods, labels=None, mask=None, dropout=False, hand_off=None):
+        """Fusion (`fuse`), then the graph block (block.graph_block), on `tape`.
+
+        `hand_off`: {"maps", "edges"} of an earlier forward on these `mods`,
+        made with the current fusion weights (`train_epoch`), or None. Its
+        maff.Fusion is recorded again instead of computed, and a fixed graph's
+        edge rule, which reads only H, is read again instead of built; a
+        learned graph's reads W_a and is always built.
 
         The tape's trainable Params decide which gradients backward forms.
         With labels, "terms" is the block's loss node [task, smooth, con,
         reg]; without, it is None and only the logits are computed. "maps" is
         the maff.Fusion, or None, and "edges" the edge rule the block read.
         """
-        h, maps = self.fuse(tape, mods, fusion)
+        h, maps = self.fuse(tape, mods, None if hand_off is None else hand_off["maps"])
         zn = None if self.agl is None else agl.cosine_normalize(tape.leaf(self.agl.w_a).T @ h)
-        edges = self.edge_rule(h.value, None if zn is None else zn.value)
+        if hand_off is not None and zn is None:
+            edges = hand_off["edges"]
+        else:
+            edges = self.edge_rule(h.value, None if zn is None else zn.value)
         keep = None
         if dropout and self.cfg.dropout > 0.0:
             p = self.cfg.dropout
@@ -197,10 +206,11 @@ class Model:
             edges=edges, zn=zn, add_self_loops=self.cfg.add_self_loops, keep=keep)
         return {"H": h.value, "terms": terms, "logits": logits, "maps": maps, "edges": edges}
 
-    def refresh_cache(self, mods, fusion=None):
+    def refresh_cache(self, mods, hand_off=None):
         """Inference forward pass; caches H, the edge rule, the logits and the
-        maps for eval, export and inductive scoring. `fusion` as in `fuse`."""
-        out = self.forward(nc.Tape(trainable=()), mods, fusion=fusion)
+        maps for eval, export and inductive scoring. `hand_off` as in
+        `forward`."""
+        out = self.forward(nc.Tape(trainable=()), mods, hand_off=hand_off)
         self.cache = {k: out[k] for k in ("H", "edges", "logits", "maps")}
         return self.cache
 
@@ -223,28 +233,29 @@ def _check_finite(values, epoch):
             raise TrainingDiverged(term, epoch)
 
 
-def train_epoch(model, mods, labels, mask, opt_a, opt_b, epoch, fusion=None):
+def train_epoch(model, mods, labels, mask, opt_a, opt_b, epoch, hand_off=None):
     """One modular-iterative epoch: phase A updates fusion+AGL with the GCN
     frozen, phase B re-runs the forward pass and updates AGL+GCN with the
     fusion frozen. A phase's trainable Params are its optimizer's; no other
     gradient is formed.
 
-    Returns (the loss breakdown after phase B, phase B's maff.Fusion or None).
-    The fusion is returned only when opt_b trains no fusion Param, so that the
-    fusion weights are still the ones phase B fused with; the next forward on
-    `mods` may then take it as `fusion` (`Model.fuse`). Phase A records a given
-    `fusion` and differentiates through it; without one it fuses."""
+    Returns (the loss breakdown after phase B, phase B's hand-off or None):
+    {"maps", "edges"} of phase B's forward, returned only when opt_b trains no
+    fusion Param, so that the fusion weights are still the ones phase B fused
+    with; the next forward on `mods` may then take it (`Model.forward`).
+    Phase A records a given hand-off's fusion and differentiates through it;
+    without one it fuses."""
     cfg = model.cfg
     lam, alpha, beta = cfg.lam, cfg.alpha, cfg.beta
     # d(objective)/d[task, smooth, con, reg]
     weights = {"total": np.array([1.0, lam, lam * alpha, lam * beta]),
                "graph-only": np.array([0.0, 1.0, alpha, beta])}
 
-    def run_phase(opt, loss_kind, fusion):
+    def run_phase(opt, loss_kind, hand_off):
         for p in model.all_params():
             p.zero_grad()
         tape = nc.Tape(trainable=opt.params)
-        out = model.forward(tape, mods, labels, mask, dropout=True, fusion=fusion)
+        out = model.forward(tape, mods, labels, mask, dropout=True, hand_off=hand_off)
         terms = out["terms"]
         task, smooth, con, reg = (float(v) for v in terms.value)
         values = {"task": task, "smooth": smooth, "con": con, "reg": reg,
@@ -253,37 +264,39 @@ def train_epoch(model, mods, labels, mask, opt_a, opt_b, epoch, fusion=None):
         # the fusion's VJP reads W_h by reference: backward runs before the step
         tape.backward(nc.sum_axis(terms * weights[loss_kind], axis=0, keepdims=False))
         opt.step()
-        return values, out["maps"]
+        return values, {"maps": out["maps"], "edges": out["edges"]}
 
-    run_phase(opt_a, cfg.phase_a_loss, fusion)
-    values, fusion = run_phase(opt_b, "total", None)
+    run_phase(opt_a, cfg.phase_a_loss, hand_off)
+    values, hand_off = run_phase(opt_b, "total", None)
     frozen = set(model.fusion_params()).isdisjoint(opt_b.params)
-    return values, fusion if frozen else None
+    return values, hand_off if frozen else None
 
 
 def fit(schema, mods, labels, train_idx, cfg, n_classes, seed_key=None, meta=None):
     """Train a Model; returns (model, per-epoch history).
 
-    Phase B's fusion of each epoch is handed to the next epoch's phase A, the
-    early-stopping forward and the final cache, so a maff fit fuses E+1 times
-    in E epochs. The hand-off is local to this call."""
+    Phase B's fusion and fixed-graph edge rule of each epoch are handed to the
+    next epoch's phase A, the early-stopping forward and the final cache, so a
+    maff fit fuses E+1 times in E epochs and a knn fit builds E+1 neighbour
+    lists. The hand-off is local to this call."""
     model = Model(schema, n_classes, cfg, seed_key=seed_key, meta=meta)
     opt_a = nc.Adam(model.fusion_params() + model.agl_params(), cfg.lr)
     opt_b = nc.Adam(model.agl_params() + model.gcn_params(), cfg.lr)
     history = []
     best_acc, best_epoch = -1.0, -1
-    fusion = None
+    hand_off = None
     for epoch in range(cfg.epochs):
-        values, fusion = train_epoch(model, mods, labels, train_idx, opt_a, opt_b, epoch, fusion)
+        values, hand_off = train_epoch(model, mods, labels, train_idx, opt_a, opt_b, epoch,
+                                       hand_off)
         history.append(values)
         if cfg.patience > 0:
-            logits = model.forward(nc.Tape(trainable=()), mods, fusion=fusion)["logits"]
+            logits = model.forward(nc.Tape(trainable=()), mods, hand_off=hand_off)["logits"]
             acc = accuracy(logits[train_idx], labels[train_idx])
             if acc > best_acc:
                 best_acc, best_epoch = acc, epoch
             elif epoch - best_epoch >= cfg.patience:
                 break
-    model.refresh_cache(mods, fusion)
+    model.refresh_cache(mods, hand_off)
     return model, history
 
 
@@ -366,8 +379,9 @@ def evaluate(model, labels, test_idx):
     return accuracy(p, labels[test_idx]), auc(p, np.asarray(labels)[test_idx])
 
 
-# Unseen patients are scored in blocks of this many; it bounds the
-# (N, block, d_h) layer-1 buffers.
+# Unseen patients are fused, and their (N, block) edge weights formed, in
+# blocks of this many; the width is fixed so that a patient's values do not
+# depend on the patients it shares a block with.
 PREDICT_BLOCK = 32
 
 
@@ -398,14 +412,17 @@ def predict_inductive_batch(model, mods):
 
     Each patient is scored as if it alone were attached to the trained graph
     (gcn.extend_adjacency): its edge weights w, a unit self-weight, training
-    edges untouched. With A~ = A (+ I), s = (deg + w)^-1/2 on the training
-    nodes and s_n = (sum w + a~_nn)^-1/2 on the patient, layer 1 of every
-    training node is s (A~ (s o P) + w s_n p_n), P = H^T W0, one GEMM per row
-    tile of A~ for a whole block of patients; the rest is elementwise and
-    axis-0 sums.
+    edges untouched. With A~ = A (+ I), P = H^T W0, s0 = deg^-1/2 of A~ and
+    s = (deg + w)^-1/2 once the patient is attached, layer 1 of a training
+    node j is s_j ((A~ (s o P))_j + w_j s_n p_n), where s_n^-2 = sum w + a~_nn.
+    Only the patient's support S = {j : w_j > 0} reaches its logits, and s
+    differs from s0 only on S, so the rows it needs are
+    Q[S] + A~[S, S] ((s - s0)_S o P_S), with Q = A~ (s0 o P) formed once per
+    call. A~[S, S] is read in row tiles over S (block.row_tiles with `nodes`);
+    a call makes two tile passes over A~, for deg and for Q.
 
-    Patients sit on the column axis of every product, fusion included, and
-    the last block is padded with copies of the last patient. So each
+    Patients sit on the column axis of the fusion and edge-weight products,
+    and the last block is padded with copies of the last patient. So each
     product has the same shape whatever the patients: BLAS rounds a column
     differently depending on the product's width, and with fixed shapes a
     patient's row does not depend on which patients it is scored with.
@@ -423,7 +440,12 @@ def predict_inductive_batch(model, mods):
     deg = np.concatenate([a.sum(axis=1) for _, _, a in block.row_tiles(n_train, edges, self_w)])
     w0, w1 = model.gcn.w0.value, model.gcn.w1.value
     p_train = h_train.T @ w0  # (N, d_h)
-    probs = np.empty((n + pad, model.n_classes))
+    s0 = 1.0 / np.sqrt(np.maximum(deg, gcn.DEGREE_FLOOR))
+    sp0 = s0[:, None] * p_train
+    q = np.empty_like(p_train)  # A~ (s0 o P)
+    for lo, hi, a in block.row_tiles(n_train, edges, self_w):
+        q[lo:hi] = a @ sp0
+    probs = np.empty((n, model.n_classes))
     for lo in range(0, n, PREDICT_BLOCK):
         h = model.fuse(nc.Tape(), [m[:, lo:lo + PREDICT_BLOCK] for m in mods])[0].value
         w = edge_weights(h)  # (N, block)
@@ -431,20 +453,25 @@ def predict_inductive_batch(model, mods):
         s_n = 1.0 / np.sqrt(np.maximum(w.sum(axis=0) + self_w, gcn.DEGREE_FLOOR))  # (block,)
         p_n = w0.T @ h  # (d_h, block)
         ws = w * s
-        y = (s[:, :, None] * p_train[:, None, :]).reshape(n_train, -1)
-        u = np.empty_like(y)
-        for r0, r1, a in block.row_tiles(n_train, edges, self_w):
-            u[r0:r1] = a @ y  # A~ (s o P) for every patient
-        u = u.reshape(n_train, PREDICT_BLOCK, -1)
-        u += (w * s_n)[:, :, None] * p_n.T
-        u *= s[:, :, None]
-        np.maximum(u, 0.0, out=u)  # hidden rows of the training nodes
         hid_n = np.maximum(s_n * (p_train.T @ ws + self_w * s_n * p_n), 0.0)  # (d_h, block)
-        # the patient's logits: s_n (sum_j w_j s_j hidden_j + a~_nn s_n hidden_n) W1
-        g = (ws[:, :, None] * u).sum(axis=0).T + self_w * s_n * hid_n
+        g = np.zeros_like(hid_n)
+        for b in range(min(PREDICT_BLOCK, n - lo)):
+            sup = np.flatnonzero(w[:, b])
+            s_sup = s[sup, b]
+            rhs = (s_sup - s0[sup])[:, None] * p_train[sup]
+            u = np.empty_like(rhs)
+            for r0, r1, a in block.row_tiles(n_train, edges, self_w, nodes=sup):
+                u[r0:r1] = a @ rhs
+            u += q[sup]
+            u += (w[sup, b] * s_n[b])[:, None] * p_n[:, b]
+            u *= s_sup[:, None]
+            np.maximum(u, 0.0, out=u)  # hidden rows of the patient's neighbours
+            # s_n (sum_j w_j s_j hidden_j + a~_nn s_n hidden_n), times W1 below
+            g[:, b] = ws[sup, b] @ u + self_w * s_n[b] * hid_n[:, b]
         logits = s_n * (w1.T @ g)  # (C, block)
-        probs[lo:lo + PREDICT_BLOCK] = nc.softmax_rows_values(np.ascontiguousarray(logits.T))
-    return probs[:n]
+        probs[lo:lo + PREDICT_BLOCK] = nc.softmax_rows_values(
+            np.ascontiguousarray(logits.T))[:n - lo]
+    return probs
 
 
 @dataclass

@@ -12,6 +12,7 @@ from mmgl import agl, block
 from mmgl import numcore as nc
 from mmgl.agl import (
     AglParams, cosine_edges, cosine_normalize, init_agl, knn_edges, learned_adjacency, meta_edges,
+    no_edges,
 )
 from mmgl.block import TILE, graph_block, row_tiles
 from mmgl.data import ModalitySchema
@@ -39,12 +40,7 @@ def weighted(terms, weights):
 def learned_edges(zn):
     """The learned graph's edge rule over its unit-norm projection Zn (d_a, N),
     as train.Model.edge_rule builds it."""
-    return lambda lo, hi: cosine_edges(zn[:, lo:hi], zn)
-
-
-def identity_edges(n):
-    """The identity graph's edge rule: no edge off the diagonal."""
-    return lambda lo, hi: np.zeros((hi - lo, n))
+    return lambda rows, cols: cosine_edges(zn[:, rows], zn[:, cols])
 
 
 def make_case(n, d=4, d_a=3, d_h=5, c=3, seed=0, graph="learned"):
@@ -60,7 +56,7 @@ def make_case(n, d=4, d_a=3, d_h=5, c=3, seed=0, graph="learned"):
     elif graph == "meta":
         source = meta_edges(rng.integers(0, 2, size=(3, n)), 1)
     else:
-        source = identity_edges(n)
+        source = no_edges(n)
     return h, source, gp, labels, mask
 
 
@@ -164,7 +160,7 @@ def test_block_isolated_node(self_loops, monkeypatch):
     a = (a + a.T) / 2
     a[4] = 0.0
     a[:, 4] = 0.0
-    assert_block_matches_dense(h, lambda lo, hi: a[lo:hi].copy(), gp, labels, mask,
+    assert_block_matches_dense(h, lambda rows, cols: a[rows][:, cols], gp, labels, mask,
                                self_loops=self_loops)
 
 
@@ -222,7 +218,7 @@ def test_block_forms_only_trainable_gradients():
     h, source, gp, labels, mask = make_case(6, seed=2)
     tape = nc.Tape(trainable=[gp.w0])
     hn, w0, w1 = tape.leaf(h), tape.leaf(gp.w0), tape.leaf(gp.w1)
-    terms, _ = graph_block(tape, hn, w0, w1, labels, mask, edges=identity_edges(6))
+    terms, _ = graph_block(tape, hn, w0, w1, labels, mask, edges=no_edges(6))
     for p in (h, gp.w0, gp.w1):
         p.zero_grad()
     tape.backward(nc.sum_axis(terms * TOTAL, axis=0, keepdims=False))
@@ -379,17 +375,20 @@ def test_block_argument_errors():
     with pytest.raises(TypeError, match="edges"):
         graph_block(tape, hn, w0, w1, labels, mask)
     with pytest.raises(DimensionError):
-        graph_block(tape, hn, w0, w1, labels, mask, edges=identity_edges(5))
+        graph_block(tape, hn, w0, w1, labels, mask, edges=no_edges(5))
     with pytest.raises(ParameterError, match="empty mask"):
-        graph_block(tape, hn, w0, w1, labels, [], edges=identity_edges(6))
+        graph_block(tape, hn, w0, w1, labels, [], edges=no_edges(6))
     with pytest.raises(DataError, match="out of range"):
-        graph_block(tape, hn, w0, w1, labels + 3, mask, edges=identity_edges(6))
+        graph_block(tape, hn, w0, w1, labels + 3, mask, edges=no_edges(6))
 
 
 @pytest.mark.parametrize("graph", ["learned", "knn"])
 def test_fit_forms_no_dense_graph(monkeypatch, graph):
-    # every forward builds the graph's edge rule once and the final cache
-    # keeps the last one: a knn fit of E epochs builds 2E + 1 neighbour lists
+    # a learned graph's forward builds its edge rule; a knn rule is built by
+    # the forwards that fuse afresh (both phases of the first epoch, then
+    # phase B) and handed on to the rest, early stopping's included, so a fit
+    # of E epochs builds E + 1 neighbour lists. The final cache keeps the last
+    # rule.
     model, mods, labels, mask = phase_model(n=30, graph=graph)
     rules = []
     edge_rule = Model.edge_rule
@@ -398,10 +397,15 @@ def test_fit_forms_no_dense_graph(monkeypatch, graph):
     knn_edges_, builds = agl.knn_edges, []
     monkeypatch.setattr(agl, "knn_edges", lambda *args: builds.append(1) or knn_edges_(*args))
     monkeypatch.setattr(agl, "learned_adjacency", None)
-    fitted, history = fit(model.schema, mods, labels, mask, replace(model.cfg, epochs=6), 3)
-    assert len(history) == 6 and len(rules) == 2 * 6 + 1
-    assert len(builds) == (len(rules) if graph == "knn" else 0)
-    assert "A" not in fitted.cache and fitted.cache["edges"] is rules[-1]
+    for patience in (0, 50):
+        rules.clear()
+        builds.clear()
+        cfg = replace(model.cfg, epochs=6, patience=patience)
+        fitted, history = fit(model.schema, mods, labels, mask, cfg, 3)
+        forwards = 2 * 6 + (6 if patience else 0) + 1
+        assert len(history) == 6 and len(rules) == (6 + 1 if graph == "knn" else forwards)
+        assert len(builds) == (len(rules) if graph == "knn" else 0)
+        assert "A" not in fitted.cache and fitted.cache["edges"] is rules[-1]
 
 
 @pytest.mark.parametrize("n", [150, 685])
@@ -467,3 +471,26 @@ def test_learned_tiles_invariant_to_power_of_two_rescale(n):
     a = dense_graph(n, model.edge_rule(h))
     for scale in (2.0 ** -20, 0.5, 8.0, 2.0 ** 30):
         assert np.array_equal(dense_graph(n, model.edge_rule(scale * h)), a)
+
+
+@pytest.mark.parametrize("graph", ["learned", "knn", "meta", "identity"])
+def test_row_tiles_over_a_node_subset(graph):
+    # the tiles of A[S][:, S] that inductive scoring reads: A's entries, bit
+    # for bit but for the learned graph's narrower products, with `diag`
+    # where a row node meets itself; S spans two tiles, one, or none
+    n = 2 * TILE + 5
+    rng = np.random.default_rng(7)
+    model, h = kind_model(graph, n, rng)
+    edges = model.edge_rule(h)
+    a = dense_graph(n, edges)
+    for size in (TILE + 40, 9, 0):
+        sub = np.sort(rng.choice(n, size=size, replace=False))
+        tiles = [(lo, hi, t) for lo, hi, t in row_tiles(n, edges, 2.0, nodes=sub)]
+        assert [lo for lo, _, _ in tiles] == list(range(0, size, TILE))
+        want = a[np.ix_(sub, sub)] + np.eye(size)
+        got = np.concatenate([t for _, _, t in tiles]) if tiles else np.zeros((0, 0))
+        if graph == "learned":
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-15)
+            assert np.array_equal(got > 0, want > 0)
+        else:
+            assert np.array_equal(got, want)

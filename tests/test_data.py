@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mmgl import data
 from mmgl.data import (
     ModalitySchema, MultiModalDataset, Preprocessor, SplitPlan, SynthConfig, impute_mean,
     load_csv, read_table, save_dataset, stratified_kfold, synth_centers, synth_generate,
@@ -121,16 +122,22 @@ def table_text(rows, label_at=5):
 
 def parse_both(tmp_path, text, require_label=True):
     """read_table and the cell-walk oracle on one file: each side's result
-    or the text of the error it raised."""
+    or the text of the error it raised. read_table must give the same when it
+    parses two rows at a time as in chunks of READ_ROWS."""
     path = tmp_path / "f.csv"
     path.write_text(text, encoding="utf-8")
-    out = []
-    for parse in (read_table, read_table_walk):
+
+    def parse(fn):
         try:
-            out.append(parse(path, small_schema(), require_label))
+            return fn(path, small_schema(), require_label)
         except ParseError as exc:
-            out.append(str(exc))
-    return out
+            return str(exc)
+
+    got = parse(read_table)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(data, "READ_ROWS", 2)
+        assert_same_parse(parse(read_table), got)
+    return got, parse(read_table_walk)
 
 
 def assert_same_parse(got, want):
@@ -177,6 +184,12 @@ def test_read_table_without_label_column(tmp_path):
     ([["1", "2"], ["1", "2", "bad", "4", "5"]], "row 2: expected 6 cells, got 2"),
     ([["1", "2", "3", "4", "5"], ["1", "2", "3", "4", "5", "6", "7"]],
      "row 3: expected 6 cells, got 7"),
+    # a non-numeric cell is reported before an earlier non-finite one, in
+    # whichever chunk of rows it lies
+    ([["1", "2", "inf", "4", "5"], ["1", "2", "3", "4", "5"], ["1", "oops", "3", "4", "5"]],
+     "row 4, column 'a_1': non-numeric cell 'oops'"),
+    ([["1", "2", "3", "4", "5"], ["1", "2", "3", "4", "5"], ["1", "nan", "3", "4", "5"]],
+     "row 4, column 'a_1': non-finite cell 'nan'"),
 ])
 def test_read_table_error_text(tmp_path, rows, message):
     got, want = parse_both(tmp_path, table_text(rows))

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mmgl import maff, numcore as nc
+from mmgl import block, maff, numcore as nc
 from mmgl.agl import NORM_GUARD, TILE, learned_graph
 from mmgl.data import Preprocessor, SynthConfig, stratified_kfold, synth_generate, zscore
 from mmgl.errors import ConfigError, ParameterError, TrainingDiverged
@@ -212,13 +212,14 @@ def test_model_adjacency(graph):
 @pytest.mark.parametrize("fusion", ["maff", "mlp", "concat"])
 @pytest.mark.parametrize("graph", ["learned", "knn"])
 def test_fit_hand_off_matches_recompute(monkeypatch, fusion, graph):
-    # phase B's fusion serves the next phase A, early stopping and the cache;
-    # the oracle fuses afresh at every forward, as before the hand-off
+    # phase B's fusion and kNN rule serve the next phase A, early stopping and
+    # the cache; the oracle hands nothing on, so every forward fuses afresh
+    # and builds its own edge rule
     ds = tiny_dataset(n=30, classes=3, seed=4)
     cfg = tiny_cfg(epochs=12, fusion=fusion, graph=graph, patience=3, dropout=0.3, knn_k=5)
     got, history = fit_tiny(ds, cfg)
-    fuse = Model.fuse
-    monkeypatch.setattr(Model, "fuse", lambda self, tape, mods, fusion=None: fuse(self, tape, mods))
+    monkeypatch.setattr("mmgl.train.train_epoch",
+                        lambda *args: (train_epoch(*args[:7])[0], None))
     want, oracle = fit_tiny(ds, cfg)
     assert history == oracle
     for key in ("H", "logits"):
@@ -267,6 +268,30 @@ def test_hand_off_only_while_phase_b_keeps_the_fusion(monkeypatch, phase_b):
     assert len(calls) == 8  # without a hand-off both phases fuse
     assert rows == rows_ref
     assert all(np.array_equal(p, q) for p, q in zip(params, params_ref))
+
+
+@pytest.mark.parametrize("phase,loss_kind", [("A", "total"), ("A", "graph-only"),
+                                             ("B", "total")])
+def test_forward_grad_check(monkeypatch, phase, loss_kind):
+    # acceptance criterion 1 on the path training runs: MAFF -> projection ->
+    # graph block (Model.forward), on a tape that trains only the phase's
+    # Params, with row tiles smaller than N
+    monkeypatch.setattr(block, "TILE", 3)
+    ds = tiny_dataset(n=10, classes=3, dims=(3, 2), seed=8)
+    cfg = tiny_cfg(lam=0.7, alpha=0.3, beta=0.4, phase_a_loss=loss_kind)
+    model = Model(ds.schema, ds.n_classes, cfg)
+    trainable = (model.fusion_params() + model.agl_params() if phase == "A"
+                 else model.agl_params() + model.gcn_params())
+    # d(objective)/d[task, smooth, con, reg], as train_epoch weighs the terms
+    weights = {"total": np.array([1.0, 0.7, 0.7 * 0.3, 0.7 * 0.4]),
+               "graph-only": np.array([0.0, 1.0, 0.3, 0.4])}[loss_kind]
+
+    def build(tape):
+        tape.trainable = set(trainable)
+        terms = model.forward(tape, ds.modalities, ds.labels, np.arange(0, 10, 2))["terms"]
+        return nc.sum_axis(terms * weights, axis=0, keepdims=False)
+
+    assert nc.grad_check(build, trainable, rng=np.random.default_rng(0)) < 1e-6
 
 
 def test_graph_only_phase_a_loss():
@@ -539,17 +564,18 @@ def loop_predict(model, x_cols):
     return nc.softmax_rows_values(logits[-1:])[0]
 
 
-def fit_heldout(fusion, graph, add_self_loops=False, seed=20, dims=(3, 4), blocks=1, **kw):
-    """A model fitted on the first 22 of 30 patients, plus unseen patients:
-    the other 8, a zero patient (zero embedding) and `blocks` scoring blocks
-    of random ones. `kw` overrides config fields."""
-    ds = tiny_dataset(n=30, classes=3, dims=dims, seed=seed)
-    train = np.arange(22)
+def fit_heldout(fusion, graph, add_self_loops=False, seed=20, dims=(3, 4), blocks=1,
+                n_train=22, **kw):
+    """A model fitted on the first `n_train` of n_train + 8 patients, plus
+    unseen patients: the other 8, a zero patient (zero embedding) and `blocks`
+    scoring blocks of random ones. `kw` overrides config fields."""
+    ds = tiny_dataset(n=n_train + 8, classes=3, dims=dims, seed=seed)
+    train = np.arange(n_train)
     cfg = tiny_cfg(fusion=fusion, graph=graph, knn_k=3, add_self_loops=add_self_loops, **kw)
     model, _ = fit(ds.schema, [m[:, train] for m in ds.modalities], ds.labels[train],
                    np.arange(train.size), cfg, ds.n_classes)
     rng = np.random.default_rng(seed)
-    new = [np.concatenate([m[:, 22:], np.zeros((m.shape[0], 1)),
+    new = [np.concatenate([m[:, n_train:], np.zeros((m.shape[0], 1)),
                            rng.normal(size=(m.shape[0], blocks * PREDICT_BLOCK))], axis=1)
            for m in ds.modalities]
     return model, new
@@ -563,6 +589,21 @@ def test_inductive_batch_matches_loop_oracle(fusion, graph, add_self_loops):
     batch = predict_inductive_batch(model, new)
     ref = np.array([loop_predict(model, [m[:, i] for m in new]) for i in range(len(batch))])
     np.testing.assert_allclose(batch, ref, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("add_self_loops", [False, True])
+@pytest.mark.parametrize("graph", ["learned", "knn", "identity"])
+def test_inductive_batch_matches_loop_oracle_above_one_tile(graph, add_self_loops):
+    # 300 training patients: A spans three row tiles, and on the learned graph
+    # a patient's support S = {j : w_j > 0} spans two row chunks, while the
+    # zero patient's is empty
+    model, new = fit_heldout("maff", graph, add_self_loops, n_train=300)
+    batch = predict_inductive_batch(model, new)
+    ref = np.array([loop_predict(model, [m[:, i] for m in new]) for i in range(len(batch))])
+    np.testing.assert_allclose(batch, ref, rtol=1e-12, atol=0.0)
+    support = (_edge_weights(model)(model.fuse(nc.Tape(), new)[0].value) > 0).sum(axis=0)
+    if graph == "learned":
+        assert support.max() > TILE and support[8] == 0
 
 
 @pytest.mark.parametrize("fusion,graph,kw", [

@@ -9,6 +9,7 @@ import argparse
 import hashlib
 import json
 import os
+import platform
 import sys
 import zipfile
 import zlib
@@ -66,6 +67,7 @@ def _write_json_atomic(obj, path):
 def _manifest(cfg, data_dir, outputs, out_path):
     features = os.path.join(data_dir, "features.csv")
     schema = os.path.join(data_dir, "schema.json")
+    blas = np.show_config(mode="dicts")["Build Dependencies"].get("blas", {})
     obj = {
         "tool_version": __version__,
         "created": datetime.now(timezone.utc).isoformat(),
@@ -76,6 +78,14 @@ def _manifest(cfg, data_dir, outputs, out_path):
             "schema": schema, "schema_sha256": _sha256(schema),
         },
         "outputs": outputs,
+        # outputs are byte-stable only for a fixed BLAS thread count
+        "runtime": {
+            "python": platform.python_version(), "numpy": np.__version__,
+            "blas": {k: blas[k] for k in ("name", "version", "openblas configuration")
+                     if k in blas},
+            "threads": {k: os.environ.get(k)
+                        for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MMGL_THREADS")},
+        },
     }
     _write_json_atomic(obj, out_path)
 

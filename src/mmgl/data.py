@@ -217,9 +217,10 @@ def read_table(path, schema, require_label=True):
 
     Returns (values (d_in, N), missing mask, raw label strings, feature column
     names). The raw labels are None when the label column is absent, which is
-    an error unless `require_label` is false. The rows are parsed READ_ROWS at
-    a time; a short or long row or a non-numeric cell stops the parse, and a
-    non-finite cell is reported once every row has parsed.
+    an error unless `require_label` is false. A complete table is read by
+    numpy in one pass (`_read_regular`); any other is parsed READ_ROWS rows at
+    a time, where a short or long row or a non-numeric cell stops the parse,
+    and a non-finite cell is reported once every row has parsed.
     """
     try:
         with open(path, newline="") as f:
@@ -237,6 +238,12 @@ def read_table(path, schema, require_label=True):
             if len(feat_cols) != schema.d_in:
                 raise SchemaError(f"schema dimensions sum to {schema.d_in} but file has "
                                   f"{len(feat_cols)} feature columns")
+            names = [header[c] for c in feat_cols]
+            if f.seekable():  # a pipe cannot rewind for the csv path, so it takes that alone
+                if (regular := _read_regular(f, len(header), label_idx, feat_cols)) is not None:
+                    return (*regular, names)
+                f.seek(0)
+                next(reader)
             chunks, start = [], 0
             while rows := list(islice(reader, READ_ROWS)):
                 chunks.append(_parse_rows(rows, start, header, label_idx, feat_cols))
@@ -250,8 +257,40 @@ def read_table(path, schema, require_label=True):
     if first is not None:
         raise ParseError(first)
     raw_labels = list(chain.from_iterable(labels)) if has_label else None
-    return (np.concatenate(values, axis=1), np.concatenate(missing, axis=1), raw_labels,
-            [header[c] for c in feat_cols])
+    return np.concatenate(values, axis=1), np.concatenate(missing, axis=1), raw_labels, names
+
+
+def _read_regular(f, n_cells, k, feat_cols):
+    """(values, missing, stripped labels of column k or None) of the rest of
+    `f` in one streaming np.loadtxt pass; None if the table needs the csv path:
+    if a line is blank, holds a quote, is longer than csv's field limit or has
+    other than `n_cells` cells (np.loadtxt skips blank lines and drops cells
+    outside `usecols`), or a feature cell is blank, non-finite or a number
+    only float() reads ("1_0", non-ASCII digits). A cell numpy's parser reads,
+    float() reads to the same bits."""
+    first, labels, limit = next(f, None), [], csv.field_size_limit()
+    if first is None:
+        return None
+
+    def lines():
+        for line in chain([first], f):
+            if ('"' in line or line.count(",") != n_cells - 1 or line.isspace()
+                    or len(line) > limit):
+                raise ValueError("irregular line")
+            if k is not None:  # split only as far as the label
+                labels.append((line.split(",", k + 1)[k] if 2 * k < n_cells
+                               else line.rsplit(",", n_cells - k)[1]).strip())
+            yield line
+
+    try:
+        values = np.loadtxt(lines(), np.float64, comments=None, delimiter=",",
+                            usecols=feat_cols, ndmin=2).T
+    except ValueError:  # also a UTF-8 decoding error, which the csv path reports
+        return None
+    if not np.isfinite(values).all():
+        return None
+    return (np.ascontiguousarray(values), np.zeros(values.shape, dtype=bool),
+            labels if k is not None else None)
 
 
 def _parse_rows(rows, start, header, label_idx, feat_cols):
@@ -279,21 +318,17 @@ def _parse_cells(cells):
     """(values, missing), both (d_in, N), from equal-length rows of feature
     cells, as `_walk_cells` gives them; None if a cell needs the walk.
 
-    Both conversions call float() on each cell, which accepts surrounding
-    whitespace. The second, after a failed first, marks the empty cells
-    missing; a whitespace-only cell fails it and is left to the walk.
+    The empty cells are marked missing, and the rest go through float(), which
+    accepts surrounding whitespace; a whitespace-only cell fails it and is
+    left to the walk.
     """
+    cells = np.array(cells, dtype=object)
+    missing = cells == ""
+    cells[missing] = "0"
     try:
-        values = np.array(cells, dtype=np.float64)
-        missing = np.zeros(values.shape, dtype=bool)
+        values = cells.astype(np.float64)
     except ValueError:
-        cells = np.array(cells, dtype=object)
-        missing = cells == ""
-        cells[missing] = "0"
-        try:
-            values = cells.astype(np.float64)
-        except ValueError:
-            return None
+        return None
     return np.ascontiguousarray(values.T), np.ascontiguousarray(missing.T)
 
 

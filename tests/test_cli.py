@@ -3,6 +3,7 @@ import csv
 import importlib
 import json
 import os
+import platform
 import stat
 import subprocess
 import sys
@@ -387,6 +388,26 @@ def test_manifest_mode_matches_other_outputs(tmp_path, synth_dir):
              for name in ("manifest.json", "metrics.csv")}
     assert modes == {"manifest.json": 0o644, "metrics.csv": 0o644}
     assert [p.name for p in (tmp_path / "o").iterdir() if p.name.endswith(".tmp")] == []
+
+
+@pytest.mark.parametrize("command", ["train", "cv"])
+def test_manifest_records_runtime(tmp_path, synth_dir, monkeypatch, command):
+    # outputs move in their last bits with the BLAS thread count, so a run
+    # records what it ran on; unset thread variables read back as null
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    monkeypatch.setenv("MMGL_THREADS", "1")
+    extra = ["--folds", "2"] if command == "cv" else []
+    assert run(command, "--config", str(write_train_cfg(tmp_path)), "--data", str(synth_dir),
+               "--out", str(tmp_path / "o"), *extra) == 0
+    runtime = json.loads((tmp_path / "o" / "manifest.json").read_text())["runtime"]
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert runtime == {
+        "python": platform.python_version(), "numpy": np.__version__,
+        "blas": {k: blas[k] for k in ("name", "version", "openblas configuration") if k in blas},
+        "threads": {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": None, "MMGL_THREADS": "1"},
+    }
+    assert runtime["blas"]["name"]
 
 
 # ----------------------------------------------------------------- ablate

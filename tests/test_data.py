@@ -1,6 +1,7 @@
 """Dataset model: ingestion, imputation, normalisation, splits, generator."""
 import csv
 import io
+import os
 import warnings
 
 import numpy as np
@@ -106,7 +107,7 @@ BAD_CELLS = ["oops", "0x10", "1,5", "1\x00", "\x00", "1 2", "_1"]
 NON_FINITE_CELLS = ["nan", "inf", "-Infinity", "NaN", "1e400"]
 
 
-def table_text(rows, label_at=5):
+def table_text(rows, label_at=5, eol="\r\n"):
     header = ["a_0", "a_1", "b_0", "b_1", "b_2"]
     header.insert(label_at, "label")
     lines = [header]
@@ -116,7 +117,7 @@ def table_text(rows, label_at=5):
             row.insert(label_at, " xy"[1 + i % 2])
         lines.append(row)
     buf = io.StringIO()
-    csv.writer(buf).writerows(lines)
+    csv.writer(buf, lineterminator=eol).writerows(lines)
     return buf.getvalue()
 
 
@@ -154,8 +155,9 @@ def assert_same_parse(got, want):
 @pytest.mark.parametrize("label_at", [0, 2, 5])
 @pytest.mark.parametrize("blanks", [[], [""], ["", " "]], ids=["complete", "empty", "whitespace"])
 def test_read_table_matches_cell_walk(tmp_path, label_at, blanks):
-    # complete, with empty cells, and with a whitespace-only cell: the three
-    # ways through the parse
+    # complete, with empty cells, and with a whitespace-only cell. ODD_CELLS
+    # holds cells numpy's parser refuses, so all three take the csv path: one
+    # conversion per chunk, or for the whitespace-only cell the cell walk
     cells = ODD_CELLS + blanks
     rows = [[cells[(5 * r + j) % len(cells)] for j in range(5)] for r in range(7)]
     got, want = parse_both(tmp_path, table_text(rows, label_at))
@@ -200,11 +202,135 @@ def test_read_table_error_text(tmp_path, rows, message):
 @settings(max_examples=150, deadline=None)
 @given(st.lists(st.lists(st.sampled_from(ODD_CELLS + BLANK_CELLS + BAD_CELLS
                                          + NON_FINITE_CELLS + ["7"] * 12),
-                         min_size=4, max_size=6), min_size=1, max_size=6))
-def test_read_table_fuzz_matches_cell_walk(tmp_path_factory, rows):
+                         min_size=4, max_size=6), min_size=1, max_size=6),
+       st.sampled_from(["\r\n", "\n"]))
+def test_read_table_fuzz_matches_cell_walk(tmp_path_factory, rows, eol):
     tmp_path = tmp_path_factory.mktemp("fuzz")
-    got, want = parse_both(tmp_path, table_text(rows))
+    got, want = parse_both(tmp_path, table_text(rows, eol=eol))
     assert_same_parse(got, want)
+
+
+# Tables that numpy's reader and csv would read differently: read_table must
+# give what the cell walk gives. HEADER has the label last.
+HEADER = "a_0,a_1,b_0,b_1,b_2,label"
+
+
+@pytest.mark.parametrize("body,want", [
+    # np.loadtxt skips a blank line; csv reads a row of no cells
+    ("1,2,3,4,5,x\n\n6,7,8,9,1,y\n", "row 3: expected 6 cells, got 0"),
+    ("1,2,3,4,5,x\n \t\n6,7,8,9,1,y\n", "row 3: expected 6 cells, got 1"),
+    ("1,2,3,4,5,x\r\n\r\n6,7,8,9,1,y\r\n", "row 3: expected 6 cells, got 0"),
+    # with comments=None a '#' is a character like any other
+    ("#1,2,3,4,5,x\n", "row 2, column 'a_0': non-numeric cell '#1'"),
+    ("1,2,3,4,5,#x\n", ([[1], [2], [3], [4], [5]], ["#x"])),
+    # np.loadtxt would read only the usecols cells of a long row
+    ("1,2,3,4,5,x,7\n", "row 2: expected 6 cells, got 7"),
+    ("1,2,3,4,5,x\n1,2,3,4,5,x,\n", "row 3: expected 6 cells, got 7"),
+    ("1,2,3,4,x\n", "row 2: expected 6 cells, got 5"),
+    # quotes are csv's, and a quoted comma is part of a cell
+    ('"1",2,3,4," 5 ",x\n', ([[1], [2], [3], [4], [5]], ["x"])),
+    ('1,2,3,4,5,"x,y"\n', ([[1], [2], [3], [4], [5]], ["x,y"])),
+    ('1,2,3,4,5,"x"\n', ([[1], [2], [3], [4], [5]], ["x"])),
+    ('1,2,3,4,5,"x\ny"\n', ([[1], [2], [3], [4], [5]], ["x\ny"])),
+    ('1,"2,5",3,4,5,x\n', "row 2, column 'a_1': non-numeric cell '2,5'"),
+    # a lone carriage return ends a line for both readers
+    ("1,2,3,4,5,x\r6,7,8,9,1,y", ([[1, 6], [2, 7], [3, 8], [4, 9], [5, 1]], ["x", "y"])),
+    # cells only float() reads, and cells neither reads
+    ("1_0,2,3,4,5,x\n", ([[10], [2], [3], [4], [5]], ["x"])),
+    ("\u0663,2,3,4,5,x\n", ([[3], [2], [3], [4], [5]], ["x"])),
+    ("1,2,3,4,0x10,x\n", "row 2, column 'b_2': non-numeric cell '0x10'"),
+    ("1,2,inf,4,5,x\n", "row 2, column 'b_0': non-finite cell 'inf'"),
+], ids=["blank-line", "whitespace-line", "blank-line-crlf", "hash-row", "hash-label",
+        "long-row", "trailing-comma", "short-row", "quoted-numbers", "quoted-label-comma",
+        "quoted-label", "quoted-label-newline", "quoted-cell-comma", "cr-ends", "underscore",
+        "arabic-digit", "hex", "inf"])
+def test_read_table_where_numpy_and_csv_differ(tmp_path, body, want):
+    got, walked = parse_both(tmp_path, f"{HEADER}\n{body}")
+    assert_same_parse(got, walked)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert np.array_equal(got[0], want[0]) and got[2] == want[1]
+
+
+# the cells of ODD_CELLS that numpy's parser reads too: no underscore, and
+# ASCII once trimmed
+NUMPY_CELLS = [c for c in ODD_CELLS if c.strip().isascii() and "_" not in c]
+
+
+@pytest.mark.parametrize("eol", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+@pytest.mark.parametrize("last_eol", [True, False], ids=["ended", "unended"])
+@pytest.mark.parametrize("label_at", [0, 2, 5])
+def test_complete_tables_take_numpy_reader(tmp_path, monkeypatch, eol, last_eol, label_at):
+    # a complete table never reaches the csv path, and reads as the walk does
+    rows = [[NUMPY_CELLS[(5 * r + j) % len(NUMPY_CELLS)] for j in range(5)] for r in range(7)]
+    text = table_text(rows, label_at, eol)
+    want = parse_both(tmp_path, text if last_eol else text.removesuffix(eol))[1]
+    monkeypatch.setattr(data, "_parse_rows", None)
+    got = read_table(tmp_path / "f.csv", small_schema())
+    assert_same_parse(got, want)
+    assert got[2] == [" xy"[1 + i % 2] for i in range(7)]
+
+
+@pytest.mark.parametrize("cell", BLANK_CELLS + ["1_0", "\u0663", "nan", "1e400", "oops", '"1"'])
+def test_other_tables_take_csv_path(tmp_path, cell):
+    path = tmp_path / "f.csv"
+    path.write_text(table_text([["1", "2", "3", "4", "5"], ["1", cell, "3", "4", "5"]], eol="\n"))
+    with open(path, newline="") as f:
+        next(f)
+        assert data._read_regular(f, 6, 5, [0, 1, 2, 3, 4]) is None
+
+
+@pytest.mark.parametrize("body", ["1\n\n2\n", "1\n \n2\n", "1\n2\n\n"])
+def test_one_column_table_blank_lines(tmp_path, body):
+    # with one cell a row a blank line has the header's comma count; csv reads
+    # it as a row of no cells, and a whitespace-only line as one blank cell
+    schema = ModalitySchema((("a", 1),))
+    path = tmp_path / "f.csv"
+    path.write_text("a_0\n" + body)
+    results = []
+    for fn in (read_table, read_table_walk):
+        try:
+            results.append(fn(path, schema, False))
+        except ParseError as exc:
+            results.append(str(exc))
+    assert_same_parse(*results)
+
+
+@pytest.mark.parametrize("body", ["1,2,3,4,5,x\n", "1,,3,4,5,x\n"], ids=["complete", "blank"])
+def test_read_table_from_a_pipe(tmp_path, body):
+    # a pipe cannot rewind, so it takes the csv path without numpy's reader
+    (tmp_path / "f.csv").write_text(HEADER + "\n" + body)
+    want = read_table(tmp_path / "f.csv", small_schema())
+    r, w = os.pipe()
+    os.write(w, (HEADER + "\n" + body).encode())
+    os.close(w)
+    try:
+        assert_same_parse(read_table(f"/dev/fd/{r}", small_schema()), want)
+    finally:
+        os.close(r)
+
+
+@pytest.mark.parametrize("text,message", [
+    ("", "empty features file"), (HEADER, "no data rows"), (HEADER + "\n", "no data rows"),
+])
+def test_read_table_without_rows(tmp_path, text, message):
+    (tmp_path / "f.csv").write_text(text)
+    with pytest.raises(DataError, match=message):
+        read_table(tmp_path / "f.csv", small_schema())
+
+
+def test_read_table_field_limit_error_unchanged(tmp_path):
+    # csv refuses a field longer than its limit; so must read_table, whichever
+    # reader would have parsed the table
+    text = f"{HEADER}\n1,2,3,4,5,x\n1,2,3,4,{'0' * 20}1,x\n"
+    (tmp_path / "f.csv").write_text(text)
+    old = csv.field_size_limit(16)
+    try:
+        with pytest.raises(DataError, match="field larger than field limit"):
+            read_table(tmp_path / "f.csv", small_schema())
+    finally:
+        csv.field_size_limit(old)
 
 
 def test_save_load_round_trip_with_missing(tmp_path):

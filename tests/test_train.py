@@ -294,6 +294,38 @@ def test_forward_grad_check(monkeypatch, phase, loss_kind):
     assert nc.grad_check(build, trainable, rng=np.random.default_rng(0)) < 1e-6
 
 
+@pytest.mark.parametrize("graph", ["learned", "identity"])
+@pytest.mark.parametrize("add_self_loops", [False, True])
+def test_patient_permutation_equivariance(monkeypatch, graph, add_self_loops):
+    # relabelling the patients permutes H and the logits and leaves every
+    # Param gradient as it was: no step of the forward or backward reads the
+    # patient order (row tiles smaller than N, dropout 0)
+    monkeypatch.setattr(block, "TILE", 7)
+    ds = tiny_dataset(n=30, classes=3, dims=(3, 2), seed=9)
+    cfg = tiny_cfg(graph=graph, add_self_loops=add_self_loops, lam=0.7, alpha=0.3, beta=0.4)
+    model = Model(ds.schema, ds.n_classes, cfg)
+    perm = np.random.default_rng(2).permutation(ds.n)
+    mask = np.arange(0, ds.n, 3)
+
+    def run(order, mask):
+        for p in model.all_params():
+            p.zero_grad()
+        tape = nc.Tape(trainable=model.all_params())
+        out = model.forward(tape, [m[:, order] for m in ds.modalities], ds.labels[order], mask)
+        tape.backward(nc.sum_axis(out["terms"] * np.array([1.0, 0.7, 0.7 * 0.3, 0.7 * 0.4]),
+                                  axis=0, keepdims=False))
+        return out, [p.grad.copy() for p in model.all_params()]
+
+    out, grads = run(np.arange(ds.n), mask)
+    moved, moved_grads = run(perm, np.sort(np.argsort(perm)[mask]))  # the same patients
+    np.testing.assert_allclose(moved["H"], out["H"][:, perm], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(moved["logits"], out["logits"][perm], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(moved["terms"].value, out["terms"].value, rtol=1e-12, atol=1e-12)
+    for p, g, moved_g in zip(model.all_params(), grads, moved_grads):
+        assert np.abs(g).max() > 0, p.name
+        np.testing.assert_allclose(moved_g, g, rtol=1e-12, atol=1e-12, err_msg=p.name)
+
+
 def test_graph_only_phase_a_loss():
     ds = tiny_dataset()
     model, history = fit_tiny(ds, tiny_cfg(phase_a_loss="graph-only"))

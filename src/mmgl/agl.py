@@ -227,8 +227,11 @@ def meta_edges(meta, threshold):
         m_rows, m_cols = meta[:, rows], meta[:, cols]
         a = np.zeros((m_rows.shape[1], m_cols.shape[1]))  # agreement counts
         for r in range(n_meta):
-            a += m_rows[r, :, None] == m_cols[r]
-        return np.divide(a * (a >= threshold), n_meta, out=a)
+            np.add(a, m_rows[r, :, None] == m_cols[r], out=a)
+        if threshold > 1:  # every count of 1 or more already reaches a threshold of 1
+            a *= a >= threshold
+        a /= n_meta
+        return a
 
     return edges
 

@@ -43,7 +43,9 @@ def row_tiles(n, edges, diag=1.0, nodes=None):
     """(lo, hi, A[lo:hi]) over the row tiles of the (N, N) adjacency whose
     edge rule is `edges` (agl): fresh arrays, with `diag` on A's diagonal (1;
     2 gives the rows of A + I). Given `nodes`, sorted distinct indices S, the
-    tiles are those of A[S][:, S] and lo:hi index S."""
+    tiles are those of A[S][:, S] and lo:hi index S. The generator lets go of
+    each tile once it is yielded, so a consumer that deletes its own
+    reference before asking for the next holds one tile at a time."""
     size = n if nodes is None else len(nodes)
     cols = slice(None) if nodes is None else nodes
     for lo in range(0, size, TILE):
@@ -55,6 +57,7 @@ def row_tiles(n, edges, diag=1.0, nodes=None):
         r = np.arange(hi - lo)
         a[r, r + lo] = diag  # where a row node meets itself
         yield lo, hi, a
+        del a
 
 
 def _cross_entropy(lg, lab, wt):
@@ -110,6 +113,7 @@ def graph_block(tape, h, w0, w1, labels=None, mask=None, *, edges, zn=None,
     for lo, hi, a in row_tiles(n, edges):
         rowsum[lo:hi] = a.sum(axis=1)
         frob += np.vdot(a, a)
+        del a  # each pass releases its tile before the next is built
     deg = rowsum + 1.0 if add_self_loops else rowsum
     s = 1.0 / np.sqrt(np.maximum(deg, DEGREE_FLOOR))
     col = s[:, None]
@@ -122,6 +126,7 @@ def graph_block(tape, h, w0, w1, labels=None, mask=None, *, edges, zn=None,
     prod = np.empty((n, rhs.shape[1]))
     for lo, hi, a in row_tiles(n, edges):
         prod[lo:hi] = a @ rhs
+        del a
     d_h = p.shape[1]
     u = prod[:, :d_h] + sp if add_self_loops else prod[:, :d_h]
     u *= col
@@ -148,6 +153,7 @@ def graph_block(tape, h, w0, w1, labels=None, mask=None, *, edges, zn=None,
             task += loss
             gl[lo:hi] = g
             yl += a.T @ (col[lo:hi] * g)
+        del a
     if labels is None:
         return None, logits
     if add_self_loops:
@@ -191,6 +197,7 @@ def graph_block(tape, h, w0, w1, labels=None, mask=None, *, edges, zn=None,
                     yu += su[lo:hi]
                 dp[lo:hi] = col[lo:hi] * yu
                 if not want_z:
+                    del a
                     continue
                 t = (known[lo:hi] + (p[lo:hi] * dp[lo:hi]).sum(axis=1)) \
                     * (-0.5 * s[lo:hi] ** 2)
@@ -206,6 +213,7 @@ def graph_block(tape, h, w0, w1, labels=None, mask=None, *, edges, zn=None,
                 np.fill_diagonal(da[:, lo:], 0.0)
                 dz += znv[:, lo:hi] @ da
                 dz[:, lo:hi] += znv @ da.T
+                del a, da, edge
             grads["w0"] = hv @ dp if want_w0 else None
             if want_h:
                 grads["h"] = w0v @ dp.T + (4.0 * c) * (hv * rowsum - ha.T)

@@ -11,6 +11,7 @@ import json
 import os
 import platform
 import sys
+import time
 import zipfile
 import zlib
 from dataclasses import replace
@@ -18,6 +19,11 @@ from datetime import datetime, timezone
 from itertools import chain
 
 import numpy as np
+
+try:
+    import resource
+except ImportError:  # not on Windows
+    resource = None
 
 from . import __version__
 from .block import row_tiles
@@ -64,11 +70,11 @@ def _write_json_atomic(obj, path):
     os.replace(tmp, path)
 
 
-def _manifest(cfg, data_dir, outputs, out_path):
+def _manifest(cfg, data_dir, outputs):
     features = os.path.join(data_dir, "features.csv")
     schema = os.path.join(data_dir, "schema.json")
     blas = np.show_config(mode="dicts")["Build Dependencies"].get("blas", {})
-    obj = {
+    return {
         "tool_version": __version__,
         "created": datetime.now(timezone.utc).isoformat(),
         "seed": cfg.seed,
@@ -87,18 +93,35 @@ def _manifest(cfg, data_dir, outputs, out_path):
                         for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MMGL_THREADS")},
         },
     }
-    _write_json_atomic(obj, out_path)
+
+
+def _peak_rss_mib():
+    """The process's peak resident set so far, in MiB; None without `resource`."""
+    if resource is None:
+        return None
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KiB, but bytes on macOS
+    return round(peak / (2**20 if sys.platform == "darwin" else 2**10), 1)
 
 
 def _start_run(args, names):
-    """Config, dataset and output paths of a run over `args.data`; writes the
-    run's manifest."""
+    """Config, dataset and output paths of a run over `args.data`, and a
+    callable that ends the run. Writes the run's manifest; the callable
+    rewrites it with the run's wall time and the process's peak RSS."""
+    start = time.perf_counter()
     cfg = _train_config(args)
     ds = load_csv(os.path.join(args.data, "features.csv"), os.path.join(args.data, "schema.json"))
     os.makedirs(args.out, exist_ok=True)
     outputs = {name: os.path.join(args.out, name) for name in names}
-    _manifest(cfg, args.data, outputs, os.path.join(args.out, "manifest.json"))
-    return cfg, ds, outputs
+    manifest = _manifest(cfg, args.data, outputs)
+    path = os.path.join(args.out, "manifest.json")
+    _write_json_atomic(manifest, path)
+
+    def finish():
+        manifest["runtime"].update(wall_s=round(time.perf_counter() - start, 3),
+                                   peak_rss_mib=_peak_rss_mib())
+        _write_json_atomic(manifest, path)
+
+    return cfg, ds, outputs, finish
 
 
 def _train_config(args):
@@ -230,7 +253,7 @@ def cmd_synth(args):
 
 
 def cmd_train(args):
-    cfg, ds, outputs = _start_run(args, ("model.npz", "metrics.csv", "history.csv"))
+    cfg, ds, outputs, finish = _start_run(args, ("model.npz", "metrics.csv", "history.csv"))
     prep = Preprocessor.fit(ds)
     clean = prep.transform(ds)
     model, history = fit(clean.schema, clean.modalities, clean.labels, np.arange(clean.n),
@@ -240,17 +263,19 @@ def cmd_train(args):
     probs = softmax_rows_values(model.cache["logits"])
     write_csv(outputs["metrics.csv"], ["split", "acc", "auc"],
               [["train", repr(accuracy(probs, clean.labels)), repr(auc(probs, clean.labels))]])
+    finish()
     print(f"trained on {clean.n} patients; artifacts in {args.out}")
     return 0
 
 
 def cmd_cv(args):
     threads = _threads()
-    cfg, ds, outputs = _start_run(args, ("metrics.csv",))
+    cfg, ds, outputs, finish = _start_run(args, ("metrics.csv",))
     res = run_cv(ds, cfg, k=args.folds, threads=threads)
     write_metrics_csv(res, outputs["metrics.csv"])
     for fr in res.folds:
         write_history_csv(fr.history, os.path.join(args.out, f"history_fold{fr.fold}.csv"))
+    finish()
     m = res.metrics
     print(f"cv({args.folds}): acc {m.mean_acc:.4f} +- {m.std_acc:.4f}, "
           f"auc {m.mean_auc:.4f} +- {m.std_auc:.4f}")
@@ -259,26 +284,35 @@ def cmd_cv(args):
 
 def cmd_ablate(args):
     threads = _threads()
-    cfg, ds, outputs = _start_run(args, ("ablation.csv",))
+    cfg, ds, outputs, finish = _start_run(args, ("ablation.csv",))
     fusions = tuple(args.fusions.split(","))
     graphs = tuple(args.graphs.split(","))
     rows = run_ablation(ds, cfg, fusions, graphs, k=args.folds, threads=threads)
     write_ablation_csv(rows, outputs["ablation.csv"])
+    finish()
     for row in rows:
         m = row["result"].metrics
         print(f"{row['fusion']}+{row['graph']}: acc {m.mean_acc:.4f} auc {m.mean_auc:.4f}")
     return 0
 
 
+def _upper_edges(n, edges):
+    """[src, dst, weight] rows of the edges above A's diagonal, tile by tile,
+    each tile released before the next is built."""
+    for lo, _, a in row_tiles(n, edges):
+        i, j = np.nonzero(np.triu(a, lo + 1))
+        weights = a[i, j].tolist()
+        del a
+        yield from ([lo + r, c, repr(w)] for r, c, w in zip(i.tolist(), j.tolist(), weights))
+
+
 def cmd_export(args):
     model, extras = load_model(args.model)
     if args.what == "graph":
         n = model.cache["H"].shape[1]
-        upper = ([lo + int(i), int(j), repr(float(a[i, j]))]
-                 for lo, _, a in row_tiles(n, model.cache["edges"])
-                 for i, j in zip(*np.nonzero(np.triu(a, lo + 1))))
         write_csv(args.out, ["src", "dst", "weight"],
-                  chain(([i, i, repr(1.0)] for i in range(n)), upper))
+                  chain(([i, i, repr(1.0)] for i in range(n)),
+                        _upper_edges(n, model.cache["edges"])))
         write_csv(os.path.splitext(args.out)[0] + ".nodes.csv", ["node", "label"],
                   ([i, int(y)] for i, y in enumerate(extras["labels"])))
     elif args.what == "fuse-map":

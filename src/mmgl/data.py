@@ -3,6 +3,7 @@ stratified splitting, and synthetic data generation."""
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import warnings
@@ -674,12 +675,29 @@ def synth_generate(cfg):
 
 
 def save_dataset(ds, features_path, schema_path):
-    """Write features CSV (empty cell = missing) and the schema JSON."""
+    """Write features CSV (empty cell = missing) and the schema JSON.
+
+    The table is written one patient at a time, each feature cell as its
+    value's repr. That is what the csv module writes for a Python float, and
+    its minimal quoting never quotes one, so the bytes are those of a
+    csv.writer; only a label cell can need quoting, which csv works out once
+    per class."""
     ds.schema.save(schema_path)
     flat, mask = ds.stacked(), ds.missing_mask()
     classes = ds.schema.class_names
-    labels = [classes[y] if classes else str(int(y)) for y in ds.labels]
-    # csv writes a Python float as its repr, the shortest round-trip form
-    write_csv(features_path, ds.flat_feature_names() + [ds.schema.label_column],
-              (["" if m else v for v, m in zip(values, missed)] + [y]
-               for values, missed, y in zip(flat.T.tolist(), mask.T.tolist(), labels)))
+    ends = {y: _line_end(classes[y] if classes else str(y)) for y in set(ds.labels.tolist())}
+    with open(features_path, "w", newline="") as f:
+        csv.writer(f).writerow(ds.flat_feature_names() + [ds.schema.label_column])
+        for values, missed, y in zip(flat.T, mask.T, ds.labels.tolist()):
+            cells = list(map(repr, values.tolist()))
+            for j in np.flatnonzero(missed):
+                cells[j] = ""
+            f.write(",".join(cells) + ends[y])
+
+
+def _line_end(label):
+    """A delimiter, `label` as csv writes it after another cell, and csv's
+    line terminator."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow(["", label])
+    return buf.getvalue()

@@ -437,7 +437,10 @@ def predict_inductive_batch(model, mods):
     h_train, edges = model.cache["H"], model.cache["edges"]
     n_train = h_train.shape[1]
     self_w = 2.0 if model.cfg.add_self_loops else 1.0  # a node's own diagonal entry in A~
-    deg = np.concatenate([a.sum(axis=1) for _, _, a in block.row_tiles(n_train, edges, self_w)])
+    deg = np.empty(n_train)
+    for lo, hi, a in block.row_tiles(n_train, edges, self_w):
+        deg[lo:hi] = a.sum(axis=1)
+        del a  # each loop releases its tile before the next is built
     w0, w1 = model.gcn.w0.value, model.gcn.w1.value
     p_train = h_train.T @ w0  # (N, d_h)
     s0 = 1.0 / np.sqrt(np.maximum(deg, gcn.DEGREE_FLOOR))
@@ -445,6 +448,7 @@ def predict_inductive_batch(model, mods):
     q = np.empty_like(p_train)  # A~ (s0 o P)
     for lo, hi, a in block.row_tiles(n_train, edges, self_w):
         q[lo:hi] = a @ sp0
+        del a
     probs = np.empty((n, model.n_classes))
     for lo in range(0, n, PREDICT_BLOCK):
         h = model.fuse(nc.Tape(), [m[:, lo:lo + PREDICT_BLOCK] for m in mods])[0].value
@@ -462,6 +466,7 @@ def predict_inductive_batch(model, mods):
             u = np.empty_like(rhs)
             for r0, r1, a in block.row_tiles(n_train, edges, self_w, nodes=sup):
                 u[r0:r1] = a @ rhs
+                del a
             u += q[sup]
             u += (w[sup, b] * s_n[b])[:, None] * p_n[:, b]
             u *= s_sup[:, None]

@@ -2,16 +2,18 @@
 reference constructions (per-head attention loops, term-by-term graph losses,
 loss reductions) built from these and the `numcore` primitives serve as
 oracles for the fused tape nodes in `mmgl`. Loops: the per-Param Adam step and
-the cell-by-cell CSV parse are oracles for their whole-array versions. Dense
-graphs: the kNN and meta graphs built whole are oracles for their edge rules'
-row tiles, and `dense_graph` stacks those tiles for the tests to inspect."""
+the cell-by-cell CSV parse are oracles for their whole-array versions. CSV
+writing: the csv module's writer is the oracle for the streaming table
+writer. Dense graphs: the kNN and meta graphs built whole are oracles for
+their edge rules' row tiles, and `dense_graph` stacks those tiles for the
+tests to inspect."""
 import csv
 
 import numpy as np
 
 from mmgl.agl import rbf_kernel, top_k
 from mmgl.block import row_tiles
-from mmgl.errors import DimensionError, ParameterError, ParseError, SchemaError
+from mmgl.errors import DataError, DimensionError, ParameterError, ParseError, SchemaError
 from mmgl.numcore import _tape_of, _wrap
 
 
@@ -109,14 +111,21 @@ def read_table_walk(path, schema, require_label=True):
     mask and labels and raises the same first error."""
     with open(path, newline="") as f:
         reader = csv.reader(f)
-        header = next(reader)
+        header = next(reader, None)
         rows = list(reader)
+    if header is None:
+        raise DataError(f"empty features file: {path}")
     has_label = schema.label_column in header
     if require_label and not has_label:
         raise SchemaError(f"label column {schema.label_column!r} missing from {path}")
     label_idx = header.index(schema.label_column) if has_label else None
     feat_cols = [i for i in range(len(header)) if i != label_idx]
+    if len(feat_cols) != schema.d_in:
+        raise SchemaError(f"schema dimensions sum to {schema.d_in} but file has "
+                          f"{len(feat_cols)} feature columns")
     n = len(rows)
+    if n == 0:
+        raise DataError(f"no data rows in {path}")
     values = np.zeros((schema.d_in, n))
     missing = np.zeros((schema.d_in, n), dtype=bool)
     raw_labels = []
@@ -142,6 +151,20 @@ def read_table_walk(path, schema, require_label=True):
         raise ParseError(f"row {r + 2}, column {header[feat_cols[j]]!r}: "
                          f"non-finite cell {rows[r][feat_cols[j]].strip()!r}")
     return values, missing, raw_labels if has_label else None, [header[c] for c in feat_cols]
+
+
+def write_features_csv(ds, path):
+    """The dataset's feature table written by csv.writer from whole-table
+    lists: the oracle for `mmgl.data.save_dataset`, which must write the same
+    bytes."""
+    flat, mask = ds.stacked(), ds.missing_mask()
+    classes = ds.schema.class_names
+    labels = [classes[y] if classes else str(int(y)) for y in ds.labels]
+    with open(path, "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(ds.flat_feature_names() + [ds.schema.label_column])
+        w.writerows(["" if m else v for v, m in zip(values, missed)] + [y]
+                    for values, missed, y in zip(flat.T.tolist(), mask.T.tolist(), labels))
 
 
 class AdamLoop:

@@ -4,10 +4,12 @@ import importlib
 import json
 import os
 import platform
+import resource
 import stat
 import subprocess
 import sys
 import tempfile
+import time
 import warnings
 from pathlib import Path
 
@@ -390,24 +392,47 @@ def test_manifest_mode_matches_other_outputs(tmp_path, synth_dir):
     assert [p.name for p in (tmp_path / "o").iterdir() if p.name.endswith(".tmp")] == []
 
 
-@pytest.mark.parametrize("command", ["train", "cv"])
+@pytest.mark.parametrize("command", ["train", "cv", "ablate"])
 def test_manifest_records_runtime(tmp_path, synth_dir, monkeypatch, command):
     # outputs move in their last bits with the BLAS thread count, so a run
-    # records what it ran on; unset thread variables read back as null
+    # records what it ran on; unset thread variables read back as null. A
+    # finished run adds its wall time and the process's peak RSS so far,
+    # which an in-process caller sees as a running maximum
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
     monkeypatch.setenv("MMGL_THREADS", "1")
-    extra = ["--folds", "2"] if command == "cv" else []
+    extra = {"train": [], "cv": ["--folds", "2"],
+             "ablate": ["--folds", "2", "--fusions", "mlp", "--graphs", "identity"]}[command]
+    kib = 1024 if sys.platform == "darwin" else 1  # ru_maxrss is in bytes on macOS
+
+    def rss_mib():
+        return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / kib / 1024
+
+    rss_before = rss_mib()
+    start = time.perf_counter()
     assert run(command, "--config", str(write_train_cfg(tmp_path)), "--data", str(synth_dir),
                "--out", str(tmp_path / "o"), *extra) == 0
+    wall = time.perf_counter() - start
     runtime = json.loads((tmp_path / "o" / "manifest.json").read_text())["runtime"]
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    wall_s, peak = runtime.pop("wall_s"), runtime.pop("peak_rss_mib")
     assert runtime == {
         "python": platform.python_version(), "numpy": np.__version__,
         "blas": {k: blas[k] for k in ("name", "version", "openblas configuration") if k in blas},
         "threads": {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": None, "MMGL_THREADS": "1"},
     }
     assert runtime["blas"]["name"]
+    assert 0 < wall_s <= wall
+    assert rss_before - 0.1 <= peak <= rss_mib() + 0.1  # rounded to 0.1 MiB
+
+
+def test_failed_run_manifest_has_no_run_times(tmp_path, synth_dir):
+    # the manifest written at the start is rewritten only when the run ends well
+    cfg = write_train_cfg(tmp_path, lr=1e155, epochs=3)
+    assert run("train", "--config", str(cfg), "--data", str(synth_dir),
+               "--out", str(tmp_path / "o")) == 4
+    runtime = json.loads((tmp_path / "o" / "manifest.json").read_text())["runtime"]
+    assert "wall_s" not in runtime and "peak_rss_mib" not in runtime
 
 
 # ----------------------------------------------------------------- ablate

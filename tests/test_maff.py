@@ -372,3 +372,47 @@ def test_global_map_empty_errors():
     maps = AttentionMaps(np.empty((1, 3, 3, 0)))
     with pytest.raises(ParameterError):
         maps.global_map()
+
+
+# ----------------------------------------- shift invariance (criterion 3)
+
+def shift_patient(xs, params, block, delta, patient):
+    """Copies of xs with one patient's inputs changed so that every
+    modality's queries (block 0), keys (1) or values (2) move by the common
+    vector delta (d_f,) and its other projections stay: [W_q | W_k | W_v]^T
+    has full row rank when d_m >= 3 d_f."""
+    d_f = params.d_f
+    out = [x.copy() for x in xs]
+    for x, q, k, v in zip(out, params.w_q, params.w_k, params.w_v):
+        w = np.concatenate((q.value, k.value, v.value), axis=1)
+        target = np.zeros(3 * d_f)
+        target[block * d_f:(block + 1) * d_f] = delta
+        step = np.linalg.lstsq(w.T, target, rcond=None)[0]
+        assert np.abs(w.T @ step - target).max() < 1e-12
+        x[:, patient] += step
+    return out
+
+
+@pytest.mark.parametrize("axis", ["column", "row"])
+def test_softmax_shift_invariance_through_fuse_batch(axis):
+    # acceptance criterion 3 on the softmax that fusion runs: a patient's
+    # scores move by a constant along the softmax axis and neither its maps
+    # nor H move. Common key moves add a per-query constant, which the key
+    # axis ("row") normalises away; common query moves add a per-key
+    # constant, which the query axis ("column") does
+    dims, patient = (12, 13, 15), 2
+    params = random_params(dims, d_f=4, d=4, heads=2, seed=5, axis=axis)
+    rng = np.random.default_rng(6)
+    xs = [rng.normal(size=(d, 5)) for d in dims]
+    delta = 3.0 * rng.normal(size=params.d_f)
+    invariant, other = (1, 0) if axis == "row" else (0, 1)
+    h0, f0 = fuse_batch(nc.Tape(), xs, params)
+    h1, f1 = fuse_batch(nc.Tape(), shift_patient(xs, params, invariant, delta, patient), params)
+    assert np.abs(f1.tensor - f0.tensor).max() < 1e-12
+    assert np.abs(h1.value - h0.value).max() < 1e-12
+    # the same move of the other projection shifts scores across the softmax
+    # axis and changes that patient's map, and only that patient's
+    h2, f2 = fuse_batch(nc.Tape(), shift_patient(xs, params, other, delta, patient), params)
+    moved = np.abs(f2.tensor - f0.tensor).max(axis=(0, 1, 2))
+    assert moved[patient] > 1e-3 and np.delete(moved, patient).max() < 1e-12
+    assert np.abs(h2.value - h0.value)[:, patient].max() > 1e-3

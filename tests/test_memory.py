@@ -1,6 +1,7 @@
 """Memory: no command path allocates an (N, N) float64 array, whatever the
-graph kind, and a training tape is freed when its backward ends. Peaks are
-read with tracemalloc, which counts numpy's buffers."""
+graph kind, a row-tile pass holds one tile, a training tape is freed when its
+backward ends, and reading or writing a feature table holds about its values.
+Peaks are read with tracemalloc, which counts numpy's buffers."""
 import csv
 import gc
 import json
@@ -9,8 +10,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mmgl.cli import main
-from mmgl.data import ModalitySchema, read_table
+from mmgl.agl import TILE, no_edges
+from mmgl.block import row_tiles
+from mmgl.cli import TADPOLE_LIKE, main
+from mmgl.data import ModalitySchema, SynthConfig, read_table, save_dataset, synth_generate
 from mmgl.train import TrainConfig, fit
 
 GRAPHS = ["learned", "knn", "meta", "identity"]
@@ -131,3 +134,27 @@ def test_read_table_peak_with_blank_cells(tmp_path):
     # text held 12.8 times
     peak, nbytes = read_table_peak(tmp_path, blanks=True)
     assert peak < 4 * nbytes, f"peak {peak / 2**20:.1f} MiB"
+
+
+def test_save_dataset_peak_is_rows_not_the_table(tmp_path):
+    # one patient's cells are held as Python objects at a time: 2.3 MiB on
+    # the tadpole-like cohort, about its (d_in, N) values, where whole-table
+    # lists for the csv module held 12.0 MiB
+    ds = synth_generate(SynthConfig.from_dict(TADPOLE_LIKE))
+    peak = traced_peak(lambda: save_dataset(ds, tmp_path / "f.csv", tmp_path / "s.json"))
+    assert peak < 6 * 2**20, f"peak {peak / 2**20:.2f} MiB"
+
+
+def test_row_tile_pass_holds_one_tile():
+    # row_tiles lets go of a tile once it is yielded, and a consumer that
+    # deletes its own reference holds one tile while the next is built
+    n = 2400
+    tile = TILE * n * 8  # 2.34 MiB
+
+    def one_pass():
+        for _, _, a in row_tiles(n, no_edges(n)):
+            a.sum()
+            del a
+
+    peak = traced_peak(one_pass)
+    assert peak < 1.5 * tile, f"peak {peak / 2**20:.2f} MiB"

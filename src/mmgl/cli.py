@@ -195,12 +195,15 @@ def _read_model(path):
         labels = _artifact_array(z, "labels")
         n = labels.shape[0] if labels.ndim == 1 else None
         m, d_in = schema.n_modalities, schema.d_in
-        # an earlier version's `A` and `logits` are not read
+        # an earlier version's `A` and `logits` are not read; a parameter must
+        # have its Param's shape, which assignment would broadcast into
         shapes = {"labels": (n,), "H": (cfg.dim_fused, n), "impute_means": (d_in,),
-                  "z_mu": (d_in,), "z_sd": (d_in,), "fuse_map": (m, m)}
+                  "z_mu": (d_in,), "z_sd": (d_in,), "fuse_map": (m, m),
+                  **{"param:" + p.name: p.value.shape for p in model.all_params()}}
         if "meta_adj" in z and "meta" not in z:
             raise DataError("a meta graph stored as 'meta_adj' (earlier format) must be retrained")
-        arrays = {key: _artifact_array(z, key) for key in (*shapes, "meta") if key in z}
+        arrays = {key: _artifact_array(z, key) for key in (*shapes, "meta")
+                  if key in z or key not in ("fuse_map", "meta")}  # the two optional arrays
         shapes["meta"] = np.shape(arrays.get("meta"))[:1] + (n,)  # any number of meta rows
         for key, value in arrays.items():
             if value.shape != shapes[key]:
@@ -208,7 +211,7 @@ def _read_model(path):
                                 f"expected {shapes[key]}")
         model.meta = arrays.get("meta")
         for p in model.all_params():
-            p.value[...] = _artifact_array(z, "param:" + p.name)
+            p.value[...] = arrays["param:" + p.name]
         try:
             edges = model.edge_rule(arrays["H"])
         except ParameterError as exc:  # a meta graph without meta rows, knn_k >= N

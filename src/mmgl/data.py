@@ -6,9 +6,11 @@ import csv
 import io
 import json
 import math
+import re
 import warnings
+from array import array
 from dataclasses import dataclass, field, replace
-from itertools import chain, islice
+from itertools import chain
 from numbers import Integral, Real
 
 import numpy as np
@@ -207,21 +209,16 @@ class MultiModalDataset:
         return np.array(rows)
 
 
-# Rows parsed at a time. Only one chunk's cell strings are alive at once: the
-# whole text of the 685 x 366 tadpole-like table held about 22 MiB, against
-# 2 MiB for its parsed values.
-READ_ROWS = 64
-
-
 def read_table(path, schema, require_label=True):
     """Parse a feature CSV against `schema`; empty cells become missing entries.
 
     Returns (values (d_in, N), missing mask, raw label strings, feature column
     names). The raw labels are None when the label column is absent, which is
-    an error unless `require_label` is false. A complete table is read by
-    numpy in one pass (`_read_regular`); any other is parsed READ_ROWS rows at
-    a time, where a short or long row or a non-numeric cell stops the parse,
-    and a non-finite cell is reported once every row has parsed.
+    an error unless `require_label` is false. A regular table, blank cells
+    included, is read by numpy in one pass (`_read_regular`); any other, and
+    input that cannot rewind, is walked one cell at a time (`_walk_cells`),
+    where a short or long row or a non-numeric cell stops the parse, and a
+    non-finite cell is reported once every row has parsed.
     """
     try:
         with open(path, newline="") as f:
@@ -240,122 +237,95 @@ def read_table(path, schema, require_label=True):
                 raise SchemaError(f"schema dimensions sum to {schema.d_in} but file has "
                                   f"{len(feat_cols)} feature columns")
             names = [header[c] for c in feat_cols]
-            if f.seekable():  # a pipe cannot rewind for the csv path, so it takes that alone
-                if (regular := _read_regular(f, len(header), label_idx, feat_cols)) is not None:
+            if f.seekable():  # a pipe cannot rewind for the walk, so it takes the walk alone
+                if (regular := _read_regular(f, len(header), label_idx, schema.d_in)) is not None:
                     return (*regular, names)
                 f.seek(0)
                 next(reader)
-            chunks, start = [], 0
-            while rows := list(islice(reader, READ_ROWS)):
-                chunks.append(_parse_rows(rows, start, header, label_idx, feat_cols))
-                start += len(rows)
+            values, missing, labels = _walk_cells(reader, header, label_idx, feat_cols)
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    if not chunks:
+    if not values.shape[1]:
         raise DataError(f"no data rows in {path}")
-    values, missing, labels, non_finite = zip(*chunks)
-    first = next((msg for msg in non_finite if msg is not None), None)
-    if first is not None:
-        raise ParseError(first)
-    raw_labels = list(chain.from_iterable(labels)) if has_label else None
-    return np.concatenate(values, axis=1), np.concatenate(missing, axis=1), raw_labels, names
+    return values, missing, labels, names
 
 
-def _read_regular(f, n_cells, k, feat_cols):
+def _read_regular(f, n_cells, k, d_in):
     """(values, missing, stripped labels of column k or None) of the rest of
-    `f` in one streaming np.loadtxt pass; None if the table needs the csv path:
-    if a line is blank, holds a quote, is longer than csv's field limit or has
-    other than `n_cells` cells (np.loadtxt skips blank lines and drops cells
-    outside `usecols`), or a feature cell is blank, non-finite or a number
-    only float() reads ("1_0", non-ASCII digits). A cell numpy's parser reads,
-    float() reads to the same bits."""
-    first, labels, limit = next(f, None), [], csv.field_size_limit()
+    `f` in one streaming np.loadtxt pass, with column k cut from each line;
+    None if the table needs the walk: if a line is blank, holds a quote or is
+    longer than csv's field limit, a row has other than `n_cells` cells, or a
+    feature cell is whitespace only, non-finite or a number only float() reads
+    ("1_0", non-ASCII digits). A cell numpy's parser reads, float() reads to
+    the same bits. A blank cell is fed to numpy as "nan" and marked missing; as
+    a non-finite cell sends the table to the walk, the nan values must number
+    exactly the blank cells."""
+    first, labels, limit, blanks = next(f, None), [], csv.field_size_limit(), 0
     if first is None:
         return None
 
     def lines():
+        nonlocal blanks
         for line in chain([first], f):
-            if ('"' in line or line.count(",") != n_cells - 1 or line.isspace()
-                    or len(line) > limit):
+            if '"' in line or line.isspace() or len(line) > limit:
                 raise ValueError("irregular line")
-            if k is not None:  # split only as far as the label
-                labels.append((line.split(",", k + 1)[k] if 2 * k < n_cells
-                               else line.rsplit(",", n_cells - k)[1]).strip())
+            if k is not None:  # cut out the label, splitting from the nearer end
+                if 2 * k < n_cells:
+                    *head, label, tail = line.split(",", k + 1)
+                    line = ",".join([*head, tail])
+                else:
+                    head, label, *tail = line.rsplit(",", n_cells - k)
+                    line = ",".join([head, *tail])
+                labels.append(label.strip())
+            # a blank cell: a line of nothing but its end, or a comma first, last
+            # or next to another (re finds ",," in about 2/3 of the time `in` takes)
+            if line[:1] in ",\r\n" or line.endswith((",", ",\n", ",\r", ",\r\n")) \
+                    or re.search(",,", line):
+                line = line.rstrip("\r\n")
+                padded = f",{line},".replace(",,", ",nan,").replace(",,", ",nan,")
+                blanks += (len(padded) - len(line) - 2) // 3
+                line = padded[1:-1]
             yield line
 
     try:
-        values = np.loadtxt(lines(), np.float64, comments=None, delimiter=",",
-                            usecols=feat_cols, ndmin=2).T
-    except ValueError:  # also a UTF-8 decoding error, which the csv path reports
+        values = np.ascontiguousarray(np.loadtxt(lines(), np.float64, comments=None,
+                                                 delimiter=",", ndmin=2).T)
+    except ValueError:  # also a UTF-8 decoding error, which the walk reports
         return None
-    if not np.isfinite(values).all():
+    missing = np.isnan(values)
+    # np.loadtxt has checked that all rows are as long
+    if len(values) != d_in or np.count_nonzero(missing) != blanks or np.isinf(values).any():
         return None
-    return (np.ascontiguousarray(values), np.zeros(values.shape, dtype=bool),
-            labels if k is not None else None)
+    values[missing] = 0.0
+    return values, missing, labels if k is not None else None
 
 
-def _parse_rows(rows, start, header, label_idx, feat_cols):
-    """(values, missing, raw labels or None, the error text of the first
-    non-finite cell or None) of the table rows start, start + 1, ..."""
-    parsed = None
-    if all(len(row) == len(header) for row in rows):
-        cells = rows if label_idx is None else [row[:label_idx] + row[label_idx + 1:]
-                                                for row in rows]
-        parsed = _parse_cells(cells)
-    if parsed is None:
-        parsed = _walk_cells(rows, start, header, feat_cols)  # raises the first bad row's error
-    values, missing = parsed
-    bad = np.argwhere(~np.isfinite(values.T))  # float() accepts nan and inf
-    non_finite = None
-    if bad.size:
-        r, j = bad[0]
-        non_finite = (f"row {start + r + 2}, column {header[feat_cols[j]]!r}: "
-                      f"non-finite cell {rows[r][feat_cols[j]].strip()!r}")
-    labels = [row[label_idx].strip() for row in rows] if label_idx is not None else None
-    return values, missing, labels, non_finite
-
-
-def _parse_cells(cells):
-    """(values, missing), both (d_in, N), from equal-length rows of feature
-    cells, as `_walk_cells` gives them; None if a cell needs the walk.
-
-    The empty cells are marked missing, and the rest go through float(), which
-    accepts surrounding whitespace; a whitespace-only cell fails it and is
-    left to the walk.
-    """
-    cells = np.array(cells, dtype=object)
-    missing = cells == ""
-    cells[missing] = "0"
-    try:
-        values = cells.astype(np.float64)
-    except ValueError:
-        return None
-    return np.ascontiguousarray(values.T), np.ascontiguousarray(missing.T)
-
-
-def _walk_cells(rows, start, header, feat_cols):
-    """Cell-by-cell parse in file order of the table rows start, start + 1,
-    ...; raises ParseError at the first short or long row or non-numeric
-    cell."""
-    n = len(rows)
-    values = np.zeros((len(feat_cols), n))
-    missing = np.zeros((len(feat_cols), n), dtype=bool)
-    for r, row in enumerate(rows):
+def _walk_cells(reader, header, label_idx, feat_cols):
+    """(values, missing, stripped labels or None) of the rows of `reader`,
+    parsed cell by cell in file order with one row's strings held at a time;
+    raises ParseError at the first short or long row or non-numeric cell,
+    and at the first non-finite cell once every row has parsed."""
+    values, labels, non_finite = array("d"), [], None
+    for r, row in enumerate(reader, 2):
         if len(row) != len(header):
-            raise ParseError(f"row {start + r + 2}: expected {len(header)} cells, "
-                             f"got {len(row)}")
-        for j, c in enumerate(feat_cols):
+            raise ParseError(f"row {r}: expected {len(header)} cells, got {len(row)}")
+        for c in feat_cols:
             cell = row[c].strip()
-            if cell == "":
-                missing[j, r] = True
-            else:
-                try:
-                    values[j, r] = float(cell)
-                except ValueError:
-                    raise ParseError(
-                        f"row {start + r + 2}, column {header[c]!r}: non-numeric cell {cell!r}"
-                    )
-    return values, missing
+            try:
+                values.append(float(cell or "nan"))  # a blank cell is nan until marked
+            except ValueError:
+                raise ParseError(f"row {r}, column {header[c]!r}: "
+                                 f"non-numeric cell {cell!r}") from None
+            if non_finite is None and cell and not math.isfinite(values[-1]):
+                non_finite = f"row {r}, column {header[c]!r}: non-finite cell {cell!r}"
+        if label_idx is not None:
+            labels.append(row[label_idx].strip())
+    if non_finite is not None:
+        raise ParseError(non_finite)
+    values = np.frombuffer(values).reshape(-1, len(feat_cols)).T.copy()
+    missing = np.isnan(values)
+    values[missing] = 0.0
+    return values, missing, labels if label_idx is not None else None
 
 
 def write_csv(path, header, rows):
@@ -537,10 +507,12 @@ class SynthConfig:
         if isinstance(self.pattern, str):
             if self.pattern not in ("all", "none", "complementary"):
                 raise ConfigError(f"unknown pattern {self.pattern!r}")
-        elif not isinstance(self.pattern, (tuple, list)) or \
-                not all(isinstance(p, str) or _is_int(p) for p in self.pattern):
-            raise ConfigError(
-                f"pattern must be a keyword or a list of modality names/indices, got {self.pattern!r}")
+        elif not isinstance(self.pattern, (tuple, list)):
+            raise ConfigError(f"pattern must be a keyword or a list, got {self.pattern!r}")
+        elif unknown := [p for p in self.pattern if not (_is_int(p) and 0 <= p < len(dims))
+                         and p not in [f"mod{m + 1}" for m in range(len(dims))]]:
+            raise ConfigError(f"pattern entry {unknown[0]!r} names no modality: use mod1 to "
+                              f"mod{len(dims)} or 0 to {len(dims) - 1}")
         if self.separation < 0:
             raise ConfigError(f"separation must be >= 0, got {self.separation}")
         if self.noise <= 0:

@@ -223,6 +223,7 @@ def test_cv_exit_code_contract_fuzzed_schema(tmp_path, synth_dir, data):
 
 @pytest.mark.parametrize("cfg", [
     {"modality_dims": ["x"]}, {"seed": -1}, {"meta_dims": "2"}, {"pattern": 5}, {"n": 10.5},
+    {"pattern": ["mod9"]},
 ])
 def test_synth_malformed_config_exit_2(tmp_path, cfg):
     path = tmp_path / "synth.json"
@@ -748,15 +749,22 @@ def test_predict_wrong_width_exit_3(tmp_path, trained):
                "--features", str(bad), "--out", str(tmp_path / "p.csv")) == 3
 
 
-@pytest.mark.parametrize("key,trim", [("H", 1), ("z_mu", 0)])
-def test_predict_shape_inconsistent_artifact_exit_3(tmp_path, trained, synth_dir, key, trim):
+@pytest.mark.parametrize("key,trim", [("H", 1), ("z_mu", 0), ("param:gcn.w0", "0-d"),
+                                      ("param:w_a", "row"), ("param:gcn.w1", "column")])
+def test_predict_shape_inconsistent_artifact_exit_3(tmp_path, trained, synth_dir, capsys, key,
+                                                    trim):
+    # one row, column or entry short, or a parameter cut to a shape that
+    # broadcasts into its Param
     with np.load(trained / "model.npz") as z:
         arrays = dict(z)
-    arrays[key] = np.delete(arrays[key], -1, axis=trim)  # one row, column or entry short
+    a = arrays[key]
+    arrays[key] = (np.delete(a, -1, axis=trim) if isinstance(trim, int)
+                   else {"0-d": a[0, 0], "row": a[:1], "column": a[:, :1]}[trim])
     bad = tmp_path / "bad.npz"
     np.savez(bad, **arrays)
     assert run("predict", "--model", str(bad), "--features",
                str(synth_dir / "features.csv"), "--out", str(tmp_path / "p.csv")) == 3
+    assert f"artifact array {key!r} has shape" in capsys.readouterr().err
 
 
 def predict_rows(trained, features, out):

@@ -2,6 +2,7 @@
 import csv
 import io
 import os
+import re
 import warnings
 from dataclasses import replace
 
@@ -124,8 +125,7 @@ def table_text(rows, label_at=5, eol="\r\n"):
 
 def parse_both(tmp_path, text, require_label=True):
     """read_table and the cell-walk oracle on one file: each side's result
-    or the text of the error it raised. read_table must give the same when it
-    parses two rows at a time as in chunks of READ_ROWS."""
+    or the text of the error it raised."""
     path = tmp_path / "f.csv"
     path.write_text(text, encoding="utf-8")
 
@@ -135,11 +135,7 @@ def parse_both(tmp_path, text, require_label=True):
         except DataError as exc:
             return str(exc)
 
-    got = parse(read_table)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(data, "READ_ROWS", 2)
-        assert_same_parse(parse(read_table), got)
-    return got, parse(read_table_walk)
+    return parse(read_table), parse(read_table_walk)
 
 
 def assert_same_parse(got, want):
@@ -157,8 +153,7 @@ def assert_same_parse(got, want):
 @pytest.mark.parametrize("blanks", [[], [""], ["", " "]], ids=["complete", "empty", "whitespace"])
 def test_read_table_matches_cell_walk(tmp_path, label_at, blanks):
     # complete, with empty cells, and with a whitespace-only cell. ODD_CELLS
-    # holds cells numpy's parser refuses, so all three take the csv path: one
-    # conversion per chunk, or for the whitespace-only cell the cell walk
+    # holds cells numpy's parser refuses, so all three take the cell walk
     cells = ODD_CELLS + blanks
     rows = [[cells[(5 * r + j) % len(cells)] for j in range(5)] for r in range(7)]
     got, want = parse_both(tmp_path, table_text(rows, label_at))
@@ -187,8 +182,7 @@ def test_read_table_without_label_column(tmp_path):
     ([["1", "2"], ["1", "2", "bad", "4", "5"]], "row 2: expected 6 cells, got 2"),
     ([["1", "2", "3", "4", "5"], ["1", "2", "3", "4", "5", "6", "7"]],
      "row 3: expected 6 cells, got 7"),
-    # a non-numeric cell is reported before an earlier non-finite one, in
-    # whichever chunk of rows it lies
+    # a non-numeric cell is reported before an earlier non-finite one
     ([["1", "2", "inf", "4", "5"], ["1", "2", "3", "4", "5"], ["1", "oops", "3", "4", "5"]],
      "row 4, column 'a_1': non-numeric cell 'oops'"),
     ([["1", "2", "3", "4", "5"], ["1", "2", "3", "4", "5"], ["1", "nan", "3", "4", "5"]],
@@ -200,14 +194,23 @@ def test_read_table_error_text(tmp_path, rows, message):
     assert got == message
 
 
+FUZZ_CELLS = st.sampled_from(ODD_CELLS + BLANK_CELLS + BAD_CELLS + NON_FINITE_CELLS
+                             + ["7"] * 12 + [""] * 4)
+# rows of 4 to 6 cells, a 5-cell row taking a label that may be blank, and
+# rows whose feature cells are all blank
+FUZZ_ROWS = st.one_of(
+    st.lists(FUZZ_CELLS, min_size=4, max_size=6),
+    st.tuples(st.lists(FUZZ_CELLS, min_size=5, max_size=5) | st.just([""] * 5),
+              st.sampled_from(["x", "y", "", " "])).map(lambda t: t[0] + [t[1]]))
+
+
 @settings(max_examples=150, deadline=None)
-@given(st.lists(st.lists(st.sampled_from(ODD_CELLS + BLANK_CELLS + BAD_CELLS
-                                         + NON_FINITE_CELLS + ["7"] * 12),
-                         min_size=4, max_size=6), min_size=1, max_size=6),
-       st.sampled_from(["\r\n", "\n"]))
-def test_read_table_fuzz_matches_cell_walk(tmp_path_factory, rows, eol):
+@given(st.lists(FUZZ_ROWS, min_size=1, max_size=6), st.sampled_from(["\r\n", "\n", "\r"]),
+       st.booleans())
+def test_read_table_fuzz_matches_cell_walk(tmp_path_factory, rows, eol, last_eol):
     tmp_path = tmp_path_factory.mktemp("fuzz")
-    got, want = parse_both(tmp_path, table_text(rows, eol=eol))
+    text = table_text(rows, eol=eol)
+    got, want = parse_both(tmp_path, text if last_eol else text.removesuffix(eol))
     assert_same_parse(got, want)
 
 
@@ -263,23 +266,31 @@ NUMPY_CELLS = [c for c in ODD_CELLS if c.strip().isascii() and "_" not in c]
 @pytest.mark.parametrize("last_eol", [True, False], ids=["ended", "unended"])
 @pytest.mark.parametrize("label_at", [0, 2, 5])
 def test_complete_tables_take_numpy_reader(tmp_path, monkeypatch, eol, last_eol, label_at):
-    # a complete table never reaches the csv path, and reads as the walk does
-    rows = [[NUMPY_CELLS[(5 * r + j) % len(NUMPY_CELLS)] for j in range(5)] for r in range(7)]
-    text = table_text(rows, label_at, eol)
-    want = parse_both(tmp_path, text if last_eol else text.removesuffix(eol))[1]
-    monkeypatch.setattr(data, "_parse_rows", None)
-    got = read_table(tmp_path / "f.csv", small_schema())
-    assert_same_parse(got, want)
-    assert got[2] == [" xy"[1 + i % 2] for i in range(7)]
+    # a complete table, and one with empty first, middle, last, adjacent or
+    # all feature cells in rows 0, 2, 4 and 6 (the last), never reaches the
+    # cell walk, and reads as the walk does
+    cells = [[NUMPY_CELLS[(5 * r + j) % len(NUMPY_CELLS)] for j in range(5)] for r in range(7)]
+    for blank in [(), (0,), (2,), (4,), (1, 2), (0, 1, 2, 3, 4)]:
+        rows = [["" if r % 2 == 0 and j in blank else c for j, c in enumerate(row)]
+                for r, row in enumerate(cells)]
+        text = table_text(rows, label_at, eol)
+        want = parse_both(tmp_path, text if last_eol else text.removesuffix(eol))[1]
+        assert want[1].sum() == 4 * len(blank)
+        with monkeypatch.context() as mp:
+            mp.setattr(data, "_walk_cells", None)
+            got = read_table(tmp_path / "f.csv", small_schema())
+        assert_same_parse(got, want)
+        assert got[2] == [" xy"[1 + i % 2] for i in range(7)]
 
 
-@pytest.mark.parametrize("cell", BLANK_CELLS + ["1_0", "\u0663", "nan", "1e400", "oops", '"1"'])
+# a whitespace-only cell is blank to the walk, but numpy's parser refuses it
+@pytest.mark.parametrize("cell", [" ", "\t", "1_0", "\u0663", "nan", "1e400", "oops", '"1"'])
 def test_other_tables_take_csv_path(tmp_path, cell):
     path = tmp_path / "f.csv"
     path.write_text(table_text([["1", "2", "3", "4", "5"], ["1", cell, "3", "4", "5"]], eol="\n"))
     with open(path, newline="") as f:
         next(f)
-        assert data._read_regular(f, 6, 5, [0, 1, 2, 3, 4]) is None
+        assert data._read_regular(f, 6, 5, 5) is None
 
 
 @pytest.mark.parametrize("body", ["1\n\n2\n", "1\n \n2\n", "1\n2\n\n"])
@@ -298,9 +309,26 @@ def test_one_column_table_blank_lines(tmp_path, body):
     assert_same_parse(*results)
 
 
+@pytest.mark.parametrize("eol", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+@pytest.mark.parametrize("header", ["a_0,label", "label,a_0"])
+def test_one_feature_table_blank_cells(tmp_path, monkeypatch, header, eol):
+    # with the label cut out, a blank cell is the whole line numpy is given,
+    # which it would skip were the cell not marked
+    schema = ModalitySchema((("a", 1),))
+    rows = [["", "x"], ["1", "y"], ["", "z"]]
+    path = tmp_path / "f.csv"
+    path.write_text(eol.join([header] + [",".join(r if header[0] == "a" else r[::-1])
+                                         for r in rows]), newline="")
+    want = read_table_walk(path, schema)
+    monkeypatch.setattr(data, "_walk_cells", None)
+    got = read_table(path, schema)
+    assert_same_parse(got, want)
+    assert got[1].tolist() == [[True, False, True]] and got[2] == ["x", "y", "z"]
+
+
 @pytest.mark.parametrize("body", ["1,2,3,4,5,x\n", "1,,3,4,5,x\n"], ids=["complete", "blank"])
 def test_read_table_from_a_pipe(tmp_path, body):
-    # a pipe cannot rewind, so it takes the csv path without numpy's reader
+    # a pipe cannot rewind, so it takes the cell walk without numpy's reader
     (tmp_path / "f.csv").write_text(HEADER + "\n" + body)
     want = read_table(tmp_path / "f.csv", small_schema())
     r, w = os.pipe()
@@ -674,6 +702,12 @@ def test_synth_config_validation():
         SynthConfig(corruption=-0.5)
     with pytest.raises(ParameterError):
         SynthConfig(pattern="complementary", modality_dims=(4,))
+    for entry in ["mod9", 7, "MOD1", "mod0", -1, "meta"]:  # names no modality of two
+        with pytest.raises(ConfigError, match=f"pattern entry {re.escape(repr(entry))} "):
+            SynthConfig(modality_dims=(4, 4), meta_dims=1, pattern=["mod1", entry])
+    # an empty list is valid and, as "none", gives no modality class centers
+    empty, none = (synth_centers(SynthConfig(pattern=p, seed=2)) for p in ([], "none"))
+    assert all(np.array_equal(a, b) for a, b in zip(empty, none))
 
 
 def test_synth_refuses_non_finite_features():

@@ -122,18 +122,16 @@ def read_table_peak(tmp_path, blanks):
 
 def test_read_table_peak_near_its_values(tmp_path):
     # numpy reads a complete table in one pass, holding its (N, d_in) result
-    # and the (d_in, N) copy: 2.05 times the values, against 2.77 for the
-    # chunked csv path
+    # and the (d_in, N) copy: 2.05 times the values
     peak, nbytes = read_table_peak(tmp_path, blanks=False)
     assert peak < 2.5 * nbytes, f"peak {peak / 2**20:.1f} MiB"
 
 
 def test_read_table_peak_with_blank_cells(tmp_path):
-    # a table with blank cells is parsed in chunks, holding the values and one
-    # chunk's cell strings: 2.77 times the values, where the whole table's
-    # text held 12.8 times
+    # numpy reads a table with blank cells in the same one pass, and the
+    # missing mask is built where it is kept: 2.05 times the values
     peak, nbytes = read_table_peak(tmp_path, blanks=True)
-    assert peak < 4 * nbytes, f"peak {peak / 2**20:.1f} MiB"
+    assert peak < 2.5 * nbytes, f"peak {peak / 2**20:.1f} MiB"
 
 
 def test_save_dataset_peak_is_rows_not_the_table(tmp_path):

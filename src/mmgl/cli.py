@@ -16,7 +16,6 @@ import zipfile
 import zlib
 from dataclasses import replace
 from datetime import datetime, timezone
-from itertools import chain
 
 import numpy as np
 
@@ -261,7 +260,7 @@ def cmd_train(args):
     clean = prep.transform(ds)
     model, history = fit(clean.schema, clean.modalities, clean.labels, np.arange(clean.n),
                          cfg, clean.n_classes, meta=meta_rows(clean, cfg))
-    save_model(model, clean.labels, prep, clean.flat_feature_names(), outputs["model.npz"])
+    save_model(model, clean.labels, prep, clean.feature_names, outputs["model.npz"])
     write_history_csv(history, outputs["history.csv"])
     probs = softmax_rows_values(model.cache["logits"])
     write_csv(outputs["metrics.csv"], ["split", "acc", "auc"],
@@ -300,22 +299,22 @@ def cmd_ablate(args):
 
 
 def _upper_edges(n, edges):
-    """[src, dst, weight] rows of the edges above A's diagonal, tile by tile,
-    each tile released before the next is built."""
+    """The edges above A's diagonal as csv would write their [src, dst,
+    weight] rows: one string of lines per row of A, row tile by row tile."""
     for lo, _, a in row_tiles(n, edges):
-        i, j = np.nonzero(np.triu(a, lo + 1))
-        weights = a[i, j].tolist()
-        del a
-        yield from ([lo + r, c, repr(w)] for r, c, w in zip(i.tolist(), j.tolist(), weights))
+        for r, row in enumerate(np.triu(a, lo + 1), lo):
+            j = np.flatnonzero(row)
+            yield "".join(f"{r},{c},{w!r}\r\n" for c, w in zip(j.tolist(), row[j].tolist()))
 
 
 def cmd_export(args):
     model, extras = load_model(args.model)
     if args.what == "graph":
         n = model.cache["H"].shape[1]
-        write_csv(args.out, ["src", "dst", "weight"],
-                  chain(([i, i, repr(1.0)] for i in range(n)),
-                        _upper_edges(n, model.cache["edges"])))
+        with open(args.out, "w", newline="") as f:
+            f.write("src,dst,weight\r\n")
+            f.writelines(f"{i},{i},1.0\r\n" for i in range(n))
+            f.writelines(_upper_edges(n, model.cache["edges"]))
         write_csv(os.path.splitext(args.out)[0] + ".nodes.csv", ["node", "label"],
                   ([i, int(y)] for i, y in enumerate(extras["labels"])))
     elif args.what == "fuse-map":

@@ -9,7 +9,7 @@ import math
 import re
 import warnings
 from array import array
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from itertools import chain
 from numbers import Integral, Real
 
@@ -142,31 +142,35 @@ def read_json(path, error):
 
 @dataclass
 class MultiModalDataset:
-    """Per-modality feature matrices (d_m x N) with labels and missing mask."""
+    """One (d_in, N) feature table, modalities in schema order, with labels,
+    its missing mask and its column names. `modalities` views the table as
+    the schema's per-modality (d_m, N) row blocks, without copying."""
 
     schema: ModalitySchema
-    modalities: list  # list of float64 arrays, each (d_m, N)
+    x: np.ndarray  # (d_in, N) float64
     labels: np.ndarray  # (N,) int
-    missing: list = None  # list of bool arrays, same shapes; None = fully observed
-    feature_names: list = None  # per modality, list of column names
+    missing: np.ndarray = None  # (d_in, N) bool; None is read as all False
+    feature_names: list = None  # d_in column names
 
     def __post_init__(self):
-        ns = {x.shape[1] for x in self.modalities}
-        if len(ns) != 1:
-            raise DataError(f"modalities disagree on sample count: {sorted(ns)}")
-        for (name, d), x in zip(self.schema.modalities, self.modalities):
-            if x.shape[0] != d:
-                raise SchemaError(f"modality {name!r}: schema dim {d} != data dim {x.shape[0]}")
+        if self.x.ndim != 2 or len(self.x) != self.schema.d_in:
+            raise SchemaError(f"schema dimensions sum to {self.schema.d_in} but the feature "
+                              f"table has shape {self.x.shape}")
+        if self.missing is None:
+            self.missing = np.zeros(self.x.shape, dtype=bool)
         if self.labels.shape != (self.n,):
             raise DataError(f"labels shape {self.labels.shape} != ({self.n},)")
         if self.feature_names is None:
-            self.feature_names = [
-                [f"{name}_{i}" for i in range(d)] for name, d in self.schema.modalities
-            ]
+            self.feature_names = [f"{name}_{i}" for name, d in self.schema.modalities
+                                  for i in range(d)]
 
     @property
     def n(self):
-        return self.modalities[0].shape[1]
+        return self.x.shape[1]
+
+    @property
+    def modalities(self):
+        return self.schema.split(self.x)
 
     @property
     def n_classes(self):
@@ -174,39 +178,14 @@ class MultiModalDataset:
             return len(self.schema.class_names)
         return int(self.labels.max()) + 1
 
-    @property
-    def has_missing(self):
-        return self.missing is not None and any(m.any() for m in self.missing)
-
-    def stacked(self):
-        """All features as one (d_in, N) matrix, modalities in schema order."""
-        return np.concatenate(self.modalities, axis=0)
-
-    def missing_mask(self):
-        """The missing mask as one (d_in, N) matrix; all False if complete."""
-        if self.missing is None:
-            return np.zeros((self.schema.d_in, self.n), dtype=bool)
-        return np.concatenate(self.missing, axis=0)
-
-    def with_features(self, flat):
-        """This dataset with its features taken from a complete (d_in, N) table."""
-        return replace(self, modalities=self.schema.split(flat), missing=None)
-
-    def flat_feature_names(self):
-        return [c for cols in self.feature_names for c in cols]
-
     def meta_matrix(self):
         """Rows of the designated meta columns, or None if the schema has none."""
         if not self.schema.meta_columns:
             return None
-        flat = self.stacked()
-        names = self.flat_feature_names()
-        rows = []
         for col in self.schema.meta_columns:
-            if col not in names:
+            if col not in self.feature_names:
                 raise SchemaError(f"meta column {col!r} not among features")
-            rows.append(flat[names.index(col)])
-        return np.array(rows)
+        return self.x[[self.feature_names.index(col) for col in self.schema.meta_columns]]
 
 
 def read_table(path, schema, require_label=True):
@@ -337,12 +316,11 @@ def write_csv(path, header, rows):
 
 
 def load_csv(features_path, schema_path):
-    """Load a labelled feature table and its schema into a dataset."""
+    """Load a labelled feature table and its schema into a dataset, whose
+    table, mask and names are `read_table`'s, not copies."""
     schema = ModalitySchema.load(schema_path)
-    values, missing, raw_labels, fnames = read_table(features_path, schema)
-    labels = _encode_labels(raw_labels, schema)
-    split = schema.split
-    return MultiModalDataset(schema, split(values), labels, split(missing), split(fnames))
+    values, missing, raw_labels, names = read_table(features_path, schema)
+    return MultiModalDataset(schema, values, _encode_labels(raw_labels, schema), missing, names)
 
 
 def _encode_labels(raw, schema):
@@ -371,15 +349,15 @@ def _encode_labels(raw, schema):
 def _impute(ds, rows=None):
     """(means, imputed (d_in, N) table): each feature's mean over its observed
     cells among `rows` (all rows if None) fills its missing cells."""
-    x, missing = ds.stacked(), ds.missing_mask()
+    x, missing = ds.x, ds.missing
     ref = np.ones(ds.n, dtype=bool) if rows is None else np.isin(np.arange(ds.n), rows)
     # one 1-D mean per row: a 2-D mean(axis=1) sums in another order
     means = np.array([row.mean() for row in (x if rows is None else x[:, ref])])
     for j in np.flatnonzero(missing.any(axis=1)):
         observed = ref & ~missing[j]
         if not observed.any():
-            name = ds.flat_feature_names()[j]
-            raise DataError(f"feature {name!r} has no observed values to impute from")
+            raise DataError(f"feature {ds.feature_names[j]!r} has no observed values "
+                            f"to impute from")
         means[j] = x[j, observed].mean()
     return means, np.where(missing, means[:, None], x)
 
@@ -412,15 +390,14 @@ class Preprocessor:
         return x
 
     def transform(self, ds):
-        return ds.with_features(self.apply(ds.stacked(), ds.missing_mask()))
+        """`ds` with its table transformed and no cell missing."""
+        return replace(ds, x=self.apply(ds.x, ds.missing), missing=None)
 
 
 def impute_mean(ds, train_idx=None):
     """Replace every missing entry by its feature's observed mean; the means
     come from the `train_idx` columns if given."""
-    if not ds.has_missing:
-        return replace(ds, missing=None)
-    return ds.with_features(_impute(ds, train_idx)[1])
+    return replace(ds, x=_impute(ds, train_idx)[1], missing=None)
 
 
 def zscore(ds, train_idx=None):
@@ -428,7 +405,7 @@ def zscore(ds, train_idx=None):
 
     Features with near-zero spread are zeroed out.
     """
-    if ds.has_missing:
+    if ds.missing.any():
         raise DataError("zscore requires an imputed dataset (missing values remain)")
     return Preprocessor.fit(ds, train_idx).transform(ds)
 
@@ -603,18 +580,19 @@ def _is_informative(pattern, m, n_mods):
 
 @np.errstate(over="ignore", invalid="ignore")  # non-finite features are refused below
 def synth_generate(cfg):
-    """Draw a MultiModalDataset per the generator config; deterministic in seed."""
+    """Draw a MultiModalDataset per the generator config; deterministic in seed.
+    Each modality, and the meta columns, are drawn into their rows of one table."""
     schema = _synth_schema(cfg)
     n_mods = len(cfg.modality_dims)
     rng = np.random.default_rng([cfg.seed, 29])
     labels = np.resize(np.arange(cfg.classes), cfg.n)
     labels = rng.permutation(labels).astype(np.int64)
 
-    mods = []
+    x = np.empty((schema.d_in, cfg.n))
+    mods = schema.split(x)
     centers = synth_centers(cfg)
     for m, d in enumerate(cfg.modality_dims):
-        mu = centers[m][labels].T  # (d, n)
-        mods.append(mu + cfg.noise * rng.normal(size=(d, cfg.n)))
+        mods[m][:] = centers[m][labels].T + cfg.noise * rng.normal(size=(d, cfg.n))
     if cfg.pattern == "complementary":
         # one modality per patient is unreliable: its features are swamped by
         # heavy zero-mean noise, so classifiers must weigh modalities per patient
@@ -625,25 +603,22 @@ def synth_generate(cfg):
             if hit.any():
                 extra = bad_rng.normal(size=(cfg.modality_dims[m], int(hit.sum())))
                 mods[m][:, hit] += cfg.corruption * cfg.noise * extra
-    if not all(np.isfinite(x).all() for x in mods):
-        raise ConfigError("synthetic config gives non-finite features; "
-                          "lower separation, noise or corruption")
-
     if cfg.meta_dims > 0:
         meta_rng = np.random.default_rng([cfg.seed, 37])
         # discrete, weakly label-correlated columns (popGCN-style meta features)
-        meta = np.where(
+        mods[-1][:] = np.where(
             meta_rng.random((cfg.meta_dims, cfg.n)) < 0.7,
             labels[None, :] % 3,
             meta_rng.integers(0, 3, size=(cfg.meta_dims, cfg.n)),
-        ).astype(np.float64)
-        mods.append(meta)
+        )
+    if not np.isfinite(x).all():
+        raise ConfigError("synthetic config gives non-finite features; "
+                          "lower separation, noise or corruption")
 
     missing = None
     if cfg.missing_rate > 0:
-        miss_rng = np.random.default_rng([cfg.seed, 41])
-        missing = [miss_rng.random(x.shape) < cfg.missing_rate for x in mods]
-    return MultiModalDataset(schema, mods, labels, missing)
+        missing = np.random.default_rng([cfg.seed, 41]).random(x.shape) < cfg.missing_rate
+    return MultiModalDataset(schema, x, labels, missing)
 
 
 def save_dataset(ds, features_path, schema_path):
@@ -655,12 +630,11 @@ def save_dataset(ds, features_path, schema_path):
     csv.writer; only a label cell can need quoting, which csv works out once
     per class."""
     ds.schema.save(schema_path)
-    flat, mask = ds.stacked(), ds.missing_mask()
     classes = ds.schema.class_names
     ends = {y: _line_end(classes[y] if classes else str(y)) for y in set(ds.labels.tolist())}
     with open(features_path, "w", newline="") as f:
-        csv.writer(f).writerow(ds.flat_feature_names() + [ds.schema.label_column])
-        for values, missed, y in zip(flat.T, mask.T, ds.labels.tolist()):
+        csv.writer(f).writerow(ds.feature_names + [ds.schema.label_column])
+        for values, missed, y in zip(ds.x.T, ds.missing.T, ds.labels.tolist()):
             cells = list(map(repr, values.tolist()))
             for j in np.flatnonzero(missed):
                 cells[j] = ""

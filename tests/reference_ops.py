@@ -3,8 +3,8 @@ reference constructions (per-head attention loops, term-by-term graph losses,
 loss reductions) built from these and the `numcore` primitives serve as
 oracles for the fused tape nodes in `mmgl`. Loops: the per-Param Adam step and
 the cell-by-cell CSV parse are oracles for their whole-array versions. CSV
-writing: the csv module's writer is the oracle for the streaming table
-writer. Dense graphs: the kNN and meta graphs built whole are oracles for
+writing: the csv module's writer is the oracle for the streaming table and
+graph writers. Dense graphs: the kNN and meta graphs built whole are oracles for
 their edge rules' row tiles, and `dense_graph` stacks those tiles for the
 tests to inspect."""
 import csv
@@ -157,14 +157,27 @@ def write_features_csv(ds, path):
     """The dataset's feature table written by csv.writer from whole-table
     lists: the oracle for `mmgl.data.save_dataset`, which must write the same
     bytes."""
-    flat, mask = ds.stacked(), ds.missing_mask()
     classes = ds.schema.class_names
     labels = [classes[y] if classes else str(int(y)) for y in ds.labels]
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
-        w.writerow(ds.flat_feature_names() + [ds.schema.label_column])
+        w.writerow(ds.feature_names + [ds.schema.label_column])
         w.writerows(["" if m else v for v, m in zip(values, missed)] + [y]
-                    for values, missed, y in zip(flat.T.tolist(), mask.T.tolist(), labels))
+                    for values, missed, y in zip(ds.x.T.tolist(), ds.missing.T.tolist(), labels))
+
+
+def write_graph_csv(n, edges, path):
+    """The graph whose edge rule is `edges` as csv.writer writes it from
+    whole-graph rows: a self-loop of weight 1 per node, then each edge above
+    the diagonal of the stacked graph. The oracle for `mmgl export --what
+    graph`, which must write the same bytes."""
+    a = dense_graph(n, edges)
+    i, j = np.nonzero(np.triu(a, 1))
+    with open(path, "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(["src", "dst", "weight"])
+        w.writerows([v, v, 1.0] for v in range(n))
+        w.writerows(zip(i.tolist(), j.tolist(), a[i, j].tolist()))
 
 
 class AdamLoop:

@@ -23,7 +23,7 @@ from mmgl import cli
 from mmgl.cli import load_model, main
 from mmgl.data import SynthConfig, load_csv
 from mmgl.train import TrainConfig
-from reference_ops import dense_graph
+from reference_ops import dense_graph, write_graph_csv
 
 
 def run(*argv):
@@ -511,6 +511,20 @@ def test_export_graph_edges(tmp_path, trained):
     nodes = (tmp_path / "graph.nodes.csv").read_text().strip().splitlines()
     assert nodes[0] == "node,label"
     assert len(nodes) == 1 + n
+
+
+@pytest.mark.parametrize("graph", ["learned", "knn"])
+def test_export_graph_writes_the_csv_modules_bytes(tmp_path, synth_dir, graph):
+    cfg = write_train_cfg(tmp_path, graph=graph, knn_k=5)
+    assert run("train", "--config", str(cfg), "--data", str(synth_dir),
+               "--out", str(tmp_path / "run")) == 0
+    model = tmp_path / "run" / "model.npz"
+    assert run("export", "--model", str(model), "--what", "graph",
+               "--out", str(tmp_path / "graph.csv")) == 0
+    write_graph_csv(24, load_model(model)[0].cache["edges"], tmp_path / "want.csv")
+    got = (tmp_path / "graph.csv").read_bytes()
+    assert got == (tmp_path / "want.csv").read_bytes()
+    assert got.count(b"\r\n") > 1 + 24  # the edges off the diagonal are written too
 
 
 @pytest.mark.parametrize("graph", ["learned", "knn", "meta", "identity"])

@@ -86,8 +86,35 @@ def test_load_csv_non_finite(tmp_path, cell):
 def test_load_csv_missing_cells(tmp_path):
     text = "a_0,a_1,b_0,b_1,b_2,label\n1,,3,4,5,x\n2,2,3,,5,y\n"
     ds = load_csv(*write_csv(tmp_path, text, small_schema()))
-    assert ds.has_missing
-    assert ds.missing[0][1, 0] and ds.missing[1][1, 1]
+    assert ds.missing.any()
+    assert ds.missing[1, 0] and ds.missing[3, 1]
+
+
+def test_dataset_is_one_table(tmp_path, monkeypatch):
+    # load_csv keeps read_table's table and mask, each modality is a row
+    # block of that table, and a transform leaves no cell missing
+    ds = synth_generate(SynthConfig(n=12, modality_dims=(3, 2), missing_rate=0.2, meta_dims=1,
+                                    seed=3))
+    save_dataset(ds, tmp_path / "features.csv", tmp_path / "schema.json")
+    read = []
+    monkeypatch.setattr(data, "read_table", lambda *a: read.append(read_table(*a)) or read[-1])
+    loaded = load_csv(str(tmp_path / "features.csv"), str(tmp_path / "schema.json"))
+    values, missing, _, names = read[0]
+    assert np.shares_memory(loaded.x, values) and np.shares_memory(loaded.missing, missing)
+    assert loaded.feature_names == names == ["mod1_0", "mod1_1", "mod1_2", "mod2_0", "mod2_1",
+                                             "meta_0"]
+    for table in (ds, loaded):
+        assert table.x.shape == table.missing.shape == (6, 12) and table.missing.any()
+        for block, (lo, hi) in zip(table.modalities, [(0, 3), (3, 5), (5, 6)]):
+            assert np.shares_memory(block, table.x)
+            assert np.array_equal(block, table.x[lo:hi])
+    clean = Preprocessor.fit(loaded).transform(loaded)
+    assert clean.missing.shape == clean.x.shape and not clean.missing.any()
+    for rows in (5, 7):  # a table without d_in rows fails the schema
+        with pytest.raises(SchemaError, match="sum to 6"):
+            MultiModalDataset(ds.schema, np.zeros((rows, 12)), ds.labels)
+    with pytest.raises(SchemaError, match="sum to 6"):
+        MultiModalDataset(ds.schema, np.zeros(6), ds.labels)
 
 
 def test_load_csv_tadpole_scale(tmp_path):
@@ -368,9 +395,8 @@ def test_save_load_round_trip_with_missing(tmp_path):
     ds = synth_generate(cfg)
     save_dataset(ds, tmp_path / "features.csv", tmp_path / "schema.json")
     loaded = load_csv(str(tmp_path / "features.csv"), str(tmp_path / "schema.json"))
-    for a, b, mask in zip(loaded.modalities, ds.modalities, ds.missing):
-        assert np.array_equal(a[~mask], b[~mask])
-    assert all(np.array_equal(a, b) for a, b in zip(loaded.missing, ds.missing))
+    assert np.array_equal(loaded.x[~ds.missing], ds.x[~ds.missing])
+    assert np.array_equal(loaded.missing, ds.missing)
 
 
 QUOTED_CLASSES = ("a,b", 'say "hi"', "two\nlines", "")  # csv quotes all but the last
@@ -383,9 +409,8 @@ def cohort_to_write(classes, missing_rate, meta_dims):
                                     missing_rate=missing_rate, meta_dims=meta_dims, seed=12))
     ds.modalities[0][:, 1] = [-0.0, 5e-324, 1.7976931348623157e308]
     ds.modalities[1][:, 2] = [0.1 + 0.2, -1e-7]
-    if ds.missing is not None:
-        for m in ds.missing:
-            m[:, 3] = True
+    if missing_rate:
+        ds.missing[:, 3] = True
     schema = replace(ds.schema, class_names=classes)
     return replace(ds, schema=schema)
 
@@ -411,10 +436,10 @@ def test_impute_mean_of_two():
     schema = ModalitySchema((("a", 1),), class_names=("c0", "c1"))
     x = np.array([[1.0, 0.0, 3.0]])
     miss = np.array([[False, True, False]])
-    ds = MultiModalDataset(schema, [x], np.array([0, 1, 0]), [miss])
+    ds = MultiModalDataset(schema, x, np.array([0, 1, 0]), miss)
     out = impute_mean(ds)
-    assert np.array_equal(out.modalities[0], [[1.0, 2.0, 3.0]])
-    assert not out.has_missing
+    assert np.array_equal(out.x, [[1.0, 2.0, 3.0]])
+    assert not out.missing.any()
 
 
 def test_impute_mean_identity_when_complete():
@@ -429,18 +454,18 @@ def test_impute_mean_observed_means_oracle():
     x = rng.normal(size=(10, 6))
     miss = rng.random((10, 6)) < 0.2
     miss[:, 0] = False  # keep every feature observed somewhere
-    ds = MultiModalDataset(schema, [x.copy()], np.zeros(6, dtype=int), [miss])
+    ds = MultiModalDataset(schema, x.copy(), np.zeros(6, dtype=int), miss)
     out = impute_mean(ds)
     for j in range(10):
         expect = x[j, ~miss[j]].mean()
-        assert np.allclose(out.modalities[0][j, miss[j]], expect)
-        assert np.array_equal(out.modalities[0][j, ~miss[j]], x[j, ~miss[j]])
+        assert np.allclose(out.x[j, miss[j]], expect)
+        assert np.array_equal(out.x[j, ~miss[j]], x[j, ~miss[j]])
 
 
 def test_impute_mean_fully_missing_feature():
     schema = ModalitySchema((("a", 2),), class_names=("c0",))
     miss = np.array([[True, True], [False, False]])
-    ds = MultiModalDataset(schema, [np.zeros((2, 2))], np.zeros(2, dtype=int), [miss])
+    ds = MultiModalDataset(schema, np.zeros((2, 2)), np.zeros(2, dtype=int), miss)
     with pytest.raises(DataError, match="a_0"):
         impute_mean(ds)
 
@@ -450,10 +475,10 @@ def test_impute_mean_fully_missing_feature():
 def test_zscore_constant_feature_zeroed():
     schema = ModalitySchema((("a", 2),), class_names=("c0",))
     x = np.array([[5.0, 5.0, 5.0], [1.0, 2.0, 3.0]])
-    ds = MultiModalDataset(schema, [x], np.zeros(3, dtype=int))
+    ds = MultiModalDataset(schema, x, np.zeros(3, dtype=int))
     out = zscore(ds)
-    assert np.array_equal(out.modalities[0][0], np.zeros(3))
-    assert abs(out.modalities[0][1].mean()) < 1e-10
+    assert np.array_equal(out.x[0], np.zeros(3))
+    assert abs(out.x[1].mean()) < 1e-10
 
 
 def test_zscore_output_means_near_zero():
@@ -495,7 +520,7 @@ def reference_preprocess(ds, rows=None):
     ref = np.ones(ds.n, dtype=bool) if rows is None else np.isin(np.arange(ds.n), rows)
     cols = slice(None) if rows is None else rows
     out = []
-    for x, mask in zip(ds.modalities, ds.missing):
+    for x, mask in zip(ds.modalities, ds.schema.split(ds.missing)):
         x = x.copy()
         for j in range(len(x)):
             if mask[j].any():
@@ -512,23 +537,22 @@ def test_preprocessor_matches_reference_on_missing_cells(tmp_path, fold):
     rows = None if fold is None else stratified_kfold(ds.labels, 3, 0).folds[fold][0]
     prep = Preprocessor.fit(ds, rows)
     clean = prep.transform(ds)
-    assert clean.missing is None
+    assert clean.missing.shape == clean.x.shape and not clean.missing.any()
     for got, want in zip(clean.modalities, reference_preprocess(ds, rows)):
         assert np.array_equal(got, want)
     # the raw table and mask as predict reads them give the same features
     save_dataset(ds, tmp_path / "f.csv", tmp_path / "s.json")
     values, missing, _, _ = read_table(tmp_path / "f.csv", ds.schema)
-    assert np.array_equal(prep.apply(values, missing), clean.stacked())
+    assert np.array_equal(prep.apply(values, missing), clean.x)
 
 
 def test_preprocessor_means_cover_fully_observed_features():
     # an unseen patient may miss a feature every training patient had
     ds = synth_generate(SynthConfig(n=30, modality_dims=(3, 3), missing_rate=0.2, seed=8))
-    ds.missing[1][:] = False
-    x = ds.stacked()
+    ds.missing[3:] = False
     prep = Preprocessor.fit(ds)
-    assert np.array_equal(prep.impute_means[3:], [row.mean() for row in x[3:]])
-    imputed = impute_mean(ds).stacked()
+    assert np.array_equal(prep.impute_means[3:], [row.mean() for row in ds.x[3:]])
+    imputed = impute_mean(ds).x
     assert np.array_equal(prep.z_mu, imputed.mean(axis=1))
     assert np.array_equal(prep.z_sd, imputed.std(axis=1))
 
@@ -536,7 +560,7 @@ def test_preprocessor_means_cover_fully_observed_features():
 def test_preprocessor_fully_missing_feature_in_rows():
     schema = ModalitySchema((("a", 2),), class_names=("c0",))
     miss = np.array([[True, True, False], [False, False, False]])
-    ds = MultiModalDataset(schema, [np.ones((2, 3))], np.zeros(3, dtype=int), [miss])
+    ds = MultiModalDataset(schema, np.ones((2, 3)), np.zeros(3, dtype=int), miss)
     with pytest.raises(DataError, match="a_0"):
         Preprocessor.fit(ds, np.array([0, 1]))
     assert Preprocessor.fit(ds).impute_means[0] == 1.0
@@ -544,7 +568,7 @@ def test_preprocessor_fully_missing_feature_in_rows():
 
 def test_preprocessor_zeroes_constant_feature_of_new_patients():
     schema = ModalitySchema((("a", 2),), class_names=("c0",))
-    ds = MultiModalDataset(schema, [np.array([[5.0, 5.0, 5.0], [1.0, 2.0, 3.0]])],
+    ds = MultiModalDataset(schema, np.array([[5.0, 5.0, 5.0], [1.0, 2.0, 3.0]]),
                            np.zeros(3, dtype=int))
     prep = Preprocessor.fit(ds)
     out = prep.apply(np.array([[7.0], [2.0]]), np.zeros((2, 1), dtype=bool))
@@ -559,13 +583,13 @@ def test_preprocessor_invariant_to_positive_affine_rescale(col, scale, shift, fo
     # the imputation mean and the statistics move with the column
     ds = synth_generate(SynthConfig(n=40, modality_dims=(3, 4, 2), missing_rate=0.2, seed=9))
     rows = None if fold is None else stratified_kfold(ds.labels, 3, 0).folds[fold][0]
-    x = ds.stacked()
+    x = ds.x.copy()
     ref = x if rows is None else x[:, rows]
     assert ref[col].std() > 0.1  # far above the 1e-12 zero-spread floor
     x[col] = scale * x[col] + shift
-    moved = MultiModalDataset(ds.schema, ds.schema.split(x), ds.labels, ds.missing)
-    want = Preprocessor.fit(ds, rows).transform(ds).stacked()
-    got = Preprocessor.fit(moved, rows).transform(moved).stacked()
+    moved = replace(ds, x=x)
+    want = Preprocessor.fit(ds, rows).transform(ds).x
+    got = Preprocessor.fit(moved, rows).transform(moved).x
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
@@ -662,10 +686,10 @@ def test_kfold_partition_property(labels, k, seed):
 def test_synth_no_signal_at_zero_separation():
     ds = synth_generate(SynthConfig(n=300, separation=0.0, seed=7))
     # nearest class-centroid classification is at chance on fresh draws
-    flat = ds.stacked()
+    flat = ds.x
     centroids = np.stack([flat[:, ds.labels == c].mean(axis=1) for c in range(3)])
     fresh = synth_generate(SynthConfig(n=300, separation=0.0, seed=8))
-    d2 = ((fresh.stacked().T[:, None, :] - centroids[None]) ** 2).sum(axis=2)
+    d2 = ((fresh.x.T[:, None, :] - centroids[None]) ** 2).sum(axis=2)
     acc = (np.argmin(d2, axis=1) == fresh.labels).mean()
     assert abs(acc - 1 / 3) < 0.12
 
@@ -675,7 +699,7 @@ def test_synth_separable_at_high_separation():
     ds = synth_generate(cfg)
     centers = synth_centers(cfg)
     mu = np.concatenate([c.T for c in centers], axis=0)  # (d_in, classes)
-    d2 = ((ds.stacked().T[:, None, :] - mu.T[None]) ** 2).sum(axis=2)
+    d2 = ((ds.x.T[:, None, :] - mu.T[None]) ** 2).sum(axis=2)
     acc = (np.argmin(d2, axis=1) == ds.labels).mean()
     assert acc >= 0.99
 
@@ -778,7 +802,7 @@ def test_synth_complementary_class_means():
 
 def test_synth_missing_rate():
     ds = synth_generate(SynthConfig(n=400, missing_rate=0.3, seed=16))
-    frac = np.concatenate(ds.missing, axis=0).mean()
+    frac = ds.missing.mean()
     assert abs(frac - 0.3) < 0.03
 
 

@@ -509,12 +509,11 @@ def test_per_fold_preprocess_ignores_test_fold_cells():
     ds = synth_generate(SynthConfig(n=24, classes=2, modality_dims=(3, 3),
                                     missing_rate=0.2, seed=11))
     train_idx, test_idx = stratified_kfold(ds.labels, 3, 0).folds[0]
-    assert any(m[:, train_idx].any() for m in ds.missing)
-    edited = [x.copy() for x in ds.modalities]
-    for x in edited:
-        x[:, test_idx] += 100.0
+    assert ds.missing[:, train_idx].any()
+    edited = ds.x.copy()
+    edited[:, test_idx] += 100.0
     base = Preprocessor.fit(ds, train_idx).transform(ds)
-    moved_ds = replace(ds, modalities=edited)
+    moved_ds = replace(ds, x=edited)
     moved = Preprocessor.fit(moved_ds, train_idx).transform(moved_ds)
     for a, b in zip(base.modalities, moved.modalities):
         assert np.array_equal(a[:, train_idx], b[:, train_idx])

@@ -95,7 +95,7 @@ def learned_adjacency(tape, h, params):
 
 def learned_graph(h, params):
     """Non-differentiable wrapper: numpy features in, LearnedGraph out."""
-    tape = nc.Tape()
+    tape = nc.Tape(trainable=())
     a, zn = learned_adjacency(tape, tape.const(np.asarray(h, dtype=np.float64)), params)
     return LearnedGraph(a.value, zn.value.T @ zn.value)
 

@@ -201,8 +201,10 @@ def _read_model(path):
                   **{"param:" + p.name: p.value.shape for p in model.all_params()}}
         if "meta_adj" in z and "meta" not in z:
             raise DataError("a meta graph stored as 'meta_adj' (earlier format) must be retrained")
-        arrays = {key: _artifact_array(z, key) for key in (*shapes, "meta")
-                  if key in z or key not in ("fuse_map", "meta")}  # the two optional arrays
+        arrays = {"labels": labels}
+        for key in (*shapes, "meta"):  # the two optional arrays may be absent
+            if key not in arrays and (key in z or key not in ("fuse_map", "meta")):
+                arrays[key] = _artifact_array(z, key)
         shapes["meta"] = np.shape(arrays.get("meta"))[:1] + (n,)  # any number of meta rows
         for key, value in arrays.items():
             if value.shape != shapes[key]:

@@ -4,7 +4,7 @@ Training and inductive scoring run these layers in closed form over A's row
 tiles (block.graph_block, train.predict_inductive_batch), never forming A or
 its normalisation; every degree is floored at `DEGREE_FLOOR`. The tape layers
 `normalize_adj` and `gcn_forward`, their numpy entry points (each runs the
-tape layer on a throwaway tape) and `extend_adjacency`, which attaches one
+tape layer on a no-grad tape) and `extend_adjacency`, which attaches one
 patient to a trained graph, are the dense reference and run only in tests."""
 from __future__ import annotations
 
@@ -62,7 +62,7 @@ def normalize_adj(tape, a, add_self_loops=False):
 
 def normalize_adj_np(a, add_self_loops=False):
     """normalize_adj of a numpy adjacency."""
-    tape = nc.Tape()
+    tape = nc.Tape(trainable=())
     return normalize_adj(tape, tape.const(a), add_self_loops).value
 
 
@@ -80,7 +80,7 @@ def gcn_forward(tape, h, a_norm, params, dropout=0.0, rng=None):
 
 def gcn_forward_np(h, a_norm, params):
     """gcn_forward of numpy features and adjacency (no dropout; inference only)."""
-    tape = nc.Tape()
+    tape = nc.Tape(trainable=())
     return gcn_forward(tape, tape.const(h), tape.const(a_norm), params).value
 
 

@@ -3,7 +3,10 @@
 A `Tape` records every primitive applied during a forward pass; `Tape.backward`
 replays the records in reverse and accumulates gradients into the participating
 `Param`s. A tape can be given the set of Params it trains: a node that no
-trainable Param feeds gets no gradient and its VJP never runs. All values are
+trainable Param feeds gets no gradient and its VJP never runs. A tape that
+trains nothing (`Tape(trainable=())`) records nothing: its ops compute and
+return Nodes that hold no parents or VJP, and its backward is a no-op, so a
+forward that is never differentiated keeps no tape alive. All values are
 numpy float64 arrays; broadcasting follows numpy rules and is undone in the
 adjoints.
 """
@@ -90,8 +93,9 @@ class Tape:
     """Ordered record of primitives; one backward pass per forward pass.
 
     `trainable`: the Params whose gradients backward forms; None trains every
-    Param entered with `leaf`. A VJP may skip the parents whose `needs_grad`
-    is False: backward discards what it returns for them.
+    Param entered with `leaf`, and an empty set makes a no-grad tape, which
+    appends no node. A VJP may skip the parents whose `needs_grad` is False:
+    backward discards what it returns for them.
     """
 
     def __init__(self, trainable=None):
@@ -100,6 +104,9 @@ class Tape:
         self._done = False
 
     def _record(self, value, parents=(), vjp=None, param=None):
+        if self.trainable is not None and not self.trainable:
+            # nothing is differentiated: keep no parent, VJP or node -> tape cycle
+            return Node(np.asarray(value, dtype=np.float64), self)
         if param is not None:
             needs_grad = self.trainable is None or param in self.trainable
         else:
@@ -399,7 +406,7 @@ def grad_check(build, params, h=1e-5, rng=None, max_coords=24):
     scale = max((float(np.abs(a).max()) for a in analytic), default=0.0)
 
     def loss_value():
-        return float(np.asarray(build(Tape()).value))
+        return float(np.asarray(build(Tape(trainable=())).value))
 
     worst = 0.0
     for p, a in zip(params, analytic):

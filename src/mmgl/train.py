@@ -7,9 +7,13 @@ Params, so a frozen group gets no gradient. A MAFF fusion, and a fixed graph's
 edge rule built from it, are computed once per fusion-weight state: phase B's,
 made with the fusion frozen, are handed on to the next phase A, which
 differentiates the fusion, and to the early-stopping and final cache forwards
-(`fit`). The fitted model keeps its last forward's edge rule
-(`Model.edge_rule`). `total_loss` composes the block's objective from the
-dense primitives; it runs only in the tests, as the block's reference."""
+(`fit`); phase A drops its hand-off once differentiated, so a fit holds one
+fusion at a time. Forwards that nothing differentiates (early stopping, the
+cache, the graph projection, inductive fusion) run on a no-grad tape
+(`numcore.Tape(trainable=())`), which keeps no nodes. The fitted model keeps
+its last forward's edge rule (`Model.edge_rule`). `total_loss` composes the
+block's objective from the dense primitives; it runs only in the tests, as
+the block's reference."""
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
@@ -161,7 +165,8 @@ class Model:
     def graph_projection(self, h):
         """The learned graph's unit-norm projection Zn (d_a, N) of fused
         features h (d, N), off the tape; the same values as on it."""
-        return agl.cosine_normalize(nc.Tape().const(self.agl.w_a.value.T @ h)).value
+        tape = nc.Tape(trainable=())
+        return agl.cosine_normalize(tape.const(self.agl.w_a.value.T @ h)).value
 
     def edge_rule(self, h, zn=None):
         """The graph's edge rule (agl) over fused features h (d, N); a learned
@@ -207,11 +212,14 @@ class Model:
         return {"H": h.value, "terms": terms, "logits": logits, "maps": maps, "edges": edges}
 
     def refresh_cache(self, mods, hand_off=None):
-        """Inference forward pass; caches H, the edge rule, the logits and the
-        maps for eval, export and inductive scoring. `hand_off` as in
-        `forward`."""
+        """Inference forward pass; caches H, the edge rule, the logits and,
+        for maff, the maff.AttentionMaps for eval, export and inductive
+        scoring. `hand_off` as in `forward`. The cache keeps the maps, not the
+        Fusion, whose VJP state nothing reads once training ends."""
         out = self.forward(nc.Tape(trainable=()), mods, hand_off=hand_off)
-        self.cache = {k: out[k] for k in ("H", "edges", "logits", "maps")}
+        fusion = out["maps"]
+        self.cache = {k: out[k] for k in ("H", "edges", "logits")}
+        self.cache["maps"] = None if fusion is None else maff.AttentionMaps(fusion.tensor)
         return self.cache
 
 
@@ -244,7 +252,8 @@ def train_epoch(model, mods, labels, mask, opt_a, opt_b, epoch, hand_off=None):
     fusion Param, so that the fusion weights are still the ones phase B fused
     with; the next forward on `mods` may then take it (`Model.forward`).
     Phase A records a given hand-off's fusion and differentiates through it;
-    without one it fuses."""
+    without one it fuses. The given hand-off is emptied once phase A's
+    backward has run, so that its fusion is freed before phase B fuses."""
     cfg = model.cfg
     lam, alpha, beta = cfg.lam, cfg.alpha, cfg.beta
     # d(objective)/d[task, smooth, con, reg]
@@ -267,6 +276,8 @@ def train_epoch(model, mods, labels, mask, opt_a, opt_b, epoch, hand_off=None):
         return values, {"maps": out["maps"], "edges": out["edges"]}
 
     run_phase(opt_a, cfg.phase_a_loss, hand_off)
+    if hand_off is not None:
+        hand_off.clear()
     values, hand_off = run_phase(opt_b, "total", None)
     frozen = set(model.fusion_params()).isdisjoint(opt_b.params)
     return values, hand_off if frozen else None
@@ -451,7 +462,8 @@ def predict_inductive_batch(model, mods):
         del a
     probs = np.empty((n, model.n_classes))
     for lo in range(0, n, PREDICT_BLOCK):
-        h = model.fuse(nc.Tape(), [m[:, lo:lo + PREDICT_BLOCK] for m in mods])[0].value
+        block_mods = [m[:, lo:lo + PREDICT_BLOCK] for m in mods]
+        h = model.fuse(nc.Tape(trainable=()), block_mods)[0].value
         w = edge_weights(h)  # (N, block)
         s = 1.0 / np.sqrt(np.maximum(deg[:, None] + w, gcn.DEGREE_FLOOR))
         s_n = 1.0 / np.sqrt(np.maximum(w.sum(axis=0) + self_w, gcn.DEGREE_FLOOR))  # (block,)

@@ -793,6 +793,16 @@ def predict_rows(trained, features, out):
         return code, list(csv.reader(f))[1:]
 
 
+def test_load_model_reads_each_artifact_array_once(trained, monkeypatch):
+    reads = []
+    artifact_array = cli._artifact_array
+    monkeypatch.setattr(cli, "_artifact_array",
+                        lambda z, key: reads.append(key) or artifact_array(z, key))
+    load_model(trained / "model.npz")
+    assert "labels" in reads and "H" in reads
+    assert sorted(reads) == sorted(set(reads))
+
+
 def test_train_artifact_keeps_feature_names(trained, synth_dir):
     header = (synth_dir / "features.csv").read_text().splitlines()[0].split(",")
     with np.load(trained / "model.npz") as z:

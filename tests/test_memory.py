@@ -1,20 +1,24 @@
 """Memory: no command path allocates an (N, N) float64 array, whatever the
 graph kind, a row-tile pass holds one tile, a training tape is freed when its
-backward ends, and reading or writing a feature table holds about its values.
-Peaks are read with tracemalloc, which counts numpy's buffers."""
+backward ends, a forward that nothing differentiates keeps no tape, a fit holds
+one fusion at a time, and reading or writing a feature table holds about its
+values. Peaks are read with tracemalloc, which counts numpy's buffers; what
+would wait for the cyclic collector is read from gc.garbage."""
 import csv
 import gc
 import json
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from mmgl.agl import TILE, no_edges
 from mmgl.block import row_tiles
-from mmgl.cli import TADPOLE_LIKE, main
+from mmgl.cli import TADPOLE_LIKE, load_model, main
 from mmgl.data import ModalitySchema, SynthConfig, read_table, save_dataset, synth_generate
-from mmgl.train import TrainConfig, fit
+from mmgl.numcore import Node, Tape
+from mmgl.train import TrainConfig, evaluate, fit, predict_inductive_batch
 
 GRAPHS = ["learned", "knn", "meta", "identity"]
 
@@ -49,17 +53,21 @@ def test_fit_peak_below_one_dense_graph(graph):
     assert peak < dense_bytes(2400), f"peak {peak / 2**20:.1f} MiB"
 
 
-@pytest.mark.parametrize("graph", ["learned", "identity"])
-def test_fit_peak_does_not_grow_with_epochs(graph):
-    # with the cyclic collector off, a tape that outlived its backward would
-    # keep every phase's arrays alive until the fit returned
+@pytest.mark.parametrize("graph,patience", [
+    pytest.param(graph, patience, id=graph + ("-patience" if patience else ""))
+    for patience in (0, 50) for graph in ("learned", "identity")])
+def test_fit_peak_does_not_grow_with_epochs(graph, patience):
+    # with the cyclic collector off, a tape that outlived its backward, or an
+    # early-stopping forward that recorded one, would keep every epoch's
+    # arrays alive until the fit returned
     schema, mods, labels, meta = cohort(400, graph)
     gc.collect()
     gc.disable()
     try:
-        peaks = [traced_peak(lambda: fit(schema, mods, labels, np.arange(0, 400, 2),
-                                         TrainConfig(epochs=epochs, graph=graph), 3))
-                 for epochs in (2, 8)]
+        peaks = [traced_peak(lambda: fit(
+            schema, mods, labels, np.arange(0, 400, 2),
+            TrainConfig(epochs=epochs, graph=graph, patience=patience), 3))
+            for epochs in (2, 8)]
     finally:
         gc.enable()
     assert peaks[1] < 1.25 * peaks[0], [p / 2**20 for p in peaks]
@@ -76,6 +84,43 @@ def trained_model(tmp, n, graph):
     assert main(["train", "--config", str(cfg), "--data", str(tmp / "data"),
                  "--out", str(tmp / "run")]) == 0
     return tmp / "run" / "model.npz", tmp / "data" / "features.csv"
+
+
+def tapes_left_for_the_collector(fn):
+    """Type name -> count of the numcore Nodes and Tapes that fn() leaves in
+    reference cycles, found by one collection with the collector otherwise off."""
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        fn()
+        gc.collect()
+        return Counter(type(o).__name__ for o in gc.garbage if isinstance(o, (Node, Tape)))
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+
+
+def test_nothing_left_for_the_collector(tmp_path):
+    # every tape ends with its backward or records nothing, so a fit (with its
+    # early-stopping and cache forwards), an evaluation, an inductive predict
+    # and a model load free what they recorded as they go
+    model_path, _ = trained_model(tmp_path, 120, "learned")
+    schema, mods, labels, _ = cohort(120, "learned")
+    train_idx, test_idx = np.arange(0, 120, 2), np.arange(1, 120, 2)
+    cfg = TrainConfig(epochs=4, patience=10)
+    state = {}
+    steps = {
+        "fit": lambda: state.update(model=fit(schema, mods, labels, train_idx, cfg, 3)[0]),
+        "evaluate": lambda: evaluate(state["model"], labels, test_idx),
+        "predict": lambda: predict_inductive_batch(state["model"], [m[:, :85] for m in mods]),
+        "load": lambda: load_model(model_path),
+    }
+    for step in steps.values():  # warm up: imports and first-call caches
+        step()
+    left = {name: tapes_left_for_the_collector(step) for name, step in steps.items()}
+    assert left == {name: Counter() for name in steps}
 
 
 @pytest.mark.parametrize("graph", ["learned", "knn", "identity"])

@@ -1,5 +1,6 @@
 """Autodiff engine: forward values, adjoints vs finite differences, Adam."""
 import ast
+import gc
 import inspect
 from pathlib import Path
 
@@ -205,6 +206,48 @@ def test_backward_forms_only_trainable_gradients():
     assert np.array_equal(a.grad, a_grad) and not b.grad.any()
 
 
+def no_grad_contract_loss(tape, a, b):
+    """A small forward over every kind of record: leaves, a constant, a
+    broadcast op, matmul, relu, a reduction and the masked cross-entropy."""
+    x = tape.const(np.array([[1.0, -2.0], [0.5, 3.0], [-1.0, 0.25]]))
+    z = nc.relu(tape.leaf(a) @ x + 0.5) * tape.leaf(b)
+    loss = nc.cross_entropy_masked(z.T, np.array([0, 1]), np.array([0, 1]))
+    return loss + sum_all(nc.sqrt(z * z + 1.0))
+
+
+def test_no_grad_tape_records_nothing():
+    # a tape that trains nothing appends no node, so no node -> tape cycle
+    # keeps a forward alive, and gives the values of a recording tape
+    rng = np.random.default_rng(3)
+    a = nc.Param(rng.normal(size=(2, 3)), "a")
+    b = nc.Param(rng.normal(size=(2, 1)), "b")
+    recorded = nc.Tape()
+    want = no_grad_contract_loss(recorded, a, b)
+    assert len(recorded.nodes) > 10
+    tape = nc.Tape(trainable=())
+    got = no_grad_contract_loss(tape, a, b)
+    assert tape.nodes == []
+    assert isinstance(got, nc.Node) and got.tape is tape
+    assert got.value.tobytes() == want.value.tobytes()
+    assert not got.needs_grad and got._parents == () and got._vjp is None
+    tape.backward(got)
+    assert not a.grad.any() and not b.grad.any() and got.grad is None
+
+
+def test_tape_training_one_param_records_every_node():
+    rng = np.random.default_rng(3)
+    a = nc.Param(rng.normal(size=(2, 3)), "a")
+    b = nc.Param(rng.normal(size=(2, 1)), "b")
+    everything = nc.Tape()
+    no_grad_contract_loss(everything, a, b)
+    tape = nc.Tape(trainable=[b])
+    loss = no_grad_contract_loss(tape, a, b)
+    assert [n.value.shape for n in tape.nodes] == [n.value.shape for n in everything.nodes]
+    assert tape.nodes[-1] is loss
+    tape.backward(loss)
+    assert b.grad.any() and not a.grad.any()
+
+
 def test_backward_twice_is_error():
     w = nc.Param(np.ones((2, 2)), "w")
     t = make_tape()
@@ -402,6 +445,23 @@ def test_grad_check_quadratic():
         return sum_all(x * x)
 
     assert nc.grad_check(build, [w]) < 1e-7
+
+
+def test_grad_check_leaves_no_tape_for_the_collector():
+    # its finite-difference forwards are never differentiated: no-grad tapes
+    w = nc.Param(np.array([[1.0, -2.0], [0.5, 3.0]]), "w")
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        nc.grad_check(lambda tape: sum_all(tape.leaf(w) * tape.leaf(w)), [w])
+        gc.collect()
+        left = [o for o in gc.garbage if isinstance(o, (nc.Node, nc.Tape))]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    assert left == []
 
 
 def test_grad_check_constant_loss():

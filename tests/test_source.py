@@ -1,4 +1,5 @@
-"""Source hygiene of the package: no module imports a name it never reads."""
+"""Source hygiene of the package: no module imports a name it never reads,
+and every tape made outside numcore names the Params it trains."""
 import ast
 from pathlib import Path
 
@@ -35,3 +36,25 @@ def test_unused_import_check_sees_every_import_form():
               "from re import (  # noqa: F401\n    sub,\n)\n"
               "print(os, tau)\n")
     assert unused_imports(source) == [(3, "j"), (4, "pi")]
+
+
+def unnamed_tapes(source):
+    """Lines of each `Tape(...)` or `x.Tape(...)` call in `source` that does
+    not pass `trainable=`: a tape trains every Param by default, and one that
+    trains nothing should say so, so that it records nothing."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None)) == "Tape"
+            and not any(k.arg == "trainable" for k in node.keywords)]
+
+
+@pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py") if p.name != "numcore.py"),
+                         ids=lambda p: p.name)
+def test_every_tape_names_its_trainable_set(path):
+    assert unnamed_tapes(path.read_text()) == []
+
+
+def test_unnamed_tape_check_sees_every_call_form():
+    source = ("tape = nc.Tape()\nt = Tape(trainable=())\nu = nc.Tape(trainable=opt.params)\n"
+              "v = Tape()\nw = f(nc.Tape(), 1)\nx = nc.Tape\n")
+    assert unnamed_tapes(source) == [1, 4, 5]

@@ -1,5 +1,7 @@
 """Joint objective, two-phase training, CV harness, metrics, inductive mode."""
+import gc
 import time
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -237,6 +239,33 @@ def test_maff_fit_fuses_once_per_fusion_weight_state(monkeypatch, patience):
     calls = count_fusions(monkeypatch)
     _, history = fit_tiny(tiny_dataset(), tiny_cfg(epochs=6, patience=patience))
     assert len(history) == 6 and len(calls) == 6 + 1
+
+
+def test_fit_holds_one_fusion_at_a_time(monkeypatch):
+    # phase A lets go of the fusion it was handed once its backward has run,
+    # so that fusion is freed (by reference counting) before phase B fuses;
+    # the fitted model keeps the maps, not the fusion and its VJP state
+    ds = tiny_dataset()
+    cfg = tiny_cfg()
+    model = Model(ds.schema, ds.n_classes, cfg)
+    opt_a = nc.Adam(model.fusion_params() + model.agl_params(), cfg.lr)
+    opt_b = nc.Adam(model.agl_params() + model.gcn_params(), cfg.lr)
+    args = (model, ds.modalities, ds.labels, np.arange(ds.n), opt_a, opt_b)
+    _, hand_off = train_epoch(*args, 0)
+    handed = weakref.ref(hand_off["maps"])
+    alive = []
+    fuse_batch = maff.fuse_batch
+    monkeypatch.setattr(maff, "fuse_batch",
+                        lambda *a: alive.append(handed() is not None) or fuse_batch(*a))
+    gc.disable()
+    try:
+        train_epoch(*args, 1, hand_off)
+    finally:
+        gc.enable()
+    assert alive == [False] and hand_off == {}
+    monkeypatch.undo()
+    fitted, _ = fit_tiny(ds, cfg)
+    assert type(fitted.cache["maps"]) is maff.AttentionMaps
 
 
 @pytest.mark.parametrize("phase_b", ["fusion", "agl+gcn", "nothing"])

@@ -7,14 +7,17 @@ learned graph, one K=d_a GEMM of the unit-norm projection Zn (d_a, N). Every
 graph kind gives a symmetric A, so a product with A^T is taken as one with A,
 and A's column sums as its row sums.
 
-With s = deg^-1/2 of A~ = A (+ I), P = H^T W0 and A_norm = s A~ s:
+With s = deg^-1/2 of A~ = A (+ I), P = H^T W0 and A_norm = s A~ s, every pass
+reads the tiles of A~, its self weight on their diagonal, as `predict` does:
 
 - forward, three tile passes: (1) degrees and the Frobenius sum;
-  (2) layer 1 and the smoothness product as one GEMM A_r [s o P | H^T];
+  (2) layer 1 and the smoothness product as one GEMM A~_r [s o P | H^T];
   (3) layer 2, plus the cross-entropy gradient rows g_L of each tile and
-  A (s o g_L);
-- backward, one: (4) the rows of A (s o g_U) for the layer-1 gradient and,
+  A~ (s o g_L);
+- backward, one: (4) the rows of A~ (s o g_U) for the layer-1 gradient and,
   for a learned graph, the masked dA tile as one GEMM, folded into dZn.
+The loss terms are A's: with self-loops, A's row sums are deg - 1, A H^T is
+A~ H^T - H^T and ||A||_F^2 is ||A~||_F^2 - 3N (the dA tile zeroes its diagonal).
 
 The row and column sums of dA_norm o A_norm that the normalisation's VJP needs
 come without a pass of their own. With L the logits, U = A_norm P the layer-1
@@ -22,9 +25,8 @@ pre-activation and V its activation times W1: row_i = dL_i . L_i + g_U,i . U_i
 and col_i = V_i . dV_i + P_i . dP_i, where dP_i is the tile's own row of
 A_norm g_U.
 
-Export and inductive scoring read a fitted model's A through the same tiles;
-inductive scoring also reads the tiles of A[S][:, S] over one patient's
-neighbours S (`row_tiles` with `nodes`).
+Export reads a fitted model's A through the same tiles, and inductive scoring
+also the tiles of A~[S][:, S] over one patient's neighbours S (`nodes`).
 agl.learned_adjacency, gcn.normalize_adj, gcn.gcn_forward and
 train.total_loss compose the block's function from dense primitives; they run
 only in the tests, which hold the block to them.
@@ -94,6 +96,7 @@ def graph_block(tape, h, w0, w1, labels=None, mask=None, *, edges, zn=None,
     h: fused features (d, N); edges: A's edge rule (row_tiles); zn: the learned
     graph's Zn (d_a, N) that `edges` reads, else None; w0 (d, d_h), w1 (d_h, C);
     keep: the dropout keep mask (N, d_h), already scaled, or None.
+    Each pass reads the tiles of A~, as `predict` does; the loss terms are A's.
     h, zn, w0 and w1 are Nodes; the VJP forms the gradients of those whose
     `needs_grad` is set, and no other.
 
@@ -107,45 +110,42 @@ def graph_block(tape, h, w0, w1, labels=None, mask=None, *, edges, zn=None,
     if w0v.shape[0] != d or w1v.shape[0] != w0v.shape[1]:
         raise DimensionError(f"GCN weights {w0v.shape}, {w1v.shape} do not fit H {hv.shape}")
 
-    # pass 1: degrees and the Frobenius sum
-    rowsum = np.empty(n)
+    # pass 1: degrees of A~ and its Frobenius sum
+    diag = 2.0 if add_self_loops else 1.0  # a node's own entry in A~
+    deg = np.empty(n)
     frob = 0.0
-    for lo, hi, a in row_tiles(n, edges):
-        rowsum[lo:hi] = a.sum(axis=1)
+    for lo, hi, a in row_tiles(n, edges, diag):
+        deg[lo:hi] = a.sum(axis=1)
         frob += np.vdot(a, a)
         del a  # each pass releases its tile before the next is built
-    deg = rowsum + 1.0 if add_self_loops else rowsum
     s = 1.0 / np.sqrt(np.maximum(deg, DEGREE_FLOOR))
     col = s[:, None]
 
-    # pass 2: layer 1 and A H^T, one GEMM
+    # pass 2: layer 1 and A~ H^T, one GEMM
     x = hv.T
     p = x @ w0v
     sp = col * p
     rhs = np.concatenate([sp, x], axis=1)
     prod = np.empty((n, rhs.shape[1]))
-    for lo, hi, a in row_tiles(n, edges):
+    for lo, hi, a in row_tiles(n, edges, diag):
         prod[lo:hi] = a @ rhs
         del a
     d_h = p.shape[1]
-    u = prod[:, :d_h] + sp if add_self_loops else prod[:, :d_h]
+    u = prod[:, :d_h]
     u *= col
-    ha = prod[:, d_h:]  # rows of A H^T
     hidden = np.maximum(u, 0.0)
     if keep is not None:
         hidden *= keep
     v = hidden @ w1v
     sv = col * v
 
-    # pass 3: layer 2; with labels, the task gradient rows and A (s o g_L)
+    # pass 3: layer 2; with labels, the task gradient rows and A~ (s o g_L)
     logits = np.empty_like(v)
     if labels is not None:
         wt, lab = _label_weights(labels, mask, n, v.shape[1])
         task, gl, yl = 0.0, np.empty_like(v), np.zeros_like(v)
-    for lo, hi, a in row_tiles(n, edges):
+    for lo, hi, a in row_tiles(n, edges, diag):
         lg = a @ sv
-        if add_self_loops:
-            lg += sv[lo:hi]
         lg *= col[lo:hi]
         logits[lo:hi] = lg
         if labels is not None:
@@ -156,8 +156,9 @@ def graph_block(tape, h, w0, w1, labels=None, mask=None, *, edges, zn=None,
         del a
     if labels is None:
         return None, logits
-    if add_self_loops:
-        yl += col * gl
+    rowsum, ha = deg, prod[:, d_h:]  # A's row sums and rows of A H^T
+    if add_self_loops:  # the loss terms read A: take the self-loops back out
+        rowsum, ha, frob = deg - 1.0, ha - x, frob - 3.0 * n
 
     sq = np.einsum("ij,ij->j", hv, hv)  # ||h_i||^2
     scale = 1.0 / (2.0 * n * n)
@@ -188,13 +189,11 @@ def graph_block(tape, h, w0, w1, labels=None, mask=None, *, edges, zn=None,
                     + (v * dv).sum(axis=1)
                 k_reg = 2.0 * g_reg / (n * n)
                 dz = np.zeros_like(znv)
-            # pass 4: rows of A (s o g_U); for a learned graph also the dA
+            # pass 4: rows of A~ (s o g_U); for a learned graph also the dA
             # tile, masked to the edges off the diagonal, folded into dZn. Its
             # unit diagonal keeps every degree >= 1, above the floor.
-            for lo, hi, a in row_tiles(n, edges):
+            for lo, hi, a in row_tiles(n, edges, diag):
                 yu = a @ su
-                if add_self_loops:
-                    yu += su[lo:hi]
                 dp[lo:hi] = col[lo:hi] * yu
                 if not want_z:
                     del a

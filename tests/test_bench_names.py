@@ -1,8 +1,11 @@
 """The benchmark looks mmgl functions up by name: a rename that breaks a
-traced run (`bench/run.py --trace 1`) or `bench/selftest.py` fails here."""
+traced run (`bench/run.py --trace 1`) or `bench/selftest.py` fails here, and so
+does any change that makes the harness's own self-test fail."""
 import ast
 import importlib
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -45,3 +48,11 @@ def test_selftest_bindings_are_the_traced_functions():
         bound = getattr(importlib.import_module(module), name, None)
         traced = getattr(importlib.import_module(defining[name]), name)
         assert bound is traced, f"{module}.{name} is not {defining[name]}.{name}"
+
+
+def test_bench_selftest_passes():
+    # every workload at tiny sizes: all metrics present and non-zero, tape
+    # counts equal across seeds, every traced binding patched
+    out = subprocess.run([sys.executable, str(BENCH / "selftest.py")], cwd=BENCH.parent,
+                         capture_output=True, text=True, timeout=600)
+    assert out.returncode == 0, out.stdout[-2000:] + out.stderr[-2000:]

@@ -408,14 +408,16 @@ def test_fit_forms_no_dense_graph(monkeypatch, graph):
         assert "A" not in fitted.cache and fitted.cache["edges"] is rules[-1]
 
 
-@pytest.mark.parametrize("n", [150, 685])
-def test_cached_graph_is_the_trained_graph(monkeypatch, n):
-    # the cached edge rule gives, bit for bit, the row tiles the block visited
-    # in the fit's last forward; at both sizes a dense Zn^T Zn differs in last bits
+@pytest.mark.parametrize("n, self_loops", [(150, False), (685, False), (150, True), (685, True)],
+                         ids=["150", "685", "150-self_loops", "685-self_loops"])
+def test_cached_graph_is_the_trained_graph(monkeypatch, n, self_loops):
+    # the cached edge rule gives, bit for bit, the row tiles of A~ the block
+    # visited in the fit's last forward, which are the tiles inductive scoring
+    # reads; at both sizes a dense Zn^T Zn differs in last bits
     tiles, graph_block_ = {}, block.graph_block
 
-    def recording_tiles(n, edges):
-        for lo, hi, a in row_tiles(n, edges):
+    def recording_tiles(n, edges, diag=1.0):
+        for lo, hi, a in row_tiles(n, edges, diag):
             if recording_tiles.on:
                 tiles[lo] = a.copy()
             yield lo, hi, a
@@ -432,10 +434,11 @@ def test_cached_graph_is_the_trained_graph(monkeypatch, n):
     monkeypatch.setattr(block, "graph_block", recording_block)
     rng = np.random.default_rng(n)
     schema = ModalitySchema((("a", 12), ("b", 6)))
-    cfg = TrainConfig(epochs=3, lr=0.01)  # d_a = 16, as by default
+    cfg = TrainConfig(epochs=3, lr=0.01, add_self_loops=self_loops)  # d_a = 16, as by default
     mods = [rng.normal(size=(12, n)), rng.normal(size=(6, n))]
     fitted, _ = fit(schema, mods, rng.integers(0, 3, size=n), np.arange(0, n, 2), cfg, 3)
-    assert np.array_equal(dense_graph(n, fitted.cache["edges"]),
+    scored = [a for _, _, a in row_tiles(n, fitted.cache["edges"], 2.0 if self_loops else 1.0)]
+    assert np.array_equal(np.concatenate(scored),
                           np.concatenate([tiles[lo] for lo in sorted(tiles)]))
 
 

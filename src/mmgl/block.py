@@ -15,7 +15,9 @@ reads the tiles of A~, its self weight on their diagonal, as `predict` does:
   (3) layer 2, plus the cross-entropy gradient rows g_L of each tile and
   A~ (s o g_L);
 - backward, one: (4) the rows of A~ (s o g_U) for the layer-1 gradient and,
-  for a learned graph, the masked dA tile as one GEMM, folded into dZn.
+  for a learned graph, the masked dA tile as one GEMM, folded into dZn. The
+  VJP returns every parent's gradient, and numcore's backward drops a frozen
+  one's: skipping it would save only O(N d d_h) beside pass 4.
 The loss terms are A's: with self-loops, A's row sums are deg - 1, A H^T is
 A~ H^T - H^T and ||A||_F^2 is ||A~||_F^2 - 3N (the dA tile zeroes its diagonal).
 
@@ -24,6 +26,11 @@ come without a pass of their own. With L the logits, U = A_norm P the layer-1
 pre-activation and V its activation times W1: row_i = dL_i . L_i + g_U,i . U_i
 and col_i = V_i . dV_i + P_i . dP_i, where dP_i is the tile's own row of
 A_norm g_U.
+
+A known limit: smoothness is 2 (||h||^2 . rowsum) - 2 <H^T, A H^T>, a
+difference of large sums, so once small `loss_smooth` keeps about eight
+significant digits, as does the h gradient's `hv * rowsum - ha.T`. The exact
+pairwise form would cost an O(N^2 d) elementwise pass.
 
 Export reads a fitted model's A through the same tiles, and inductive scoring
 also the tiles of A~[S][:, S] over one patient's neighbours S (`nodes`).
@@ -97,8 +104,7 @@ def graph_block(tape, h, w0, w1, labels=None, mask=None, *, edges, zn=None,
     graph's Zn (d_a, N) that `edges` reads, else None; w0 (d, d_h), w1 (d_h, C);
     keep: the dropout keep mask (N, d_h), already scaled, or None.
     Each pass reads the tiles of A~, as `predict` does; the loss terms are A's.
-    h, zn, w0 and w1 are Nodes; the VJP forms the gradients of those whose
-    `needs_grad` is set, and no other.
+    h, zn, w0 and w1 are Nodes.
 
     Returns (terms, logits): terms is one tape node of value [task, smooth,
     con, reg], and logits the (N, C) array. Without labels only the logits are
@@ -165,61 +171,52 @@ def graph_block(tape, h, w0, w1, labels=None, mask=None, *, edges, zn=None,
     smooth = (2.0 * (sq @ rowsum) - 2.0 * np.vdot(x, ha)) * scale
     con = -np.log(rowsum + DEGREE_GUARD).sum() / n
     reg = frob / (n * n)
-    wants = [t is not None and t.needs_grad for t in (h, zn, w0, w1)]
 
     def vjp(g):
-        want_h, want_z, want_w0, want_w1 = wants
         g_task, g_smooth, g_con, g_reg = (float(t) for t in g)
         c = g_smooth * scale
         d_logits = g_task * gl
         dv = (g_task * col) * yl  # A_norm dL
-        grads = {"w1": hidden.T @ dv if want_w1 else None}
-        if want_h or want_z or want_w0:
-            gu = dv @ w1v.T
-            gu *= u > 0
-            if keep is not None:
-                gu *= keep
-            su = col * gu
-            dp = np.empty_like(su)  # A_norm g_U
-            if want_z:
-                # dA_ij = left_i . right_j: the normalisation, smoothness and
-                # connectivity terms in one GEMM; the sparsity term is 2 g a_ij / N^2
-                right = np.concatenate([sv, sp, x, np.ones((n, 1)), sq[:, None]], axis=1)
-                known = (d_logits * logits).sum(axis=1) + (gu * u).sum(axis=1) \
-                    + (v * dv).sum(axis=1)
-                k_reg = 2.0 * g_reg / (n * n)
-                dz = np.zeros_like(znv)
-            # pass 4: rows of A~ (s o g_U); for a learned graph also the dA
-            # tile, masked to the edges off the diagonal, folded into dZn. Its
-            # unit diagonal keeps every degree >= 1, above the floor.
-            for lo, hi, a in row_tiles(n, edges, diag):
-                yu = a @ su
-                dp[lo:hi] = col[lo:hi] * yu
-                if not want_z:
-                    del a
-                    continue
-                t = (known[lo:hi] + (p[lo:hi] * dp[lo:hi]).sum(axis=1)) \
-                    * (-0.5 * s[lo:hi] ** 2)
-                row = t + c * sq[lo:hi] - g_con / n / (rowsum[lo:hi] + DEGREE_GUARD)
-                left = np.concatenate([col[lo:hi] * d_logits[lo:hi], su[lo:hi],
-                                       (-2.0 * c) * x[lo:hi], row[:, None],
-                                       np.full((hi - lo, 1), c)], axis=1)
-                da = left @ right.T
-                edge = a > 0
-                a *= k_reg
-                da += a
-                da *= edge
-                np.fill_diagonal(da[:, lo:], 0.0)
-                dz += znv[:, lo:hi] @ da
-                dz[:, lo:hi] += znv @ da.T
-                del a, da, edge
-            grads["w0"] = hv @ dp if want_w0 else None
-            if want_h:
-                grads["h"] = w0v @ dp.T + (4.0 * c) * (hv * rowsum - ha.T)
-            if want_z:
-                grads["zn"] = dz
-        return tuple(grads.get(k) for k, t in zip(("h", "zn", "w0", "w1"), (h, zn, w0, w1))
-                     if t is not None)
+        gu = dv @ w1v.T
+        gu *= u > 0
+        if keep is not None:
+            gu *= keep
+        su = col * gu
+        dp = np.empty_like(su)  # A_norm g_U
+        if zn is not None:
+            # dA_ij = left_i . right_j: the normalisation, smoothness and
+            # connectivity terms in one GEMM; the sparsity term is 2 g a_ij / N^2
+            right = np.concatenate([sv, sp, x, np.ones((n, 1)), sq[:, None]], axis=1)
+            known = (d_logits * logits).sum(axis=1) + (gu * u).sum(axis=1) \
+                + (v * dv).sum(axis=1)
+            k_reg = 2.0 * g_reg / (n * n)
+            dz = np.zeros_like(znv)
+        # pass 4: rows of A~ (s o g_U); for a learned graph also the dA tile,
+        # masked to the edges off the diagonal, folded into dZn. Its unit
+        # diagonal keeps every degree >= 1, above the floor.
+        for lo, hi, a in row_tiles(n, edges, diag):
+            yu = a @ su
+            dp[lo:hi] = col[lo:hi] * yu
+            if zn is None:
+                del a
+                continue
+            t = (known[lo:hi] + (p[lo:hi] * dp[lo:hi]).sum(axis=1)) * (-0.5 * s[lo:hi] ** 2)
+            row = t + c * sq[lo:hi] - g_con / n / (rowsum[lo:hi] + DEGREE_GUARD)
+            left = np.concatenate([col[lo:hi] * d_logits[lo:hi], su[lo:hi],
+                                   (-2.0 * c) * x[lo:hi], row[:, None],
+                                   np.full((hi - lo, 1), c)], axis=1)
+            da = left @ right.T
+            edge = a > 0
+            a *= k_reg
+            da += a
+            da *= edge
+            np.fill_diagonal(da[:, lo:], 0.0)
+            dz += znv[:, lo:hi] @ da
+            dz[:, lo:hi] += znv @ da.T
+            del a, da, edge
+        d_h = w0v @ dp.T + (4.0 * c) * (hv * rowsum - ha.T)
+        d_w0, d_w1 = hv @ dp, hidden.T @ dv
+        return (d_h, d_w0, d_w1) if zn is None else (d_h, dz, d_w0, d_w1)
 
     parents = tuple(t for t in (h, zn, w0, w1) if t is not None)
     terms = tape._record(np.array([task, smooth, con, reg]), parents, vjp)

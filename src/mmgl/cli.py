@@ -139,8 +139,8 @@ def save_model(model, labels, prep, feature_names, path):
     graph's rows `meta` (n_meta, N). No graph: `load_model` rebuilds its rule."""
     arrays = {"param:" + p.name: p.value for p in model.all_params()}
     arrays.update(H=model.cache["H"], labels=np.asarray(labels), **vars(prep))
-    if model.cfg.fusion == "maff" and model.cache.get("maps") is not None:
-        arrays["fuse_map"] = model.cache["maps"].global_map()
+    if model.cache["fuse_map"] is not None:
+        arrays["fuse_map"] = model.cache["fuse_map"]
     if model.meta is not None:
         arrays["meta"] = model.meta
     np.savez(
@@ -217,9 +217,7 @@ def _read_model(path):
             edges = model.edge_rule(arrays["H"])
         except ParameterError as exc:  # a meta graph without meta rows, knn_k >= N
             raise DataError(f"the artifact's graph cannot be rebuilt: {exc}") from exc
-        model.cache = {"H": arrays["H"], "edges": edges, "maps": None}
-        if "fuse_map" in arrays:
-            model.cache["fuse_map"] = arrays["fuse_map"]
+        model.cache = {"H": arrays["H"], "edges": edges, "fuse_map": arrays.get("fuse_map")}
         prep = Preprocessor(arrays["impute_means"], arrays["z_mu"], arrays["z_sd"])
         names = _feature_names(z, d_in)
     return model, {"labels": arrays["labels"], "preprocessor": prep, "feature_names": names}
@@ -320,7 +318,7 @@ def cmd_export(args):
         write_csv(os.path.splitext(args.out)[0] + ".nodes.csv", ["node", "label"],
                   ([i, int(y)] for i, y in enumerate(extras["labels"])))
     elif args.what == "fuse-map":
-        if "fuse_map" not in model.cache or model.cache["fuse_map"] is None:
+        if model.cache["fuse_map"] is None:
             raise ParameterError("artifact has no attention map (fusion is not 'maff')")
         names = model.schema.names
         write_csv(args.out, ["modality"] + names,

@@ -94,8 +94,8 @@ class Tape:
 
     `trainable`: the Params whose gradients backward forms; None trains every
     Param entered with `leaf`, and an empty set makes a no-grad tape, which
-    appends no node. A VJP may skip the parents whose `needs_grad` is False:
-    backward discards what it returns for them.
+    appends no node. Backward discards what a VJP returns for a parent whose
+    `needs_grad` is False, so the trainable set alone decides what is frozen.
     """
 
     def __init__(self, trainable=None):

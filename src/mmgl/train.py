@@ -3,17 +3,18 @@ evaluation, the ablation grid, and metrics (accuracy, rank-based AUC).
 
 A training phase records the fusion, the learned graph's projection and one
 block.graph_block node on a tape that trains only the phase's optimizer's
-Params, so a frozen group gets no gradient. A MAFF fusion, and a fixed graph's
-edge rule built from it, are computed once per fusion-weight state: phase B's,
-made with the fusion frozen, are handed on to the next phase A, which
-differentiates the fusion, and to the early-stopping and final cache forwards
-(`fit`); phase A drops its hand-off once differentiated, so a fit holds one
-fusion at a time. Forwards that nothing differentiates (early stopping, the
-cache, the graph projection, inductive fusion) run on a no-grad tape
-(`numcore.Tape(trainable=())`), which keeps no nodes. The fitted model keeps
-its last forward's edge rule (`Model.edge_rule`). `total_loss` composes the
-block's objective from the dense primitives; it runs only in the tests, as
-the block's reference."""
+Params; that tape alone decides which gradients reach a Param, so a frozen
+group gets none. A MAFF fusion, and a fixed graph's edge rule built from it,
+are computed once per fusion-weight state: phase B's, made with the fusion
+frozen, are handed on to the next phase A, which differentiates the fusion,
+and to the early-stopping and final cache forwards (`fit`); phase A drops its
+hand-off once differentiated, so a fit holds one fusion at a time. Forwards
+that nothing differentiates (early stopping, the cache, the graph projection,
+inductive fusion) run on a no-grad tape (`numcore.Tape(trainable=())`), which
+keeps no nodes. The fitted model keeps its last forward's edge rule
+(`Model.edge_rule`) and, for maff, the (M, M) fusion map, not the per-patient
+attention maps. `total_loss` composes the block's objective from the dense
+primitives; it runs only in the tests, as the block's reference."""
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
@@ -185,7 +186,7 @@ class Model:
     def forward(self, tape, mods, labels=None, mask=None, dropout=False, hand_off=None):
         """Fusion (`fuse`), then the graph block (block.graph_block), on `tape`.
 
-        `hand_off`: {"maps", "edges"} of an earlier forward on these `mods`,
+        `hand_off`: {"fusion", "edges"} of an earlier forward on these `mods`,
         made with the current fusion weights (`train_epoch`), or None. Its
         maff.Fusion is recorded again instead of computed, and a fixed graph's
         edge rule, which reads only H, is read again instead of built; a
@@ -193,10 +194,10 @@ class Model:
 
         The tape's trainable Params decide which gradients backward forms.
         With labels, "terms" is the block's loss node [task, smooth, con,
-        reg]; without, it is None and only the logits are computed. "maps" is
-        the maff.Fusion, or None, and "edges" the edge rule the block read.
+        reg]; without, it is None and only the logits are computed. "fusion"
+        is the maff.Fusion, or None, and "edges" the edge rule the block read.
         """
-        h, maps = self.fuse(tape, mods, None if hand_off is None else hand_off["maps"])
+        h, fusion = self.fuse(tape, mods, None if hand_off is None else hand_off["fusion"])
         zn = None if self.agl is None else agl.cosine_normalize(tape.leaf(self.agl.w_a).T @ h)
         if hand_off is not None and zn is None:
             edges = hand_off["edges"]
@@ -209,17 +210,16 @@ class Model:
         terms, logits = block.graph_block(
             tape, h, tape.leaf(self.gcn.w0), tape.leaf(self.gcn.w1), labels, mask,
             edges=edges, zn=zn, add_self_loops=self.cfg.add_self_loops, keep=keep)
-        return {"H": h.value, "terms": terms, "logits": logits, "maps": maps, "edges": edges}
+        return {"H": h.value, "terms": terms, "logits": logits, "fusion": fusion, "edges": edges}
 
     def refresh_cache(self, mods, hand_off=None):
-        """Inference forward pass; caches H, the edge rule, the logits and,
-        for maff, the maff.AttentionMaps for eval, export and inductive
-        scoring. `hand_off` as in `forward`. The cache keeps the maps, not the
-        Fusion, whose VJP state nothing reads once training ends."""
+        """Inference forward pass; caches H, the edge rule and the logits for
+        eval, export and inductive scoring, and "fuse_map": for maff the
+        (M, M) map averaged over heads and patients (maff.Fusion.global_map),
+        which `save_model` writes, else None. `hand_off` as in `forward`."""
         out = self.forward(nc.Tape(trainable=()), mods, hand_off=hand_off)
-        fusion = out["maps"]
         self.cache = {k: out[k] for k in ("H", "edges", "logits")}
-        self.cache["maps"] = None if fusion is None else maff.AttentionMaps(fusion.tensor)
+        self.cache["fuse_map"] = None if out["fusion"] is None else out["fusion"].global_map()
         return self.cache
 
 
@@ -244,11 +244,11 @@ def _check_finite(values, epoch):
 def train_epoch(model, mods, labels, mask, opt_a, opt_b, epoch, hand_off=None):
     """One modular-iterative epoch: phase A updates fusion+AGL with the GCN
     frozen, phase B re-runs the forward pass and updates AGL+GCN with the
-    fusion frozen. A phase's trainable Params are its optimizer's; no other
-    gradient is formed.
+    fusion frozen. A phase's tape trains its optimizer's Params, and backward
+    gives no other Param a gradient.
 
     Returns (the loss breakdown after phase B, phase B's hand-off or None):
-    {"maps", "edges"} of phase B's forward, returned only when opt_b trains no
+    {"fusion", "edges"} of phase B's forward, returned only when opt_b trains no
     fusion Param, so that the fusion weights are still the ones phase B fused
     with; the next forward on `mods` may then take it (`Model.forward`).
     Phase A records a given hand-off's fusion and differentiates through it;
@@ -273,7 +273,7 @@ def train_epoch(model, mods, labels, mask, opt_a, opt_b, epoch, hand_off=None):
         # the fusion's VJP reads W_h by reference: backward runs before the step
         tape.backward(nc.sum_axis(terms * weights[loss_kind], axis=0, keepdims=False))
         opt.step()
-        return values, {"maps": out["maps"], "edges": out["edges"]}
+        return values, {"fusion": out["fusion"], "edges": out["edges"]}
 
     run_phase(opt_a, cfg.phase_a_loss, hand_off)
     if hand_off is not None:
@@ -411,8 +411,7 @@ def _edge_weights(model):
         z_train = model.graph_projection(h_train)
         return lambda h: agl.cosine_edges(z_train, model.graph_projection(h))
     if cfg.graph == "knn":
-        k = min(cfg.knn_k, h_train.shape[1])
-        return lambda h: agl.top_k(agl.rbf_kernel(h_train, h, cfg.rbf_sigma), k, axis=0)
+        return lambda h: agl.top_k(agl.rbf_kernel(h_train, h, cfg.rbf_sigma), cfg.knn_k, axis=0)
     if cfg.graph == "identity":
         return lambda h: np.zeros((h_train.shape[1], h.shape[1]))
     raise ParameterError("inductive prediction is not supported for meta graphs")
@@ -510,23 +509,17 @@ class CvResult:
 
 def _run_fold(dataset, clean, cfg, f, train_idx, test_idx):
     ds = Preprocessor.fit(dataset, train_idx).transform(dataset) if cfg.per_fold_stats else clean
-    meta = meta_rows(ds, cfg)
     seed_key = [cfg.seed, 613, f]
     if cfg.eval_mode == "inductive":
         tr_mods = [m[:, train_idx] for m in ds.modalities]
-        model, history = fit(
-            ds.schema, tr_mods, ds.labels[train_idx], np.arange(train_idx.size),
-            cfg, ds.n_classes, seed_key=seed_key,
-            meta=meta[:, train_idx] if meta is not None else None,
-        )
+        model, history = fit(ds.schema, tr_mods, ds.labels[train_idx], np.arange(train_idx.size),
+                             cfg, ds.n_classes, seed_key=seed_key)
         probs_test = predict_inductive_batch(model, [m[:, test_idx] for m in ds.modalities])
         acc = accuracy(probs_test, ds.labels[test_idx])
         auc_v = auc(probs_test, ds.labels[test_idx])
     else:
-        model, history = fit(
-            ds.schema, ds.modalities, ds.labels, train_idx, cfg, ds.n_classes,
-            seed_key=seed_key, meta=meta,
-        )
+        model, history = fit(ds.schema, ds.modalities, ds.labels, train_idx, cfg, ds.n_classes,
+                             seed_key=seed_key, meta=meta_rows(ds, cfg))
         acc, auc_v = evaluate(model, ds.labels, test_idx)
     return FoldResult(fold=f, acc=acc, auc=auc_v, losses=history[-1], history=history)
 

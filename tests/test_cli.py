@@ -531,19 +531,27 @@ def test_export_graph_writes_the_csv_modules_bytes(tmp_path, synth_dir, graph):
 def test_loaded_graph_is_the_fitted_graph(tmp_path, synth_dir, monkeypatch, graph):
     # the artifact stores no graph and no logits (a meta graph its meta rows):
     # loading rebuilds the edge rule, whose tiles are bit for bit the fitted
-    # model's
+    # model's; the fitted, loaded and exported fusion maps are one (M, M) map
     fitted = {}
     save_model = cli.save_model
     monkeypatch.setattr(cli, "save_model", lambda model, *args: fitted.update(
-        A=dense_graph(24, model.cache["edges"])) or save_model(model, *args))
+        A=dense_graph(24, model.cache["edges"]), fuse_map=model.cache["fuse_map"])
+        or save_model(model, *args))
     cfg = write_train_cfg(tmp_path, graph=graph, knn_k=5)
     assert run("train", "--config", str(cfg), "--data", str(synth_dir),
                "--out", str(tmp_path / "run")) == 0
     with np.load(tmp_path / "run" / "model.npz") as z:
         assert not {"A", "logits", "meta_adj"} & set(z)
         assert ("meta" in z) == (graph == "meta")
-    loaded = load_model(tmp_path / "run" / "model.npz")[0].cache["edges"]
-    assert np.array_equal(dense_graph(24, loaded), fitted["A"])
+    loaded = load_model(tmp_path / "run" / "model.npz")[0].cache
+    assert np.array_equal(dense_graph(24, loaded["edges"]), fitted["A"])
+    assert fitted["fuse_map"].shape == (2, 2)
+    assert np.array_equal(loaded["fuse_map"], fitted["fuse_map"])
+    assert run("export", "--model", str(tmp_path / "run" / "model.npz"),
+               "--what", "fuse-map", "--out", str(tmp_path / "map.csv")) == 0
+    with open(tmp_path / "map.csv", newline="") as f:
+        exported = [[float(v) for v in row[1:]] for row in list(csv.reader(f))[1:]]
+    assert np.array_equal(exported, fitted["fuse_map"])
 
 
 @pytest.mark.parametrize("graph,edit", [
@@ -622,7 +630,7 @@ def test_commands_never_run_the_dense_reference(tmp_path, synth_dir, monkeypatch
                "--out", str(tmp_path / "p.csv")) == 0
 
 
-def test_export_fuse_map(tmp_path, trained):
+def test_export_fuse_map(tmp_path, trained, synth_dir, monkeypatch):
     out = tmp_path / "map.csv"
     assert run("export", "--model", str(trained / "model.npz"),
                "--what", "fuse-map", "--out", str(out)) == 0
@@ -633,6 +641,16 @@ def test_export_fuse_map(tmp_path, trained):
     assert len(rows) == 3
     col_sums = np.array([[float(v) for v in r[1:]] for r in rows[1:]]).sum(axis=0)
     assert np.allclose(col_sums, 1.0, atol=1e-9)
+    # an mlp fit caches no fusion map, and its artifact holds none
+    fitted = []
+    save_model = cli.save_model
+    monkeypatch.setattr(cli, "save_model", lambda model, *args: fitted.append(
+        model.cache["fuse_map"]) or save_model(model, *args))
+    cfg = write_train_cfg(tmp_path, fusion="mlp")
+    assert run("train", "--config", str(cfg), "--data", str(synth_dir),
+               "--out", str(tmp_path / "run_mlp")) == 0
+    assert fitted == [None]
+    assert load_model(tmp_path / "run_mlp" / "model.npz")[0].cache["fuse_map"] is None
 
 
 def test_export_embeddings(tmp_path, trained):

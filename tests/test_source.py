@@ -1,5 +1,6 @@
 """Source hygiene of the package: no module imports a name it never reads,
-and every tape made outside numcore names the Params it trains."""
+every tape made outside numcore names the Params it trains, and only numcore
+asks whether a node needs a gradient."""
 import ast
 from pathlib import Path
 
@@ -58,3 +59,25 @@ def test_unnamed_tape_check_sees_every_call_form():
     source = ("tape = nc.Tape()\nt = Tape(trainable=())\nu = nc.Tape(trainable=opt.params)\n"
               "v = Tape()\nw = f(nc.Tape(), 1)\nx = nc.Tape\n")
     assert unnamed_tapes(source) == [1, 4, 5]
+
+
+def needs_grad_reads(source):
+    """Lines of each read of an attribute `needs_grad` in `source`: whether a
+    gradient is kept is numcore's decision, made in `Tape.backward`, so a
+    VJP elsewhere forms every parent's gradient instead of asking."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Attribute) and node.attr == "needs_grad"
+                  and isinstance(node.ctx, ast.Load))
+
+
+@pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py") if p.name != "numcore.py"),
+                         ids=lambda p: p.name)
+def test_only_numcore_reads_needs_grad(path):
+    assert needs_grad_reads(path.read_text()) == []
+
+
+def test_needs_grad_check_sees_every_read_form():
+    source = ("wants = [t is not None and t.needs_grad for t in (h, zn)]\n"
+              "node.needs_grad = True\nif not x.needs_grad:\n    pass\n"
+              "f(getattr(y, 'grad'), y.needs_grad_count)\n")
+    assert needs_grad_reads(source) == [1, 3]

@@ -229,7 +229,7 @@ def test_fit_hand_off_matches_recompute(monkeypatch, fusion, graph):
     assert np.array_equal(dense_graph(ds.n, got.cache["edges"]),
                           dense_graph(ds.n, want.cache["edges"]))
     if fusion == "maff":
-        assert np.array_equal(got.cache["maps"].tensor, want.cache["maps"].tensor)
+        assert np.array_equal(got.cache["fuse_map"], want.cache["fuse_map"])
     assert all(np.array_equal(p.value, q.value)
                for p, q in zip(got.all_params(), want.all_params()))
 
@@ -244,7 +244,7 @@ def test_maff_fit_fuses_once_per_fusion_weight_state(monkeypatch, patience):
 def test_fit_holds_one_fusion_at_a_time(monkeypatch):
     # phase A lets go of the fusion it was handed once its backward has run,
     # so that fusion is freed (by reference counting) before phase B fuses;
-    # the fitted model keeps the maps, not the fusion and its VJP state
+    # the fitted model keeps the (M, M) fusion map, not the fusion and its VJP state
     ds = tiny_dataset()
     cfg = tiny_cfg()
     model = Model(ds.schema, ds.n_classes, cfg)
@@ -252,7 +252,7 @@ def test_fit_holds_one_fusion_at_a_time(monkeypatch):
     opt_b = nc.Adam(model.agl_params() + model.gcn_params(), cfg.lr)
     args = (model, ds.modalities, ds.labels, np.arange(ds.n), opt_a, opt_b)
     _, hand_off = train_epoch(*args, 0)
-    handed = weakref.ref(hand_off["maps"])
+    handed = weakref.ref(hand_off["fusion"])
     alive = []
     fuse_batch = maff.fuse_batch
     monkeypatch.setattr(maff, "fuse_batch",
@@ -265,7 +265,8 @@ def test_fit_holds_one_fusion_at_a_time(monkeypatch):
     assert alive == [False] and hand_off == {}
     monkeypatch.undo()
     fitted, _ = fit_tiny(ds, cfg)
-    assert type(fitted.cache["maps"]) is maff.AttentionMaps
+    m = ds.schema.n_modalities
+    assert type(fitted.cache["fuse_map"]) is np.ndarray and fitted.cache["fuse_map"].shape == (m, m)
 
 
 @pytest.mark.parametrize("phase_b", ["fusion", "agl+gcn", "nothing"])

@@ -69,33 +69,6 @@ def row_tiles(n, edges, diag=1.0, nodes=None):
         del a
 
 
-def _cross_entropy(lg, lab, wt):
-    """sum_i wt_i (logsumexp(lg_i) - lg_i[lab_i]) over the rows with wt_i > 0,
-    and its gradient (zero on the other rows)."""
-    g = np.zeros_like(lg)
-    k = np.flatnonzero(wt)
-    if k.size == 0:
-        return 0.0, g
-    sel, lab, r = lg[k], lab[k], np.arange(k.size)
-    m = sel.max(axis=1, keepdims=True)
-    e = np.exp(sel - m)
-    z = e.sum(axis=1, keepdims=True)
-    loss = wt[k] @ (m[:, 0] + np.log(z[:, 0]) - sel[r, lab])
-    p = e / z
-    p[r, lab] -= 1.0
-    g[k] = p * wt[k, None]
-    return float(loss), g
-
-
-def _label_weights(labels, mask, n, n_classes):
-    """Per-row cross-entropy weights (1/|mask| on the mask) and labels that are
-    valid on every row."""
-    mask, lab = nc.masked_labels(labels, mask, n_classes)
-    full = np.zeros(n, dtype=np.int64)
-    full[mask] = lab
-    return np.bincount(mask, minlength=n) / mask.size, full
-
-
 def graph_block(tape, h, w0, w1, labels=None, mask=None, *, edges, zn=None,
                 add_self_loops=False, keep=None):
     """Loss terms and logits of the graph, the GCN and the joint objective.
@@ -148,14 +121,14 @@ def graph_block(tape, h, w0, w1, labels=None, mask=None, *, edges, zn=None,
     # pass 3: layer 2; with labels, the task gradient rows and A~ (s o g_L)
     logits = np.empty_like(v)
     if labels is not None:
-        wt, lab = _label_weights(labels, mask, n, v.shape[1])
+        wt, lab = nc.label_weights(labels, mask, n, v.shape[1])
         task, gl, yl = 0.0, np.empty_like(v), np.zeros_like(v)
     for lo, hi, a in row_tiles(n, edges, diag):
         lg = a @ sv
         lg *= col[lo:hi]
         logits[lo:hi] = lg
         if labels is not None:
-            loss, g = _cross_entropy(lg, lab[lo:hi], wt[lo:hi])
+            loss, g = nc.cross_entropy_rows(lg, lab[lo:hi], wt[lo:hi])
             task += loss
             gl[lo:hi] = g
             yl += a.T @ (col[lo:hi] * g)

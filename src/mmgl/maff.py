@@ -6,8 +6,10 @@ and values are aggregated across modalities with a residual connection before
 two projection layers produce the fused feature. Everything is vectorised over
 patients, heads and modality pairs; the attention map is patient-specific.
 
-`fuse_batch` computes a fusion and records it as one tape node; the Fusion it
-returns can record the same node again on another tape without recomputing.
+The inputs are a fixed feature table that nothing upstream trains, so a
+fusion is a function of its weights alone: `fuse_batch` takes arrays and
+records one tape node whose parents are the 4M+1 weight leaves, and the Fusion
+it returns can record the same node again on another tape without recomputing.
 Training uses this: phase B's fusion, made with the fusion weights frozen, is
 the node the next epoch's phase A records and differentiates.
 """
@@ -58,79 +60,60 @@ def init_maff(schema, d_f, d, heads, rng, attention_axis="column"):
     return MaffParams(w_q, w_k, w_v, w_m, w_h, d_f, d, heads, attention_axis)
 
 
-class AttentionMaps:
-    """Per-patient, per-head M x M attention scores (detached values)."""
-
-    def __init__(self, tensor):
-        self.tensor = np.asarray(tensor)  # (heads, M, M, N)
-
-    @property
-    def n_patients(self):
-        return self.tensor.shape[3]
-
-    def per_patient(self, i):
-        """Head-averaged M x M map of one patient."""
-        return self.tensor[:, :, :, i].mean(axis=0)
-
-    def global_map(self):
-        """Head-averaged map, then averaged over all patients."""
-        if self.n_patients == 0:
-            raise ParameterError("no patients to average attention maps over")
-        return self.tensor.mean(axis=(0, 3))
-
-
-class Fusion(AttentionMaps):
-    """The attention maps of one finished fuse_batch, with what its node needs
-    to be recorded again: the fused features H (d, N), the Params, the input
-    blocks and the VJP closure.
+class Fusion:
+    """One finished fuse_batch: the per-patient, per-head attention maps
+    `tensor` (heads, M, M, N), and what its node needs to be recorded again:
+    the Params, the fused features H (d, N) and the VJP closure.
 
     The closure reads W_h by reference, so a Fusion serves only while the
     fusion Params keep the values it was made with, and its VJP must run
     before an optimizer step moves them.
     """
 
-    def __init__(self, tensor, params, xs, value, vjp):
-        super().__init__(tensor)
-        self.params, self.xs, self.value, self.vjp = params, xs, value, vjp
+    def __init__(self, tensor, params, value, vjp):
+        self.tensor, self.params, self.value, self.vjp = tensor, params, value, vjp
 
-    def record(self, tape, xs=None):
+    def global_map(self):
+        """Head-averaged map, then averaged over all patients."""
+        if self.tensor.shape[3] == 0:
+            raise ParameterError("no patients to average attention maps over")
+        return self.tensor.mean(axis=(0, 3))
+
+    def record(self, tape):
         """Record this fusion on `tape` as one node with its value and VJP,
-        whose parents are fresh leaves of the 4M+1 Params and the M inputs:
-        the nodes `xs`, or new constants of the input blocks. No MAFF
-        arithmetic runs."""
-        if xs is None:
-            xs = [tape.const(x) for x in self.xs]
-        leaves = [tape.leaf(p) for p in self.params.all_params()]
-        return tape._record(self.value, (*leaves, *xs), self.vjp)
+        whose parents are fresh leaves of the 4M+1 Params. No MAFF arithmetic
+        runs."""
+        leaves = tuple(tape.leaf(p) for p in self.params.all_params())
+        return tape._record(self.value, leaves, self.vjp)
 
 
 def fuse_batch(tape, xs, params):
-    """Fuse per-modality feature blocks (d_m, N) into (H: d x N, Fusion).
+    """Fuse per-modality feature blocks (d_m, N), arrays, into (H: d x N,
+    Fusion).
 
-    Recorded as one tape node whose parents are the 4M+1 weight leaves and the
-    M inputs; the returned Fusion holds the attention maps and can record the
-    node again on another tape. Q, K and V come from one GEMM per modality,
+    Recorded as one tape node whose parents are the 4M+1 weight leaves: the
+    inputs are constants, and the VJP returns the weights' gradients only. The
+    returned Fusion holds the attention maps and can record the node again on
+    another tape. Q, K and V come from one GEMM per modality,
     [W_q | W_k | W_v]_m^T x_m, and are views of that (M, 3 d_f, N) stack shaped
     (M, heads, d_h, N); the scores S[h, i, j] = <q_i, k_j> / tau are
     softmax-normalised over the queries i ("column") or the keys j ("row");
     modality m aggregates v_m + sum_j P[h, m, j] v_j, and W_m acts on it as one
     batched matmul over M.
     The backward mirrors this: one GEMM per modality for the three weight
-    gradients and one for the input's.
+    gradients.
     """
     m_count, heads, d_f = len(params.w_q), params.heads, params.d_f
     if len(xs) != m_count:
         raise DimensionError(f"expected {m_count} modalities, got {len(xs)}")
-    wants_grad = [isinstance(x, nc.Node) for x in xs]
-    xs = [x if isinstance(x, nc.Node) else tape.const(np.atleast_2d(x)) for x in xs]
-    n = xs[0].value.shape[1]
-    for x, w in zip(xs, params.w_q):
-        if x.value.shape != (w.value.shape[0], n):
+    xv = [np.atleast_2d(np.asarray(x, dtype=np.float64)) for x in xs]
+    n = xv[0].shape[1]
+    for x, w in zip(xv, params.w_q):
+        if x.shape != (w.value.shape[0], n):
             raise DimensionError(
-                f"modality block {x.value.shape} does not match projection rows "
+                f"modality block {x.shape} does not match projection rows "
                 f"{w.value.shape[0]} and {n} patients"
             )
-    xv = [x.value for x in xs]
     wqkv = [np.concatenate((q.value, k.value, v.value), axis=1)
             for q, k, v in zip(params.w_q, params.w_k, params.w_v)]
     qkv = np.empty((m_count, 3 * d_f, n))
@@ -152,9 +135,9 @@ def fuse_batch(tape, xs, params):
     u = (v + np.einsum("hmjn,jhcn->mhcn", p, v)).reshape(m_count, d_f, n)
     wm = np.stack([w.value for w in params.w_m])
     vhat = (np.swapaxes(wm, 1, 2) @ u).reshape(m_count * d_f, n)
-    # read by reference, unlike wm and wqkv: the VJP must run before a step
-    # moves W_h. A phase's backward precedes its step, and a handed-on Fusion
-    # is differentiated only by the next phase A (train.train_epoch).
+    # read by reference, unlike wm: the VJP must run before a step moves W_h.
+    # A phase's backward precedes its step, and a handed-on Fusion is
+    # differentiated only by the next phase A (train.train_epoch).
     wh = params.w_h.value
 
     def vjp(g):
@@ -171,16 +154,14 @@ def fuse_batch(tape, xs, params):
         np.add(g_u, np.einsum("hmjn,mhcn->jhcn", p, g_u), out=gv)
         g_wqkv = [x @ gm.T for x, gm in zip(xv, g_qkv)]
         g_w = [gw[:, i * d_f:(i + 1) * d_f] for i in range(3) for gw in g_wqkv]
-        g_w += [*(u @ np.swapaxes(g_vhat, 1, 2)), vhat @ g.T]
-        # array inputs are constants here: skipping their gradient saves M GEMMs
-        g_x = [wqkv[m] @ g_qkv[m] if wants_grad[m] else None for m in range(m_count)]
-        return (*g_w, *g_x)
+        return (*g_w, *(u @ np.swapaxes(g_vhat, 1, 2)), vhat @ g.T)
 
-    fusion = Fusion(p, params, xv, wh.T @ vhat, vjp)
-    return fusion.record(tape, xs), fusion
+    fusion = Fusion(p, params, wh.T @ vhat, vjp)
+    return fusion.record(tape), fusion
 
 
 def fuse_one(tape, x_cols, params):
-    """Fuse a single patient given per-modality vectors; returns (d x 1, maps)."""
+    """Fuse a single patient given per-modality vectors; returns (the d x 1
+    node, Fusion) as fuse_batch does."""
     xs = [np.asarray(x, dtype=np.float64).reshape(-1, 1) for x in x_cols]
     return fuse_batch(tape, xs, params)

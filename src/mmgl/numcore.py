@@ -300,9 +300,10 @@ def softmax_columns(s, tau=1.0):
     return tape._record(y, (s,), vjp)
 
 
-def masked_labels(labels, mask, n_classes):
-    """(row indices, their labels) of a loss mask (indices or booleans); the
-    mask must be non-empty and every label in it in [0, n_classes)."""
+def label_weights(labels, mask, n, n_classes):
+    """Per-row cross-entropy weights (1/|mask| on each row of a loss mask of
+    indices or booleans) and labels that are valid on every row. The mask must
+    be non-empty and every label in it in [0, n_classes)."""
     mask = np.asarray(mask)
     if mask.dtype == bool:
         mask = np.flatnonzero(mask)
@@ -311,33 +312,42 @@ def masked_labels(labels, mask, n_classes):
     lab = np.asarray(labels, dtype=np.int64)[mask]
     if lab.min() < 0 or lab.max() >= n_classes:
         raise DataError(f"label out of range [0, {n_classes}): {lab.min()}..{lab.max()}")
-    return mask, lab
+    full = np.zeros(n, dtype=np.int64)
+    full[mask] = lab
+    return np.bincount(mask, minlength=n) / mask.size, full
+
+
+def cross_entropy_rows(lg, lab, wt):
+    """sum_i wt_i (logsumexp(lg_i) - lg_i[lab_i]) over the rows with wt_i > 0,
+    and its gradient (zero on the other rows): the training block's kernel,
+    on logits `lg` (rows, C) and the rows' labels and weights."""
+    g = np.zeros_like(lg)
+    k = np.flatnonzero(wt)
+    if k.size == 0:
+        return 0.0, g
+    sel, lab, r = lg[k], lab[k], np.arange(k.size)
+    m = sel.max(axis=1, keepdims=True)
+    e = np.exp(sel - m)
+    z = e.sum(axis=1, keepdims=True)
+    loss = wt[k] @ (m[:, 0] + np.log(z[:, 0]) - sel[r, lab])
+    p = e / z
+    p[r, lab] -= 1.0
+    g[k] = p * wt[k, None]
+    return float(loss), g
 
 
 def cross_entropy_masked(logits, labels, mask):
-    """Mean negative log-softmax of the true class over `mask` rows.
+    """Mean negative log-softmax of the true class over `mask` rows, recorded
+    as one node: cross_entropy_rows under label_weights.
 
     logits: Node of shape (N, C); labels: int array of length N;
     mask: index array selecting the rows that contribute to the loss.
     """
     tape = _tape_of(logits)
     lv = logits.value
-    mask, lab = masked_labels(labels, mask, lv.shape[1])
-    sel = lv[mask]
-    m = sel.max(axis=1, keepdims=True)
-    e = np.exp(sel - m)
-    lse = m[:, 0] + np.log(e.sum(axis=1))
-    loss = (lse - sel[np.arange(mask.size), lab]).mean()
-    p = e / e.sum(axis=1, keepdims=True)
-
-    def vjp(g):
-        gl = np.zeros_like(lv)
-        gp = p.copy()
-        gp[np.arange(mask.size), lab] -= 1.0
-        gl[mask] = gp * (float(g) / mask.size)
-        return (gl,)
-
-    return tape._record(loss, (logits,), vjp)
+    wt, lab = label_weights(labels, mask, *lv.shape)
+    loss, gl = cross_entropy_rows(lv, lab, wt)
+    return tape._record(loss, (logits,), lambda g: (gl * float(g),))
 
 
 def softmax_rows_values(logits):

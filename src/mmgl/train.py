@@ -151,9 +151,10 @@ class Model:
 
     def fuse(self, tape, mods, fusion=None):
         """The fused features (d, N) on `tape`, and for maff the maff.Fusion
-        (else None). A maff `fusion` of these `mods`, made with the current
-        fusion weights, is recorded again instead of computed; mlp and concat
-        fusion, one or two GEMMs, always compute."""
+        (else None). `mods` are constant arrays, so a maff node's parents are
+        the fusion weights alone. A maff `fusion` of these `mods`, made with
+        the current fusion weights, is recorded again instead of computed; mlp
+        and concat fusion, one or two GEMMs, always compute."""
         if self.cfg.fusion == "maff":
             if fusion is not None:
                 return fusion.record(tape), fusion

@@ -885,12 +885,15 @@ def predict_table(draw, header, rows):
     names = list(header)
     header, rows = list(header), [list(r) for r in rows]
     d = len(header)
-    valid_cells = True
+    replaced = set()
     for _ in range(draw(st.integers(0, 3))):
         r, c, cell = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, d - 1)), \
             draw(st.sampled_from(CELLS))
         rows[r][c] = cell
-        valid_cells &= cell.strip() == ""
+        replaced.add((r, c))
+    # a later draw may blank a cell an earlier one made invalid: what counts
+    # is what each replaced position holds in the end
+    valid_cells = all(rows[r][c].strip() == "" for r, c in replaced)
     edit = draw(st.sampled_from(HEADER_EDITS))
     i, j = draw(st.lists(st.integers(0, d - 1), min_size=2, max_size=2, unique=True))
     if edit == "rename":

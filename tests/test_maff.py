@@ -5,7 +5,7 @@ import pytest
 from mmgl import numcore as nc
 from mmgl.data import ModalitySchema
 from mmgl.errors import DimensionError, ParameterError
-from mmgl.maff import AttentionMaps, MaffParams, fuse_batch, fuse_one, init_maff
+from mmgl.maff import MaffParams, fuse_batch, fuse_one, init_maff
 from reference_ops import concat_rows, slice_rows, sum_all
 
 
@@ -47,7 +47,7 @@ def loop_project(tape, xs, params):
     """Per-modality q/k/v projections, one matmul node each."""
     qs, ks, vs = [], [], []
     for x, wq, wk, wv in zip(xs, params.w_q, params.w_k, params.w_v):
-        x = x if isinstance(x, nc.Node) else tape.const(np.atleast_2d(x))
+        x = tape.const(np.atleast_2d(x))
         qs.append(tape.leaf(wq).T @ x)
         ks.append(tape.leaf(wk).T @ x)
         vs.append(tape.leaf(wv).T @ x)
@@ -92,7 +92,7 @@ def loop_attention_rows(qs, ks, params):
 
 def loop_fuse_batch(tape, xs, params):
     """Reference fusion built from composed tape ops, looping over heads and
-    modality pairs."""
+    modality pairs; returns H and the attention tensor."""
     qs, ks, vs = loop_project(tape, xs, params)
     m_count = len(xs)
     heads, dh = params.heads, params.d_f // params.heads
@@ -109,7 +109,7 @@ def loop_fuse_batch(tape, xs, params):
         merged = head_parts[0] if heads == 1 else concat_rows(head_parts)
         vhats.append(tape.leaf(params.w_m[m]).T @ merged)
     h_out = tape.leaf(params.w_h).T @ concat_rows(vhats)
-    return h_out, AttentionMaps(tensor)
+    return h_out, tensor
 
 
 def assert_rel_close(actual, expect, tol=1e-12):
@@ -117,16 +117,22 @@ def assert_rel_close(actual, expect, tol=1e-12):
     assert np.abs(actual - expect).max() <= tol * np.abs(expect).max()
 
 
+def batch_tensor(tape, xs, params):
+    """fuse_batch's H and attention tensor."""
+    h, fusion = fuse_batch(tape, xs, params)
+    return h, fusion.tensor
+
+
 def fused_grads(fuse, xs, p, r):
-    """H, attention tensor and every weight and input gradient of sum(H * r)."""
-    inputs = [nc.Param(x, f"x{m}") for m, x in enumerate(xs)]
-    params = p.all_params() + inputs
+    """H, attention tensor and the 4M+1 weight gradients of sum(H * r); `fuse`
+    returns H and the tensor."""
+    params = p.all_params()
     for q in params:
         q.zero_grad()
     tape = nc.Tape()
-    h, maps = fuse(tape, [tape.leaf(x) for x in inputs], p)
+    h, tensor = fuse(tape, xs, p)
     tape.backward(sum_all(h * r))
-    return h.value, maps.tensor, [q.grad.copy() for q in params]
+    return h.value, tensor, [q.grad.copy() for q in params]
 
 
 @pytest.mark.parametrize("axis", ["column", "row"])
@@ -137,11 +143,11 @@ def test_fuse_batch_matches_loop_reference(axis, heads, dims, n):
     p = random_params(dims=dims, d_f=8, d=3, heads=heads, seed=22, axis=axis)
     xs = [rng.normal(size=(d, n)) for d in dims]
     r = rng.normal(size=(3, n))
-    h, tensor, grads = fused_grads(fuse_batch, xs, p, r)
+    h, tensor, grads = fused_grads(batch_tensor, xs, p, r)
     h_ref, tensor_ref, grads_ref = fused_grads(loop_fuse_batch, xs, p, r)
     assert_rel_close(h, h_ref)
     assert_rel_close(tensor, tensor_ref)
-    assert len(grads) == len(grads_ref) == 5 * len(dims) + 1
+    assert len(grads) == len(grads_ref) == 4 * len(dims) + 1
     for g, g_ref in zip(grads, grads_ref):
         assert_rel_close(g, g_ref)
 
@@ -165,13 +171,13 @@ def test_fuse_modality_permutation(axis, heads, dims):
     xs = [rng.normal(size=(d, 7)) for d in dims]
     r = rng.normal(size=(3, 7))
     perm = np.array([2, 0, 3, 1])
-    h, tensor, grads = fused_grads(fuse_batch, xs, p, r)
-    hp, tensor_p, grads_p = fused_grads(fuse_batch, [xs[i] for i in perm],
+    h, tensor, grads = fused_grads(batch_tensor, xs, p, r)
+    hp, tensor_p, grads_p = fused_grads(batch_tensor, [xs[i] for i in perm],
                                         permuted_params(p, perm), r)
     assert_rel_close(hp, h)
     assert_rel_close(tensor_p, tensor[:, perm][:, :, perm])
     m = len(dims)
-    for start in (0, m, 2 * m, 3 * m, 4 * m + 1):  # w_q, w_k, w_v, w_m; the inputs after w_h
+    for start in (0, m, 2 * m, 3 * m):  # w_q, w_k, w_v, w_m
         for i, j in enumerate(perm):
             assert_rel_close(grads_p[start + i], grads[start + j])
     g_wh = grads[4 * m].reshape(m, 4, 3)
@@ -186,7 +192,26 @@ def test_fuse_batch_tape_nodes_independent_of_heads():
         tape = nc.Tape()
         fuse_batch(tape, xs, random_params(d_f=8, heads=heads))
         counts.add(len(tape.nodes))
-    assert counts == {4 * 3 + 1 + 3 + 1}  # weight leaves, input constants, one fused node
+    assert counts == {4 * 3 + 2}  # the weight leaves and one fused node
+
+
+@pytest.mark.parametrize("m", [1, 3, 8])
+def test_fusion_node_hangs_from_its_weights_alone(m):
+    # the inputs are constants: the fused node's parents are exactly the
+    # leaves of the 4M+1 weights, in all_params order, whether fuse_batch
+    # records it or a Fusion records it again on another tape
+    dims = tuple(range(2, 2 + m))
+    p = random_params(dims=dims, d_f=4, d=3, heads=2, seed=26)
+    rng = np.random.default_rng(27)
+    tape = nc.Tape()
+    h, fusion = fuse_batch(tape, [rng.normal(size=(d, 5)) for d in dims], p)
+    again = nc.Tape()
+    h2 = fusion.record(again)
+    assert h2.value is h.value
+    for node, t in ((h, tape), (h2, again)):
+        assert [q._param for q in node._parents] == p.all_params()
+        assert all(q._parents == () for q in node._parents)
+        assert t.nodes == [*node._parents, node]
 
 
 def test_project_shape_errors():
@@ -205,7 +230,7 @@ def test_attention_uniform_when_scores_equal():
     for m in range(3):  # identical projections for every modality
         p.w_q[m].value[...] = np.eye(2)
         p.w_k[m].value[...] = np.eye(2)
-    pm = fuse_one(nc.Tape(), [x, x, x], p)[1].per_patient(0)
+    pm = fuse_one(nc.Tape(), [x, x, x], p)[1].tensor[..., 0].mean(axis=0)
     assert np.allclose(pm, 1 / 3)
 
 
@@ -218,7 +243,7 @@ def test_attention_hand_softmax_two_modalities():
     p.w_k[0].value[...] = 1.0
     p.w_k[1].value[...] = 0.0
     assert p.tau == 1.0
-    pm = fuse_one(nc.Tape(), [np.ones(1), np.ones(1)], p)[1].per_patient(0)
+    pm = fuse_one(nc.Tape(), [np.ones(1), np.ones(1)], p)[1].tensor[..., 0].mean(axis=0)
     assert np.allclose(pm[:, 0], [2 / 3, 1 / 3])
     assert np.allclose(pm[:, 1], [0.5, 0.5])
 
@@ -233,7 +258,7 @@ def test_attention_maps_column_stochastic():
         assert np.all(np.abs(sums - 1.0) <= 1e-9)
         assert np.all(maps.tensor >= 0) and np.all(maps.tensor <= 1)
         for i in range(7):
-            assert np.all(np.abs(maps.per_patient(i).sum(axis=0) - 1.0) <= 1e-9)
+            assert np.all(np.abs(maps.tensor[..., i].mean(axis=0).sum(axis=0) - 1.0) <= 1e-9)
         gm = maps.global_map()
         assert np.all(np.abs(gm.sum(axis=0) - 1.0) <= 1e-9)
 
@@ -265,7 +290,7 @@ def test_fuse_single_modality_residual_doubles():
     v = p.w_v[0].value.T @ x
     expect = p.w_h.value.T @ (p.w_m[0].value.T @ (2.0 * v))
     assert np.allclose(h.value[:, 0], expect)
-    assert np.allclose(maps.per_patient(0), [[1.0]])
+    assert np.allclose(maps.tensor[..., 0].mean(axis=0), [[1.0]])
 
 
 def test_fuse_matches_straight_line_oracle():
@@ -281,7 +306,7 @@ def test_fuse_matches_straight_line_oracle():
     s = np.array([[q[i] @ k[j] for j in range(3)] for i in range(3)])
     e = np.exp(s / p.tau - (s / p.tau).max(axis=0, keepdims=True))
     att = e / e.sum(axis=0, keepdims=True)  # normalised over the query index
-    assert np.allclose(att, maps.per_patient(0))
+    assert np.allclose(att, maps.tensor[..., 0].mean(axis=0))
     vhat = [p.w_m[m].value.T @ (v[m] + sum(att[m, j] * v[j] for j in range(3)))
             for m in range(3)]
     expect = p.w_h.value.T @ np.concatenate(vhat)
@@ -355,7 +380,7 @@ def test_global_map_identical_patients():
     x = [rng.normal(size=(d, 1)) for d in (3, 4, 5)]
     xs = [np.repeat(c, 5, axis=1) for c in x]
     _, maps = fuse_batch(nc.Tape(), xs, p)
-    single = maps.per_patient(0)
+    single = maps.tensor[..., 0].mean(axis=0)
     assert np.allclose(maps.global_map(), single)
 
 
@@ -364,12 +389,13 @@ def test_global_map_two_patient_mean():
     p = random_params(seed=20)
     xs = [rng.normal(size=(d, 2)) for d in (3, 4, 5)]
     _, maps = fuse_batch(nc.Tape(), xs, p)
-    expect = (maps.per_patient(0) + maps.per_patient(1)) / 2
+    expect = (maps.tensor[..., 0].mean(axis=0) + maps.tensor[..., 1].mean(axis=0)) / 2
     assert np.allclose(maps.global_map(), expect)
 
 
 def test_global_map_empty_errors():
-    maps = AttentionMaps(np.empty((1, 3, 3, 0)))
+    h, maps = fuse_batch(nc.Tape(), [np.empty((d, 0)) for d in (3, 4, 5)], random_params())
+    assert h.value.shape == (4, 0) and maps.tensor.shape == (1, 3, 3, 0)
     with pytest.raises(ParameterError):
         maps.global_map()
 

@@ -1,6 +1,6 @@
 """Source hygiene of the package: no module imports a name it never reads,
 every tape made outside numcore names the Params it trains, and only numcore
-asks whether a node needs a gradient."""
+asks whether a node needs a gradient or whether a value is a node."""
 import ast
 from pathlib import Path
 
@@ -81,3 +81,27 @@ def test_needs_grad_check_sees_every_read_form():
               "node.needs_grad = True\nif not x.needs_grad:\n    pass\n"
               "f(getattr(y, 'grad'), y.needs_grad_count)\n")
     assert needs_grad_reads(source) == [1, 3]
+
+
+def node_type_tests(source):
+    """Lines of each `isinstance` call in `source` whose type argument names
+    `Node`: outside numcore an input is an array or a node by contract, so
+    no function takes either and wraps the arrays itself."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
+                  and len(node.args) == 2
+                  and any(getattr(t, "id", getattr(t, "attr", None)) == "Node"
+                          for t in ast.walk(node.args[1])))
+
+
+@pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py") if p.name != "numcore.py"),
+                         ids=lambda p: p.name)
+def test_only_numcore_type_tests_a_node(path):
+    assert node_type_tests(path.read_text()) == []
+
+
+def test_node_type_check_sees_every_form():
+    source = ("a = [isinstance(x, nc.Node) for x in xs]\nif isinstance(y, Node):\n    pass\n"
+              "b = isinstance(z, (np.ndarray, nc.Node))\nc = isinstance(w, nc.Param)\n"
+              "d = isinstance(v, NodeList)\n")
+    assert node_type_tests(source) == [1, 2, 4]

@@ -269,6 +269,24 @@ def test_fit_holds_one_fusion_at_a_time(monkeypatch):
     assert type(fitted.cache["fuse_map"]) is np.ndarray and fitted.cache["fuse_map"].shape == (m, m)
 
 
+@pytest.mark.parametrize("m,graph,size", [(4, "learned", 32), (8, "learned", 48), (4, "knn", 24)])
+def test_maff_phase_tapes_hold_the_fusion_weights_and_one_node(monkeypatch, m, graph, size):
+    # the modalities are constants: a phase tape opens with the 4M+1 fusion
+    # weight leaves and the fused node, and records no input of the fusion,
+    # whether phase B fuses or phase A records the fusion handed on to it
+    tapes = []
+    backward = nc.Tape.backward
+    monkeypatch.setattr(nc.Tape, "backward",
+                        lambda tape, loss: tapes.append(list(tape.nodes)) or backward(tape, loss))
+    model, _ = fit_tiny(tiny_dataset(dims=(3,) * m), tiny_cfg(epochs=2, graph=graph))
+    assert len(tapes) == 4  # two phases per epoch
+    for nodes in tapes:
+        fused = nodes[4 * m + 1]
+        assert [node._param for node in nodes[:4 * m + 1]] == model.fusion_params()
+        assert list(fused._parents) == nodes[:4 * m + 1]
+        assert len(nodes) == size
+
+
 @pytest.mark.parametrize("phase_b", ["fusion", "agl+gcn", "nothing"])
 def test_hand_off_only_while_phase_b_keeps_the_fusion(monkeypatch, phase_b):
     # with a fusion Param in phase B's optimizer the fusion weights move after

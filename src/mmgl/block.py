@@ -10,14 +10,16 @@ and A's column sums as its row sums.
 With s = deg^-1/2 of A~ = A (+ I), P = H^T W0 and A_norm = s A~ s, every pass
 reads the tiles of A~, its self weight on their diagonal, as `predict` does:
 
-- forward, three tile passes: (1) degrees and the Frobenius sum;
-  (2) layer 1 and the smoothness product as one GEMM A~_r [s o P | H^T];
-  (3) layer 2, plus the cross-entropy gradient rows g_L of each tile and
+- forward, two tile passes: (1) `normalized_product`: degrees, the Frobenius
+  sum, and layer 1 with the smoothness product as A~ [s o P | H^T];
+  (2) layer 2, plus the cross-entropy gradient rows g_L of each tile and
   A~ (s o g_L);
-- backward, one: (4) the rows of A~ (s o g_U) for the layer-1 gradient and,
+- backward, one: (3) the rows of A~ (s o g_U) for the layer-1 gradient and,
   for a learned graph, the masked dA tile as one GEMM, folded into dZn. The
   VJP returns every parent's gradient, and numcore's backward drops a frozen
-  one's: skipping it would save only O(N d d_h) beside pass 4.
+  one's: skipping it would save only O(N d d_h) beside pass 3.
+Passes 1 and 2 sum their products as sum_r A~_r^T rhs_r, rhs_r from the tile's
+own rows; pass 3 cannot, as its dA tile needs whole rows of A_norm g_U.
 The loss terms are A's: with self-loops, A's row sums are deg - 1, A H^T is
 A~ H^T - H^T and ||A||_F^2 is ||A~||_F^2 - 3N (the dA tile zeroes its diagonal).
 
@@ -63,10 +65,27 @@ def row_tiles(n, edges, diag=1.0, nodes=None):
         if a.shape != (hi - lo, size):
             raise DimensionError(f"rows {lo}:{hi} of a graph over {size} nodes have shape "
                                  f"{a.shape}")
-        r = np.arange(hi - lo)
-        a[r, r + lo] = diag  # where a row node meets itself
+        np.fill_diagonal(a[:, lo:], diag)  # where a row node meets itself
         yield lo, hi, a
         del a
+
+
+def normalized_product(n, edges, diag, p, x):
+    """One pass over the row tiles of A~ (`diag` on A's diagonal): its degrees,
+    s = deg^-1/2 floored at DEGREE_FLOOR, ||A~||_F^2 and A~ [s o p | x]. A~ is
+    symmetric, so the product is sum_r A~_r^T [s_r o p_r | x_r]: each tile
+    needs only its own rows' degrees."""
+    deg, s, frob = np.empty(n), np.empty(n), 0.0
+    prod = np.zeros((n, p.shape[1] + x.shape[1]))
+    part = np.empty_like(prod)
+    for lo, hi, a in row_tiles(n, edges, diag):
+        deg[lo:hi] = a.sum(axis=1)
+        s[lo:hi] = 1.0 / np.sqrt(np.maximum(deg[lo:hi], DEGREE_FLOOR))
+        frob += np.vdot(a, a)
+        rhs = np.concatenate([s[lo:hi, None] * p[lo:hi], x[lo:hi]], axis=1)
+        prod += np.matmul(a.T, rhs, out=part)
+        del a  # each pass releases its tile before the next is built
+    return deg, s, frob, prod
 
 
 def graph_block(tape, h, w0, w1, labels=None, mask=None, *, edges, zn=None,
@@ -89,26 +108,13 @@ def graph_block(tape, h, w0, w1, labels=None, mask=None, *, edges, zn=None,
     if w0v.shape[0] != d or w1v.shape[0] != w0v.shape[1]:
         raise DimensionError(f"GCN weights {w0v.shape}, {w1v.shape} do not fit H {hv.shape}")
 
-    # pass 1: degrees of A~ and its Frobenius sum
+    # pass 1: degrees, the Frobenius sum, and layer 1 with A~ H^T
     diag = 2.0 if add_self_loops else 1.0  # a node's own entry in A~
-    deg = np.empty(n)
-    frob = 0.0
-    for lo, hi, a in row_tiles(n, edges, diag):
-        deg[lo:hi] = a.sum(axis=1)
-        frob += np.vdot(a, a)
-        del a  # each pass releases its tile before the next is built
-    s = 1.0 / np.sqrt(np.maximum(deg, DEGREE_FLOOR))
-    col = s[:, None]
-
-    # pass 2: layer 1 and A~ H^T, one GEMM
     x = hv.T
     p = x @ w0v
+    deg, s, frob, prod = normalized_product(n, edges, diag, p, x)
+    col = s[:, None]
     sp = col * p
-    rhs = np.concatenate([sp, x], axis=1)
-    prod = np.empty((n, rhs.shape[1]))
-    for lo, hi, a in row_tiles(n, edges, diag):
-        prod[lo:hi] = a @ rhs
-        del a
     d_h = p.shape[1]
     u = prod[:, :d_h]
     u *= col
@@ -118,7 +124,7 @@ def graph_block(tape, h, w0, w1, labels=None, mask=None, *, edges, zn=None,
     v = hidden @ w1v
     sv = col * v
 
-    # pass 3: layer 2; with labels, the task gradient rows and A~ (s o g_L)
+    # pass 2: layer 2; with labels, the task gradient rows and A~ (s o g_L)
     logits = np.empty_like(v)
     if labels is not None:
         wt, lab = nc.label_weights(labels, mask, n, v.shape[1])
@@ -164,7 +170,7 @@ def graph_block(tape, h, w0, w1, labels=None, mask=None, *, edges, zn=None,
                 + (v * dv).sum(axis=1)
             k_reg = 2.0 * g_reg / (n * n)
             dz = np.zeros_like(znv)
-        # pass 4: rows of A~ (s o g_U); for a learned graph also the dA tile,
+        # pass 3: rows of A~ (s o g_U); for a learned graph also the dA tile,
         # masked to the edges off the diagonal, folded into dZn. Its unit
         # diagonal keeps every degree >= 1, above the floor.
         for lo, hi, a in row_tiles(n, edges, diag):

@@ -430,7 +430,8 @@ def predict_inductive_batch(model, mods):
     differs from s0 only on S, so the rows it needs are
     Q[S] + A~[S, S] ((s - s0)_S o P_S), with Q = A~ (s0 o P) formed once per
     call. A~[S, S] is read in row tiles over S (block.row_tiles with `nodes`);
-    a call makes two tile passes over A~, for deg and for Q.
+    a call makes one tile pass over A~, for deg and Q together, as the
+    training block's first pass does (block.normalized_product).
 
     Patients sit on the column axis of the fusion and edge-weight products,
     and the last block is padded with copies of the last patient. So each
@@ -448,18 +449,10 @@ def predict_inductive_batch(model, mods):
     h_train, edges = model.cache["H"], model.cache["edges"]
     n_train = h_train.shape[1]
     self_w = 2.0 if model.cfg.add_self_loops else 1.0  # a node's own diagonal entry in A~
-    deg = np.empty(n_train)
-    for lo, hi, a in block.row_tiles(n_train, edges, self_w):
-        deg[lo:hi] = a.sum(axis=1)
-        del a  # each loop releases its tile before the next is built
     w0, w1 = model.gcn.w0.value, model.gcn.w1.value
     p_train = h_train.T @ w0  # (N, d_h)
-    s0 = 1.0 / np.sqrt(np.maximum(deg, gcn.DEGREE_FLOOR))
-    sp0 = s0[:, None] * p_train
-    q = np.empty_like(p_train)  # A~ (s0 o P)
-    for lo, hi, a in block.row_tiles(n_train, edges, self_w):
-        q[lo:hi] = a @ sp0
-        del a
+    deg, s0, _, q = block.normalized_product(n_train, edges, self_w, p_train,
+                                             np.empty((n_train, 0)))  # q = A~ (s0 o P)
     probs = np.empty((n, model.n_classes))
     for lo in range(0, n, PREDICT_BLOCK):
         block_mods = [m[:, lo:lo + PREDICT_BLOCK] for m in mods]

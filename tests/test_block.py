@@ -14,11 +14,13 @@ from mmgl.agl import (
     AglParams, cosine_edges, cosine_normalize, init_agl, knn_edges, learned_adjacency, meta_edges,
     no_edges,
 )
-from mmgl.block import TILE, graph_block, row_tiles
+from mmgl.block import TILE, graph_block, normalized_product, row_tiles
 from mmgl.data import ModalitySchema
 from mmgl.errors import DataError, DimensionError, ParameterError
-from mmgl.gcn import gcn_forward, init_gcn, normalize_adj
-from mmgl.train import Model, TrainConfig, fit, total_loss, train_epoch
+from mmgl.gcn import DEGREE_FLOOR, gcn_forward, init_gcn, normalize_adj
+from mmgl.train import (
+    Model, TrainConfig, fit, predict_inductive_batch, total_loss, train_epoch,
+)
 from reference_ops import dense_graph
 
 TERMS = ("task", "smooth", "con", "reg")
@@ -494,3 +496,153 @@ def test_row_tiles_over_a_node_subset(graph):
             assert np.array_equal(got > 0, want > 0)
         else:
             assert np.array_equal(got, want)
+
+
+# ------------------------------------------- the normalised product's pass
+
+def assert_normalized_product_matches_dense(n, edges, diag, rng):
+    a = dense_graph(n, edges)
+    np.fill_diagonal(a, diag)
+    deg_ref = a.sum(axis=1)
+    s_ref = 1.0 / np.sqrt(np.maximum(deg_ref, DEGREE_FLOOR))
+    p = rng.normal(size=(n, 5))
+    for x in (rng.normal(size=(n, 3)), np.empty((n, 0))):
+        deg, s, frob, prod = normalized_product(n, edges, diag, p, x)
+        assert rel_err(deg, deg_ref) < 1e-12 and rel_err(s, s_ref) < 1e-12
+        assert abs(frob - np.vdot(a, a)) <= 1e-12 * np.vdot(a, a)
+        assert prod.shape == (n, 5 + x.shape[1])
+        assert rel_err(prod, a @ np.concatenate([s_ref[:, None] * p, x], axis=1)) < 1e-12
+
+
+@pytest.mark.parametrize("graph, n", [
+    (graph, n) for graph in ("learned", "knn", "meta", "identity")
+    for n in (1, TILE - 1, TILE, TILE + 1, 300) if (graph, n) != ("knn", 1)  # kNN needs k < N
+])
+def test_normalized_product_matches_dense(graph, n):
+    # deg, s, ||A~||_F^2 and A~ [s o p | x], x of three columns or none
+    rng = np.random.default_rng(n)
+    model, h = kind_model(graph, n, rng)
+    edges = model.edge_rule(h)
+    for diag in (1.0, 2.0):
+        assert_normalized_product_matches_dense(n, edges, diag, rng)
+
+
+@pytest.mark.parametrize("diag", [0.0, 1.0, 2.0])
+def test_normalized_product_isolated_node(diag):
+    # node 130, in the second tile, has no edge: with no self weight its
+    # degree is 0 and s takes the floor
+    n = TILE + 20
+    rng = np.random.default_rng(13)
+    a = np.abs(rng.normal(size=(n, n)))
+    a = (a + a.T) / 2
+    a[130] = 0.0
+    a[:, 130] = 0.0
+    edges = lambda rows, cols: a[rows][:, cols]  # noqa: E731
+    assert_normalized_product_matches_dense(n, edges, diag, rng)
+    _, s, _, _ = normalized_product(n, edges, diag, np.ones((n, 1)), np.empty((n, 0)))
+    assert s[130] == 1.0 / np.sqrt(DEGREE_FLOOR if diag == 0.0 else diag)
+
+
+def counted(edges):
+    """`edges` wrapped to record each call's (rows, cols)."""
+    calls = []
+
+    def rule(rows, cols):
+        calls.append((rows, cols))
+        return edges(rows, cols)
+
+    return rule, calls
+
+
+@pytest.mark.parametrize("n", [TILE + 1, 685])
+@pytest.mark.parametrize("graph", ["learned", "knn"])
+def test_block_tile_passes(graph, n):
+    # a labelled block reads A~ three times (pass 1: degrees, Frobenius sum,
+    # layer 1 and A~ H^T; pass 2: layer 2; the backward), an unlabelled
+    # forward twice
+    h, source, gp, labels, mask = make_case(n, graph=graph)
+    tape = nc.Tape()
+    hn, w0, w1 = tape.leaf(h), tape.leaf(gp.w0), tape.leaf(gp.w1)
+    zn, edges = None, source
+    if graph == "learned":
+        zn = cosine_normalize(tape.leaf(source.w_a).T @ hn)
+        edges = learned_edges(zn.value)
+    rule, calls = counted(edges)
+    terms, _ = graph_block(tape, hn, w0, w1, labels, mask, edges=rule, zn=zn)
+    tape.backward(nc.sum_axis(terms * TOTAL, axis=0, keepdims=False))
+    tiles = -(-n // TILE)
+    assert len(calls) == 3 * tiles
+    calls.clear()
+    graph_block(tape, hn, w0, w1, edges=rule, zn=zn)
+    assert len(calls) == 2 * tiles
+
+
+@pytest.mark.parametrize("n", [TILE + 1, 685])
+def test_predict_tile_passes(n):
+    # inductive scoring reads A~ once, for the degrees and Q = A~ (s0 o P)
+    # together, then each unseen patient's support S once, tile by tile
+    rng = np.random.default_rng(n)
+    schema = ModalitySchema((("a", 3), ("b", 2)))
+    mods = [rng.normal(size=(3, n + 40)), rng.normal(size=(2, n + 40))]
+    cfg = TrainConfig(epochs=1, d_f=4, heads=2, d_h=4)
+    model, _ = fit(schema, [m[:, :n] for m in mods], rng.integers(0, 3, size=n),
+                   np.arange(0, n, 2), cfg, 3)
+    rule, calls = counted(model.cache["edges"])
+    model.cache["edges"] = rule
+    predict_inductive_batch(model, [m[:, n:] for m in mods])
+    assert sum(isinstance(c, slice) for _, c in calls) == -(-n // TILE)
+    groups = []  # the support tiles, one list per patient: the first is S[:TILE]
+    for rows, cols in calls:
+        if not isinstance(cols, slice):
+            if np.array_equal(rows, cols[:rows.size]):
+                groups.append([])
+            groups[-1].append((rows, cols))
+    assert len(groups) == 40
+    for group in groups:
+        support = group[0][1]
+        assert len(group) == -(-support.size // TILE)
+        assert np.array_equal(np.concatenate([r for r, _ in group]), support)
+
+
+@pytest.mark.parametrize("self_loops", [False, True])
+@pytest.mark.parametrize("graph", ["learned", "knn", "meta"])
+def test_block_equivariant_to_patient_relabelling(graph, self_loops):
+    # relabelling the patients across row tiles permutes the logits, dH and
+    # dZn, and leaves the loss terms, dW0 and dW1 as they were
+    n, d, d_h = 300, 4, 5
+    rng = np.random.default_rng(31)
+    h = rng.normal(size=(d, n))
+    zn = rng.normal(size=(3, n))
+    zn /= np.linalg.norm(zn, axis=0)
+    meta = rng.integers(0, 2, size=(3, n))
+    gp = init_gcn(d, d_h, 3, rng)
+    labels = rng.integers(0, 3, size=n)
+    mask = np.sort(rng.choice(n, size=200, replace=False))
+    keep = (rng.random((n, d_h)) >= 0.3) / 0.7
+    perm = rng.permutation(n)
+
+    def run(order, mask):
+        hp, zp = nc.Param(h[:, order], "H"), nc.Param(zn[:, order], "Zn")
+        gp.w0.zero_grad()
+        gp.w1.zero_grad()
+        tape = nc.Tape()
+        if graph == "learned":
+            kw = {"zn": tape.leaf(zp), "edges": learned_edges(zp.value)}
+        elif graph == "knn":
+            kw = {"edges": knn_edges(hp.value, 5, 1.5)}
+        else:
+            kw = {"edges": meta_edges(meta[:, order], 2)}
+        terms, logits = graph_block(tape, tape.leaf(hp), tape.leaf(gp.w0), tape.leaf(gp.w1),
+                                    labels[order], mask, keep=keep[order],
+                                    add_self_loops=self_loops, **kw)
+        tape.backward(nc.sum_axis(terms * TOTAL, axis=0, keepdims=False))
+        return terms.value, logits, [p.grad.copy() for p in (hp, zp, gp.w0, gp.w1)]
+
+    terms, logits, (dh, dz, dw0, dw1) = run(np.arange(n), mask)
+    moved, moved_logits, (mdh, mdz, mdw0, mdw1) = run(perm, np.sort(np.argsort(perm)[mask]))
+    np.testing.assert_allclose(moved, terms, rtol=1e-12, atol=0.0)
+    assert rel_err(moved_logits, logits[perm]) < 1e-12
+    assert rel_err(mdh, dh[:, perm]) < 1e-12
+    if graph == "learned":
+        assert rel_err(mdz, dz[:, perm]) < 1e-12
+    assert rel_err(mdw0, dw0) < 1e-12 and rel_err(mdw1, dw1) < 1e-12

@@ -14,8 +14,9 @@ training, export and the inductive passes every patient shares, and over one
 unseen patient's neighbours for that patient's correction. The learned
 graph's rule takes `cosine_edges` of its projection (also the inductive
 kernel), and `knn_edges`, `meta_edges` and `no_edges` build the others' from
-O(N d) state. The dense tape primitives here are the block's reference, run
-only in tests.
+O(N d) state. The dense tape layers here, the block's reference that only the
+acceptance gate and the tests run, compose numcore ops; only the log barrier
+on degrees records a node of its own, as numcore has no log.
 """
 from __future__ import annotations
 
@@ -74,23 +75,11 @@ def cosine_edges(z_rows, z):
 
 
 def learned_adjacency(tape, h, params):
-    """Differentiable adjacency node relu(Zn^T Zn) with a unit diagonal, where
-    Zn is the column-normalised projection W_a^T H. Returns (A, Zn).
-
-    A is one tape node whose backward pass reads the ReLU mask back from A:
-    off the diagonal, A > 0 exactly where Zn^T Zn > 0.
-    """
+    """Differentiable adjacency relu(Zn^T Zn) with a unit diagonal, where Zn is
+    the column-normalised projection W_a^T H. Returns (A, Zn)."""
     zn = cosine_normalize(tape.leaf(params.w_a).T @ h)
-    znv = zn.value
-    a = cosine_edges(znv, znv)
-    np.fill_diagonal(a, 1.0)
-
-    def vjp(g):
-        gm = np.where(a > 0, g, 0.0)
-        np.fill_diagonal(gm, 0.0)
-        return (znv @ gm + znv @ gm.T,)
-
-    return tape._record(a, (zn,), vjp), zn
+    eye = np.eye(zn.value.shape[1])
+    return nc.relu(zn.T @ zn) * (1.0 - eye) + eye, zn
 
 
 def learned_graph(h, params):
@@ -100,33 +89,23 @@ def learned_graph(h, params):
     return LearnedGraph(a.value, zn.value.T @ zn.value)
 
 
+def _total(x):
+    """The sum of every entry of the node x, as a scalar node."""
+    return nc.sum_axis(x, axis=(0, 1), keepdims=False)
+
+
 def smoothness_loss(tape, h, a):
     """Dirichlet energy sum_ij a_ij ||h_i - h_j||^2 / (2 N^2).
 
     Uses the trace form sum_ij a_ij (sq_i + sq_j) - 2 sum(H o H A^T), so no
     pairwise N x N matrix is built; A need not be symmetric.
     """
-    hv, av = h.value, a.value
-    n = av.shape[0]
-    if hv.shape[1] != n:
-        raise DimensionError(f"H has {hv.shape[1]} columns but A is {av.shape}")
-    scale = 1.0 / (2.0 * n * n)
-    sq = np.einsum("ij,ij->j", hv, hv)  # ||h_i||^2
-    deg = av.sum(axis=1) + av.sum(axis=0)  # row plus column sums
-    hat = hv @ av.T
-    value = (sq @ deg - 2.0 * np.vdot(hv, hat)) * scale
-
-    def vjp(g):
-        c = float(g) * scale
-        ga = hv.T @ hv  # the Gram buffer becomes c * ||h_i - h_j||^2 in place
-        ga *= -2.0
-        ga += sq[:, None]
-        ga += sq[None, :]
-        ga *= c
-        gh = (2.0 * c) * (hv * deg - hat - hv @ av)
-        return gh, ga
-
-    return tape._record(value, (h, a), vjp)
+    n = a.value.shape[0]
+    if h.value.shape[1] != n:
+        raise DimensionError(f"H has {h.value.shape[1]} columns but A is {a.value.shape}")
+    sq = nc.sum_axis(h * h, axis=0)  # (1, N): ||h_i||^2
+    deg = nc.sum_axis(a, axis=1).T + nc.sum_axis(a, axis=0)  # row plus column sums
+    return (_total(sq * deg) - 2.0 * _total(h * (h @ a.T))) / (2.0 * n * n)
 
 
 def connectivity_loss(tape, a):
@@ -144,13 +123,8 @@ def connectivity_loss(tape, a):
 
 def sparsity_reg(tape, a):
     """Mean squared edge weight (Frobenius norm squared over N^2)."""
-    av = a.value
-    n = av.shape[0]
-
-    def vjp(g):
-        return ((2.0 * float(g) / (n * n)) * av,)
-
-    return tape._record(np.vdot(av, av) / (n * n), (a,), vjp)
+    n = a.value.shape[0]
+    return _total(a * a) / (n * n)
 
 
 def graph_loss(tape, h, a, alpha, beta):

@@ -324,6 +324,8 @@ def load_csv(features_path, schema_path):
 
 
 def _encode_labels(raw, schema):
+    if "" in raw:  # the header is row 1
+        raise DataError(f"row {raw.index('') + 2}: blank label in column {schema.label_column!r}")
     if schema.class_names:
         lut = {name: i for i, name in enumerate(schema.class_names)}
         out = np.empty(len(raw), dtype=np.int64)
@@ -334,7 +336,8 @@ def _encode_labels(raw, schema):
                 try:
                     out[i] = int(v)
                 except ValueError:
-                    raise DataError(f"unknown class label {v!r}; classes: {schema.class_names}")
+                    raise DataError(f"row {i + 2}: unknown class label {v!r}; "
+                                    f"classes: {schema.class_names}")
         if out.min() < 0 or out.max() >= len(schema.class_names):
             raise DataError(f"label index outside [0, {len(schema.class_names)})")
         return out

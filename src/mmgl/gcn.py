@@ -2,10 +2,10 @@
 
 Training and inductive scoring run these layers in closed form over A's row
 tiles (block.graph_block, train.predict_inductive_batch), never forming A or
-its normalisation; every degree is floored at `DEGREE_FLOOR`. The tape layers
-`normalize_adj` and `gcn_forward`, their numpy entry points (each runs the
-tape layer on a no-grad tape) and `extend_adjacency`, which attaches one
-patient to a trained graph, are the dense reference and run only in tests."""
+its normalisation; every degree is floored at `DEGREE_FLOOR`. The dense
+reference, which only the acceptance gate and the tests run, is the numcore
+compositions `normalize_adj` and `gcn_forward`, their numpy entry points (the
+tape layer on a no-grad tape) and `extend_adjacency` (one patient attached)."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -34,30 +34,14 @@ def init_gcn(d, d_h, n_classes, rng):
 
 
 def normalize_adj(tape, a, add_self_loops=False):
-    """Symmetric degree normalisation D^-1/2 A D^-1/2 (optionally A + I), one node."""
-    av = a.value
-    n = av.shape[0]
-    if av.shape[1] != n:
-        raise DimensionError(f"adjacency must be square, got {av.shape}")
+    """Symmetric degree normalisation D^-1/2 A D^-1/2 (optionally of A + I)."""
+    n = a.value.shape[0]
+    if a.value.shape[1] != n:
+        raise DimensionError(f"adjacency must be square, got {a.value.shape}")
     if add_self_loops:
-        av = av + np.eye(n)
-    deg = av.sum(axis=1)
-    live = deg > DEGREE_FLOOR
-    s = 1.0 / np.sqrt(np.maximum(deg, DEGREE_FLOOR))
-    out = av * s[:, None]
-    out *= s
-
-    def vjp(g):
-        # out_ij = a_ij s_i s_j, s = deg^-1/2: the degree term of row i is
-        # -s_i^2 / 2 times row i plus column i of g o out
-        buf = np.multiply(g, out)
-        t = (buf.sum(axis=1) + buf.sum(axis=0)) * (-0.5 * s * s * live)
-        np.multiply(g, s[:, None], out=buf)
-        buf *= s
-        buf += t[:, None]
-        return (buf,)
-
-    return tape._record(out, (a,), vjp)
+        a = a + np.eye(n)
+    s = 1.0 / nc.sqrt(nc.maximum(nc.sum_axis(a, axis=1), DEGREE_FLOOR))  # (N, 1)
+    return a * s * s.T
 
 
 def normalize_adj_np(a, add_self_loops=False):

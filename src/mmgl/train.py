@@ -7,9 +7,9 @@ Params; that tape alone decides which gradients reach a Param, so a frozen
 group gets none. A MAFF fusion, and a fixed graph's edge rule built from it,
 are computed once per fusion-weight state: phase B's, made with the fusion
 frozen, are handed on to the next phase A, which differentiates the fusion,
-and to the early-stopping and final cache forwards (`fit`); phase A drops its
-hand-off once differentiated, so a fit holds one fusion at a time. Forwards
-that nothing differentiates (early stopping, the cache, the graph projection,
+and to the cache forward, whose logits early stopping reads (`fit`); phase A
+drops its hand-off once differentiated, so a fit holds one fusion at a time.
+Forwards that nothing differentiates (the cache, the graph projection,
 inductive fusion) run on a no-grad tape (`numcore.Tape(trainable=())`), which
 keeps no nodes. The fitted model keeps its last forward's edge rule
 (`Model.edge_rule`) and, for maff, the (M, M) fusion map, not the per-patient
@@ -288,9 +288,9 @@ def fit(schema, mods, labels, train_idx, cfg, n_classes, seed_key=None, meta=Non
     """Train a Model; returns (model, per-epoch history).
 
     Phase B's fusion and fixed-graph edge rule of each epoch are handed to the
-    next epoch's phase A, the early-stopping forward and the final cache, so a
-    maff fit fuses E+1 times in E epochs and a knn fit builds E+1 neighbour
-    lists. The hand-off is local to this call."""
+    next epoch's phase A and to the cache, so a maff fit fuses E+1 times in E
+    epochs and a knn fit builds E+1 neighbour lists. Early stopping reads the
+    cache, refreshed after every epoch. The hand-off is local to this call."""
     model = Model(schema, n_classes, cfg, seed_key=seed_key, meta=meta)
     opt_a = nc.Adam(model.fusion_params() + model.agl_params(), cfg.lr)
     opt_b = nc.Adam(model.agl_params() + model.gcn_params(), cfg.lr)
@@ -302,13 +302,14 @@ def fit(schema, mods, labels, train_idx, cfg, n_classes, seed_key=None, meta=Non
                                        hand_off)
         history.append(values)
         if cfg.patience > 0:
-            logits = model.forward(nc.Tape(trainable=()), mods, hand_off=hand_off)["logits"]
+            logits = model.refresh_cache(mods, hand_off)["logits"]
             acc = accuracy(logits[train_idx], labels[train_idx])
             if acc > best_acc:
                 best_acc, best_epoch = acc, epoch
             elif epoch - best_epoch >= cfg.patience:
                 break
-    model.refresh_cache(mods, hand_off)
+    if cfg.patience == 0:
+        model.refresh_cache(mods, hand_off)
     return model, history
 
 

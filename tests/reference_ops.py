@@ -1,7 +1,7 @@
 """Reference implementations that only the tests use. Differentiable ops:
 reference constructions (per-head attention loops, term-by-term graph losses,
 loss reductions) built from these and the `numcore` primitives serve as
-oracles for the fused tape nodes in `mmgl`. Loops: the per-Param Adam step and
+oracles for the tape layers in `mmgl`. Loops: the per-Param Adam step and
 the cell-by-cell CSV parse are oracles for their whole-array versions. CSV
 writing: the csv module's writer is the oracle for the streaming table and
 graph writers. Dense graphs: the kNN and meta graphs built whole are oracles for

@@ -385,9 +385,10 @@ def test_block_argument_errors():
 def test_fit_forms_no_dense_graph(monkeypatch, graph):
     # a learned graph's forward builds its edge rule; a knn rule is built by
     # the forwards that fuse afresh (both phases of the first epoch, then
-    # phase B) and handed on to the rest, early stopping's included, so a fit
-    # of E epochs builds E + 1 neighbour lists. The final cache keeps the last
-    # rule.
+    # phase B) and handed on to the rest, so a fit of E epochs builds E + 1
+    # neighbour lists. The final cache keeps the last rule: with early
+    # stopping, stopping's own forward after each epoch is the cache, so no
+    # forward follows the last.
     model, mods, labels, mask = phase_model(n=30, graph=graph)
     rules = []
     edge_rule = Model.edge_rule
@@ -401,7 +402,7 @@ def test_fit_forms_no_dense_graph(monkeypatch, graph):
         builds.clear()
         cfg = replace(model.cfg, epochs=6, patience=patience)
         fitted, history = fit(model.schema, mods, labels, mask, cfg, 3)
-        forwards = 2 * 6 + (6 if patience else 0) + 1
+        forwards = 2 * 6 + (6 if patience else 1)
         assert len(history) == 6 and len(rules) == (6 + 1 if graph == "knn" else forwards)
         assert len(builds) == (len(rules) if graph == "knn" else 0)
         assert "A" not in fitted.cache and fitted.cache["edges"] is rules[-1]

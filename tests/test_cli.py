@@ -294,6 +294,27 @@ def with_cell(src_dir, dst_dir, cell):
     return dst_dir
 
 
+def blank_label(features, dst):
+    """Write to `dst` the table `features` with its second patient's label blank."""
+    with open(features, newline="") as f:
+        rows = list(csv.reader(f))
+    rows[2][rows[0].index("label")] = ""
+    with open(dst, "w", newline="") as f:
+        csv.writer(f).writerows(rows)
+
+
+@pytest.mark.parametrize("class_names", [True, False], ids=["class-names", "indices"])
+def test_cv_blank_label_exit_3(tmp_path, synth_dir, capsys, class_names):
+    schema = json.loads((synth_dir / "schema.json").read_text())
+    if not class_names:
+        schema["class_names"] = []
+    (synth_dir / "schema.json").write_text(json.dumps(schema))
+    blank_label(synth_dir / "features.csv", synth_dir / "features.csv")
+    assert run("cv", "--config", str(write_train_cfg(tmp_path)), "--data", str(synth_dir),
+               "--out", str(tmp_path / "o"), "--folds", "2") == 3
+    assert "row 3: blank label in column 'label'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("cell", ["nan", "inf"])
 def test_cv_non_finite_cell_exit_3(tmp_path, synth_dir, cell, capsys):
     data = with_cell(synth_dir, tmp_path / "bad", cell)
@@ -692,6 +713,17 @@ def test_predict_probabilities(tmp_path, trained, synth_dir):
         probs = np.array([float(v) for v in r[2:]])
         assert probs.size == 2 and np.all(probs >= 0)
         assert probs.sum() == pytest.approx(1.0)
+
+
+def test_predict_ignores_a_blank_label(tmp_path, trained, synth_dir):
+    # training refuses a blank label; predict never reads its label column
+    blank_label(synth_dir / "features.csv", tmp_path / "new.csv")
+    outs = []
+    for features in (synth_dir / "features.csv", tmp_path / "new.csv"):
+        outs.append(tmp_path / f"{features.stem}.preds.csv")
+        assert run("predict", "--model", str(trained / "model.npz"),
+                   "--features", str(features), "--out", str(outs[-1])) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
 @pytest.mark.parametrize("case", ["empty", "header_only", "ragged"])

@@ -64,6 +64,22 @@ def test_load_csv_bookkeeping(tmp_path):
     assert np.array_equal(ds.labels, [0, 1, 0, 1])
 
 
+@pytest.mark.parametrize("classes", [("x", "y"), ()], ids=["class-names", "indices"])
+@pytest.mark.parametrize("blank", ["", " "], ids=["empty", "whitespace"])
+def test_load_csv_blank_label_names_its_row(tmp_path, classes, blank):
+    # a blank label is no class: without class names it would become one
+    text = f"a_0,a_1,b_0,b_1,b_2,label\n1,2,3,4,5,x\n1,2,3,4,5,{blank}\n1,2,3,4,5,y\n"
+    schema = replace(small_schema(), class_names=classes)
+    with pytest.raises(DataError, match="^row 3: blank label in column 'label'$"):
+        load_csv(*write_csv(tmp_path, text, schema))
+
+
+def test_load_csv_unknown_label_names_its_row(tmp_path):
+    text = "a_0,a_1,b_0,b_1,b_2,label\n1,2,3,4,5,x\n1,2,3,4,5,y\n1,2,3,4,5,z\n"
+    with pytest.raises(DataError, match="^row 4: unknown class label 'z'"):
+        load_csv(*write_csv(tmp_path, text, small_schema()))
+
+
 def test_load_csv_wrong_width(tmp_path):
     text = "a_0,b_0,label\n1,2,x\n"
     with pytest.raises(SchemaError, match="5"):

@@ -1,6 +1,7 @@
 """Source hygiene of the package: no module imports a name it never reads,
-every tape made outside numcore names the Params it trains, and only numcore
-asks whether a node needs a gradient or whether a value is a node."""
+every tape made outside numcore names the Params it trains, only numcore
+asks whether a node needs a gradient or whether a value is a node, and the
+dense reference layers record no tape node of their own."""
 import ast
 from pathlib import Path
 
@@ -105,3 +106,39 @@ def test_node_type_check_sees_every_form():
               "b = isinstance(z, (np.ndarray, nc.Node))\nc = isinstance(w, nc.Param)\n"
               "d = isinstance(v, NodeList)\n")
     assert node_type_tests(source) == [1, 2, 4]
+
+
+# The dense reference layers, which only the acceptance gate and the tests run
+REFERENCE_LAYERS = {"agl.py": ("learned_adjacency", "smoothness_loss", "sparsity_reg"),
+                    "gcn.py": ("normalize_adj",)}
+
+
+def record_reads(source, names):
+    """(function, line) of each read of `_record`, as an attribute or a bare
+    name, called or not, in the top-level functions `names` of `source`
+    (nested functions included): a layer that records no node of its own is
+    a composition of numcore ops, whose VJPs are grad-checked."""
+    found = []
+    for fn in ast.parse(source).body:
+        if isinstance(fn, ast.FunctionDef) and fn.name in names:
+            found += [(fn.name, node.lineno) for node in ast.walk(fn)
+                      if getattr(node, "attr", getattr(node, "id", None)) == "_record"]
+    return sorted(found)
+
+
+@pytest.mark.parametrize("module", sorted(REFERENCE_LAYERS))
+def test_reference_layers_record_no_node_of_their_own(module):
+    source, names = (SRC / module).read_text(), REFERENCE_LAYERS[module]
+    defined = {fn.name for fn in ast.parse(source).body if isinstance(fn, ast.FunctionDef)}
+    assert set(names) <= defined
+    assert record_reads(source, names) == []
+
+
+def test_record_check_sees_every_read_form():
+    source = ("def layer(tape, a):\n    n = tape._record(a)\n"
+              "    def vjp(g):\n        return _record(g)\n"
+              "    return nc.Tape()._record(n, (a,), vjp)\n"
+              "def other(tape):\n    return tape._record(1)\n"
+              "def alias(t):\n    rec = t._record\n    return t.record(rec)\n")
+    assert record_reads(source, ("layer", "alias")) == [
+        ("alias", 9), ("layer", 2), ("layer", 4), ("layer", 5)]

@@ -324,29 +324,40 @@ def load_csv(features_path, schema_path):
 
 
 def _encode_labels(raw, schema):
+    """Class indices: a label's place in `class_names`, or an integer index;
+    without `class_names`, integer labels must cover 0..K-1, and other labels
+    are classes in sorted order."""
+    col = schema.label_column
     if "" in raw:  # the header is row 1
-        raise DataError(f"row {raw.index('') + 2}: blank label in column {schema.label_column!r}")
+        raise DataError(f"row {raw.index('') + 2}: blank label in column {col!r}")
     if schema.class_names:
         lut = {name: i for i, name in enumerate(schema.class_names)}
         out = np.empty(len(raw), dtype=np.int64)
         for i, v in enumerate(raw):
-            if v in lut:
-                out[i] = lut[v]
-            else:
-                try:
-                    out[i] = int(v)
-                except ValueError:
-                    raise DataError(f"row {i + 2}: unknown class label {v!r}; "
-                                    f"classes: {schema.class_names}")
-        if out.min() < 0 or out.max() >= len(schema.class_names):
-            raise DataError(f"label index outside [0, {len(schema.class_names)})")
+            try:
+                out[i] = lut[v] if v in lut else int(v)
+            except (ValueError, OverflowError):
+                raise DataError(f"row {i + 2}: unknown class label {v!r}; "
+                                f"classes: {schema.class_names}")
+        k = len(schema.class_names)
+        bad = np.flatnonzero((out < 0) | (out >= k))
+        if bad.size:
+            raise DataError(f"row {bad[0] + 2}: label index {raw[bad[0]]!r} outside [0, {k})")
         return out
-    try:
-        return np.array([int(v) for v in raw], dtype=np.int64)
+    try:  # clipped to [-1, N]: an index of N or more is refused below as unused anyway
+        out = np.array([min(max(int(v), -1), len(raw)) for v in raw], dtype=np.int64)
     except ValueError:
-        names = sorted(set(raw))
-        lut = {v: i for i, v in enumerate(names)}
+        lut = {v: i for i, v in enumerate(sorted(set(raw)))}
         return np.array([lut[v] for v in raw], dtype=np.int64)
+    neg = np.flatnonzero(out < 0)
+    if neg.size:
+        raise DataError(f"row {neg[0] + 2}: negative class index {raw[neg[0]]!r} in column {col!r}")
+    present = np.unique(out)  # not max+1 slots: a label of 10**12 allocates nothing
+    unused = np.flatnonzero(present != np.arange(present.size))
+    if unused.size:
+        raise DataError(f"class index {unused[0]} is unused in column {col!r}: integer labels "
+                        f"must cover 0..K-1, or the schema must name them in 'class_names'")
+    return out
 
 
 def _impute(ds, rows=None):

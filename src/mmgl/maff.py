@@ -1,9 +1,11 @@
 """Modal-attentional feature fusion.
 
 Per patient, each modality is projected to query/key/value vectors of a common
-width, an inter-modal score matrix is softmax-normalised into an attention map,
-and values are aggregated across modalities with a residual connection before
-two projection layers produce the fused feature. Everything is vectorised over
+width, an inter-modal score matrix is normalised into an attention map by
+numcore's temperature-scaled softmax (`softmax` forward, `softmax_vjp`
+backward, both in place on the (heads, M, M, N) scores), and values are
+aggregated across modalities with a residual connection before two projection
+layers produce the fused feature. Everything is vectorised over
 patients, heads and modality pairs; the attention map is patient-specific.
 
 The inputs are a fixed feature table that nothing upstream trains, so a
@@ -97,7 +99,8 @@ def fuse_batch(tape, xs, params):
     another tape. Q, K and V come from one GEMM per modality,
     [W_q | W_k | W_v]_m^T x_m, and are views of that (M, 3 d_f, N) stack shaped
     (M, heads, d_h, N); the scores S[h, i, j] = <q_i, k_j> / tau are
-    softmax-normalised over the queries i ("column") or the keys j ("row");
+    normalised in place by `numcore.softmax` over the queries i ("column") or
+    the keys j ("row");
     modality m aggregates v_m + sum_j P[h, m, j] v_j, and W_m acts on it as one
     batched matmul over M.
     The backward mirrors this: one GEMM per modality for the three weight
@@ -126,12 +129,7 @@ def fuse_batch(tape, xs, params):
     # the softmax runs in place: each fresh (heads, M, M, N) temporary costs more
     # than the arithmetic on it
     p = np.einsum("ihcn,jhcn->hijn", q, k)
-    p /= tau
-    # a diverging run's infinite scores give NaN here; the loss check reports it
-    with np.errstate(invalid="ignore"):
-        p -= p.max(axis=axis, keepdims=True)
-        np.exp(p, out=p)
-        p /= p.sum(axis=axis, keepdims=True)  # (heads, M, M, N)
+    nc.softmax(p, axis, tau, out=p)  # (heads, M, M, N)
     u = (v + np.einsum("hmjn,jhcn->mhcn", p, v)).reshape(m_count, d_f, n)
     wm = np.stack([w.value for w in params.w_m])
     vhat = (np.swapaxes(wm, 1, 2) @ u).reshape(m_count * d_f, n)
@@ -144,9 +142,7 @@ def fuse_batch(tape, xs, params):
         g_vhat = (wh @ g).reshape(m_count, d_f, n)
         g_u = (wm @ g_vhat).reshape(shape)
         g_s = np.einsum("mhcn,jhcn->hmjn", g_u, v)  # dL/dP, made dL/dS in place
-        g_s -= (p * g_s).sum(axis=axis, keepdims=True)
-        g_s *= p
-        g_s /= tau
+        nc.softmax_vjp(p, g_s, axis, tau, out=g_s)
         g_qkv = np.empty((m_count, 3 * d_f, n))
         gq, gk, gv = (g_qkv[:, i * d_f:(i + 1) * d_f].reshape(shape) for i in range(3))
         np.einsum("hijn,jhcn->ihcn", g_s, k, out=gq)

@@ -9,6 +9,8 @@ return Nodes that hold no parents or VJP, and its backward is a no-op, so a
 forward that is never differentiated keeps no tape alive. All values are
 numpy float64 arrays; broadcasting follows numpy rules and is undone in the
 adjoints.
+`softmax` and `softmax_vjp` are the one softmax, forward and backward: MAFF's
+attention, `softmax_columns` and every probability run them.
 """
 from __future__ import annotations
 
@@ -281,23 +283,35 @@ def sum_axis(a, axis, keepdims=True):
     return tape._record(a.value.sum(axis=axis, keepdims=keepdims), (a,), vjp)
 
 
+def softmax(x, axis, tau=1.0, out=None):
+    """Softmax of x/tau along `axis`, less its max; in place when `out` is x.
+    An infinite score gives NaN without a warning, for the divergence check."""
+    out = np.divide(x, tau, out=out)
+    with np.errstate(invalid="ignore"):
+        out -= out.max(axis=axis, keepdims=True)
+        np.exp(out, out=out)
+        out /= out.sum(axis=axis, keepdims=True)
+    return out
+
+
+def softmax_vjp(y, g, axis, tau=1.0, out=None):
+    """(g - sum_axis y*g) * y / tau: `softmax`'s VJP at its output y; in place
+    when `out` is g."""
+    out = np.subtract(g, (y * g).sum(axis=axis, keepdims=True), out=out)
+    out *= y
+    out /= tau
+    return out
+
+
 def softmax_columns(s, tau=1.0):
-    """Column-wise softmax of s/tau, stabilised by the per-column max."""
+    """Column-wise softmax of s/tau as a tape op over `softmax`."""
     if tau <= 0:
         raise ParameterError(f"softmax temperature must be positive, got {tau}")
     tape = _tape_of(s)
-    sv = s.value
-    if sv.ndim != 2:
-        raise DimensionError(f"softmax_columns expects a 2-D input, got shape {sv.shape}")
-    z = sv / tau
-    z = z - z.max(axis=0, keepdims=True)
-    e = np.exp(z)
-    y = e / e.sum(axis=0, keepdims=True)
-
-    def vjp(g):
-        return (y * (g - (y * g).sum(axis=0, keepdims=True)) / tau,)
-
-    return tape._record(y, (s,), vjp)
+    if s.value.ndim != 2:
+        raise DimensionError(f"softmax_columns expects a 2-D input, got shape {s.value.shape}")
+    y = softmax(s.value, 0, tau)
+    return tape._record(y, (s,), lambda g: (softmax_vjp(y, g, 0, tau),))
 
 
 def label_weights(labels, mask, n, n_classes):
@@ -352,10 +366,7 @@ def cross_entropy_masked(logits, labels, mask):
 
 def softmax_rows_values(logits):
     """Plain numpy row softmax (no gradient); for turning logits into probabilities."""
-    logits = np.asarray(logits, dtype=np.float64)
-    z = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    return softmax(np.asarray(logits, dtype=np.float64), 1)
 
 
 class Adam:

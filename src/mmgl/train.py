@@ -345,43 +345,25 @@ def auc(scores, labels):
     return float(np.mean(per_class)) if per_class else float("nan")
 
 
+def fold_summary(folds):
+    """(mean, sample std, standard error) over the folds with a score (a fold
+    of one test class has a NaN AUC). The guards keep nanmean and nanstd off
+    the empty slices they warn on: one fold has std 0.0, one score NaN."""
+    x = np.asarray(folds, dtype=np.float64)
+    k = np.count_nonzero(~np.isnan(x))
+    mean = float(np.nanmean(x)) if k else float("nan")
+    std = 0.0 if x.size < 2 else float(np.nanstd(x, ddof=1)) if k > 1 else float("nan")
+    return mean, std, std / np.sqrt(max(k, 1))
+
+
 @dataclass
 class Metrics:
     acc_folds: list
     auc_folds: list
 
-    @property
-    def mean_acc(self):
-        return float(np.mean(self.acc_folds))
-
-    @property
-    def std_acc(self):
-        return float(np.std(self.acc_folds, ddof=1)) if len(self.acc_folds) > 1 else 0.0
-
-    @property
-    def se_acc(self):
-        return self.std_acc / np.sqrt(len(self.acc_folds))
-
-    # A fold whose test patients are all of one class has a NaN AUC. The
-    # NaN results are returned without nanmean/nanstd, which warn on them.
-    @property
-    def mean_auc(self):
-        if np.isnan(self.auc_folds).all():
-            return float("nan")
-        return float(np.nanmean(self.auc_folds))
-
-    @property
-    def std_auc(self):
-        if len(self.auc_folds) < 2:
-            return 0.0
-        if np.count_nonzero(~np.isnan(self.auc_folds)) < 2:
-            return float("nan")
-        return float(np.nanstd(self.auc_folds, ddof=1))
-
-    @property
-    def se_auc(self):
-        # over the folds that have an AUC; NaN with fewer than two of them
-        return self.std_auc / np.sqrt(max(np.count_nonzero(~np.isnan(self.auc_folds)), 1))
+    def __post_init__(self):
+        self.mean_acc, self.std_acc, self.se_acc = fold_summary(self.acc_folds)
+        self.mean_auc, self.std_auc, self.se_auc = fold_summary(self.auc_folds)
 
 
 def evaluate(model, labels, test_idx):

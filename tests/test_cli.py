@@ -315,6 +315,26 @@ def test_cv_blank_label_exit_3(tmp_path, synth_dir, capsys, class_names):
     assert "row 3: blank label in column 'label'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("relabel, message", [
+    ({"c0": "-1", "c1": "0"}, "row 2: negative class index '-1' in column 'label'"),
+    ({"c0": "0", "c1": "7"}, "class index 1 is unused in column 'label'"),
+], ids=["negative", "gapped"])
+def test_cv_bad_class_index_exit_3(tmp_path, synth_dir, capsys, relabel, message):
+    # integer labels without class names must be the indices 0..K-1
+    schema = json.loads((synth_dir / "schema.json").read_text())
+    schema["class_names"] = []
+    (synth_dir / "schema.json").write_text(json.dumps(schema))
+    with open(synth_dir / "features.csv", newline="") as f:
+        rows = list(csv.reader(f))
+    for row in rows[1:]:
+        row[-1] = relabel[row[-1]]
+    with open(synth_dir / "features.csv", "w", newline="") as f:
+        csv.writer(f).writerows(rows)
+    assert run("cv", "--config", str(write_train_cfg(tmp_path)), "--data", str(synth_dir),
+               "--out", str(tmp_path / "o"), "--folds", "2") == 3
+    assert message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("cell", ["nan", "inf"])
 def test_cv_non_finite_cell_exit_3(tmp_path, synth_dir, cell, capsys):
     data = with_cell(synth_dir, tmp_path / "bad", cell)

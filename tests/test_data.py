@@ -80,6 +80,38 @@ def test_load_csv_unknown_label_names_its_row(tmp_path):
         load_csv(*write_csv(tmp_path, text, small_schema()))
 
 
+def label_table(labels):
+    return "a_0,a_1,b_0,b_1,b_2,label\n" + "".join(f"1,2,3,4,5,{v}\n" for v in labels)
+
+
+@pytest.mark.parametrize("label", ["-1", str(-10**30)])
+def test_load_csv_negative_index_names_its_row(tmp_path, label):
+    # without class names it surfaced only in the loss, which names no row
+    schema = replace(small_schema(), class_names=())
+    with pytest.raises(DataError, match=f"^row 3: negative class index '{label}' "
+                                        f"in column 'label'$"):
+        load_csv(*write_csv(tmp_path, label_table((0, label, 1)), schema))
+
+
+@pytest.mark.parametrize("labels, unused", [
+    ((0, 7, 0), 1), ((2, 1, 2), 0), ((0, 1, 3), 2), ((0, 10**12, 1), 2), ((0, 10**30, 1), 2),
+])
+def test_load_csv_refuses_an_unused_class_index(tmp_path, labels, unused):
+    # {0, 7} would load as 8 classes, six of them empty; 10**12 is found
+    # from the distinct indices, not from an array of max + 1 entries, and
+    # 10**30, beyond int64, is refused the same way
+    schema = replace(small_schema(), class_names=())
+    with pytest.raises(DataError, match=f"^class index {unused} is unused in column 'label': "
+                                        f"integer labels must cover 0..K-1, .*'class_names'"):
+        load_csv(*write_csv(tmp_path, label_table(labels), schema))
+
+
+@pytest.mark.parametrize("label", ["2", "-1", "10000000000000000000000"])
+def test_load_csv_index_outside_class_names_names_its_row(tmp_path, label):
+    with pytest.raises(DataError, match=f"^row 3: .*{label!r}"):
+        load_csv(*write_csv(tmp_path, label_table(("x", label, "y")), small_schema()))
+
+
 def test_load_csv_wrong_width(tmp_path):
     text = "a_0,b_0,label\n1,2,x\n"
     with pytest.raises(SchemaError, match="5"):

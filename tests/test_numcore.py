@@ -2,6 +2,7 @@
 import ast
 import gc
 import inspect
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -51,6 +52,108 @@ def test_matmul_gradients():
     t = make_tape()
     t.backward(sum_all(t.leaf(w) @ t.const(x)))
     assert np.allclose(w.grad, np.ones((3, 2)) @ x.T)
+
+
+# ----------------------------------------------------- softmax, softmax_vjp
+
+# The softmax expressions each caller wrote out before they shared the
+# kernels; the kernels must give their bytes.
+
+def maff_block(s, axis, tau):
+    """maff.fuse_batch's in-place block over (heads, M, M, N) scores."""
+    p = s.copy()
+    p /= tau
+    with np.errstate(invalid="ignore"):
+        p -= p.max(axis=axis, keepdims=True)
+        np.exp(p, out=p)
+        p /= p.sum(axis=axis, keepdims=True)
+    return p
+
+
+def maff_block_vjp(p, g, axis, tau):
+    g_s = g.copy()
+    g_s -= (p * g_s).sum(axis=axis, keepdims=True)
+    g_s *= p
+    g_s /= tau
+    return g_s
+
+
+def columns_expression(sv, tau):
+    """softmax_columns' value."""
+    z = sv / tau
+    z = z - z.max(axis=0, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=0, keepdims=True)
+
+
+def columns_expression_vjp(y, g, tau):
+    return y * (g - (y * g).sum(axis=0, keepdims=True)) / tau
+
+
+def rows_expression(logits):
+    """softmax_rows_values' value: no temperature."""
+    z = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def same_bytes(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def attention_scores(seed):
+    # (heads, M, M, N) at heads=4, d_f=12
+    return np.random.default_rng(seed).normal(size=(4, 5, 5, 37)) * 3.0, np.sqrt(12 / 4)
+
+
+@pytest.mark.parametrize("axis", [1, 2], ids=["column", "row"])
+def test_softmax_is_maffs_block_bitwise(axis):
+    s, tau = attention_scores(0)
+    assert same_bytes(nc.softmax(s, axis, tau), maff_block(s, axis, tau))
+    x = s.copy()
+    assert nc.softmax(x, axis, tau, out=x) is x
+    assert same_bytes(x, maff_block(s, axis, tau))
+
+
+@pytest.mark.parametrize("axis", [1, 2], ids=["column", "row"])
+def test_softmax_vjp_is_maffs_block_vjp_bitwise(axis):
+    s, tau = attention_scores(1)
+    p = maff_block(s, axis, tau)
+    g = np.random.default_rng(2).normal(size=s.shape)
+    assert same_bytes(nc.softmax_vjp(p, g, axis, tau), maff_block_vjp(p, g, axis, tau))
+    out = g.copy()
+    assert nc.softmax_vjp(p, out, axis, tau, out=out) is out
+    assert same_bytes(out, maff_block_vjp(p, g, axis, tau))
+
+
+@pytest.mark.parametrize("tau", [1.0, 0.7, np.sqrt(3.0)])
+def test_softmax_columns_is_its_expression_bitwise(tau):
+    rng = np.random.default_rng(3)
+    s, g = rng.normal(size=(6, 9)) * 4.0, rng.normal(size=(6, 9))
+    y = columns_expression(s, tau)
+    assert same_bytes(nc.softmax(s, 0, tau), y)
+    assert same_bytes(nc.softmax_vjp(y, g, 0, tau), columns_expression_vjp(y, g, tau))
+    t = make_tape()
+    leaf = t.leaf(nc.Param(s))
+    out = nc.softmax_columns(leaf, tau)
+    assert same_bytes(out.value, y)
+    assert same_bytes(out._vjp(g)[0], columns_expression_vjp(y, g, tau))
+
+
+def test_softmax_is_softmax_rows_values_expression_bitwise():
+    logits = np.random.default_rng(4).normal(size=(40, 3)) * 5.0
+    assert same_bytes(nc.softmax(logits, 1), rows_expression(logits))
+    assert same_bytes(nc.softmax_rows_values(logits), rows_expression(logits))
+
+
+def test_softmax_infinite_score_is_nan_without_warning():
+    s = np.zeros((3, 2))
+    s[1, 0] = np.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        y = nc.softmax(s, 0, 2.0)
+    assert np.isnan(y[:, 0]).all()
+    assert np.array_equal(y[:, 1], np.full(3, 1 / 3))
 
 
 # --------------------------------------------------------- softmax_columns
@@ -483,7 +586,8 @@ def test_grad_check_bad_h():
 # ----------------------------------------------------------------- surface
 
 # The acceptance gate (tests/test_acceptance.py, criteria 1 and 3) imports
-# these two, so they stay in numcore although no mmgl module calls them.
+# these two, so they stay in numcore although no mmgl module calls them;
+# softmax_columns is a tape op over the softmax kernels that MAFF runs.
 GATE_ONLY = {"grad_check", "softmax_columns"}
 
 

@@ -142,3 +142,50 @@ def test_record_check_sees_every_read_form():
               "def alias(t):\n    rec = t._record\n    return t.record(rec)\n")
     assert record_reads(source, ("layer", "alias")) == [
         ("alias", 9), ("layer", 2), ("layer", 4), ("layer", 5)]
+
+
+# The homes of numpy's exp: the one softmax, the loss kernel, whose
+# log-sum-exp needs the normaliser, and the RBF edge kernel
+EXP_HOMES = {"numcore.py": ("softmax", "cross_entropy_rows"), "agl.py": ("rbf_kernel",)}
+
+
+def exp_uses(source):
+    """(top-level function or None, line) of each use of numpy's exp in
+    `source`: `np.exp` or `numpy.exp` under any alias of numpy, called or
+    passed as a value, and each `from numpy import exp` with every read of
+    the name it binds."""
+    tree = ast.parse(source)
+    mods, names = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            mods |= {a.asname or a.name for a in node.names if a.name == "numpy"}
+        elif isinstance(node, ast.ImportFrom) and node.module == "numpy":
+            names |= {a.asname or a.name for a in node.names if a.name == "exp"}
+    found = []
+    for top in tree.body:
+        where = getattr(top, "name", None)
+        found += [(where, node.lineno) for node in ast.walk(top)
+                  if (isinstance(node, ast.Attribute) and node.attr == "exp"
+                      and getattr(node.value, "id", None) in mods)
+                  or (isinstance(node, ast.Name) and node.id in names)
+                  or (isinstance(node, ast.ImportFrom) and node.module == "numpy"
+                      and any(a.name == "exp" for a in node.names))]
+    return sorted(found, key=lambda use: (use[1], str(use[0])))
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_numpy_exp_runs_only_in_its_kernels(path):
+    uses, homes = exp_uses(path.read_text()), EXP_HOMES.get(path.name, ())
+    assert [use for use in uses if use[0] not in homes] == []
+    assert set(homes) <= {where for where, _ in uses}
+
+
+def test_exp_check_sees_every_form():
+    source = ("import numpy as np\nimport numpy\nfrom numpy import exp, log\n"
+              "from numpy import exp as e\n"
+              "def softmax(x):\n    return np.exp(x)\n"
+              "def f(x):\n    y = numpy.exp(x)\n    z = list(map(np.exp, x))\n"
+              "    return exp(e(y)) + log(z)\n"
+              "w = np.exp2(1) + math.exp(1) + np.log(1)\n")
+    assert exp_uses(source) == [(None, 3), (None, 4), ("softmax", 6), ("f", 8), ("f", 9),
+                                ("f", 10), ("f", 10)]

@@ -32,6 +32,7 @@ from .data import (  # noqa: F401
     save_dataset, synth_generate, write_csv, zscore,
 )
 from .errors import ConfigError, DataError, ParameterError, SchemaError, TrainingDiverged
+from .maff import earlier_layout
 from .numcore import softmax_rows_values
 from .train import (
     Model, TrainConfig, accuracy, auc, fit, meta_rows, predict_inductive_batch, run_ablation,
@@ -202,6 +203,9 @@ def _read_model(path):
         if "meta_adj" in z and "meta" not in z:
             raise DataError("a meta graph stored as 'meta_adj' (earlier format) must be retrained")
         arrays = {"labels": labels}
+        if cfg.fusion == "maff" and "param:" + model.maff.w_m.name not in z:
+            stored = earlier_layout(lambda name: _artifact_array(z, "param:" + name), schema)
+            arrays.update({"param:" + name: value for name, value in stored.items()})
         for key in (*shapes, "meta"):  # the two optional arrays may be absent
             if key not in arrays and (key in z or key not in ("fuse_map", "meta")):
                 arrays[key] = _artifact_array(z, key)

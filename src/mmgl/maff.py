@@ -10,7 +10,7 @@ patients, heads and modality pairs; the attention map is patient-specific.
 
 The inputs are a fixed feature table that nothing upstream trains, so a
 fusion is a function of its weights alone: `fuse_batch` takes arrays and
-records one tape node whose parents are the 4M+1 weight leaves, and the Fusion
+records one tape node whose parents are the M+2 weight leaves, and the Fusion
 it returns can record the same node again on another tape without recomputing.
 Training uses this: phase B's fusion, made with the fusion weights frozen, is
 the node the next epoch's phase A records and differentiates.
@@ -27,10 +27,8 @@ from .errors import DimensionError, ParameterError
 
 @dataclass
 class MaffParams:
-    w_q: list  # per modality, Param (d_m, d_f)
-    w_k: list
-    w_v: list
-    w_m: list  # per modality, Param (d_f, d_f)
+    w_qkv: list  # per modality, Param (d_m, 3 d_f): [W_q | W_k | W_v]
+    w_m: "nc.Param"  # (M, d_f, d_f), one W_m per modality
     w_h: "nc.Param"  # (M*d_f, d)
     d_f: int
     d: int
@@ -44,7 +42,7 @@ class MaffParams:
         return float(np.sqrt(self.d_f / self.heads))
 
     def all_params(self):
-        return [*self.w_q, *self.w_k, *self.w_v, *self.w_m, self.w_h]
+        return [*self.w_qkv, self.w_m, self.w_h]
 
 
 def init_maff(schema, d_f, d, heads, rng, attention_axis="column"):
@@ -52,14 +50,23 @@ def init_maff(schema, d_f, d, heads, rng, attention_axis="column"):
         raise ParameterError(f"d_f={d_f} not divisible by head count {heads}")
     if attention_axis not in ("column", "row"):
         raise ParameterError(f"attention_axis must be 'column' or 'row', got {attention_axis!r}")
-    w_q, w_k, w_v, w_m = [], [], [], []
+    # W_q, W_k, W_v and W_m are drawn per modality in that order, then joined
+    w_qkv, w_m = [], []
     for name, dim in schema.modalities:
-        w_q.append(nc.glorot(rng, dim, d_f, f"w_q.{name}"))
-        w_k.append(nc.glorot(rng, dim, d_f, f"w_k.{name}"))
-        w_v.append(nc.glorot(rng, dim, d_f, f"w_v.{name}"))
-        w_m.append(nc.glorot(rng, d_f, d_f, f"w_m.{name}"))
+        qkv = [nc.glorot(rng, dim, d_f).value for _ in range(3)]
+        w_qkv.append(nc.Param(np.concatenate(qkv, axis=1), f"w_qkv.{name}"))
+        w_m.append(nc.glorot(rng, d_f, d_f).value)
     w_h = nc.glorot(rng, schema.n_modalities * d_f, d, "w_h")
-    return MaffParams(w_q, w_k, w_v, w_m, w_h, d_f, d, heads, attention_axis)
+    return MaffParams(w_qkv, nc.Param(np.stack(w_m), "w_m"), w_h, d_f, d, heads, attention_axis)
+
+
+def earlier_layout(read, schema):
+    """Fusion weights by Param name from an artifact in the earlier layout, which stored
+    W_q, W_k, W_v and W_m per modality; `read(name)` is the array stored for a name."""
+    names = [name for name, _ in schema.modalities]
+    qkv = {f"w_qkv.{n}": np.concatenate([read(f"{w}.{n}") for w in ("w_q", "w_k", "w_v")], 1)
+           for n in names}
+    return {**qkv, "w_m": np.stack([read(f"w_m.{n}") for n in names])}
 
 
 class Fusion:
@@ -67,8 +74,8 @@ class Fusion:
     `tensor` (heads, M, M, N), and what its node needs to be recorded again:
     the Params, the fused features H (d, N) and the VJP closure.
 
-    The closure reads W_h by reference, so a Fusion serves only while the
-    fusion Params keep the values it was made with, and its VJP must run
+    The closure reads W_m and W_h by reference, so a Fusion serves only while
+    the fusion Params keep the values it was made with, and its VJP must run
     before an optimizer step moves them.
     """
 
@@ -83,7 +90,7 @@ class Fusion:
 
     def record(self, tape):
         """Record this fusion on `tape` as one node with its value and VJP,
-        whose parents are fresh leaves of the 4M+1 Params. No MAFF arithmetic
+        whose parents are fresh leaves of the M+2 Params. No MAFF arithmetic
         runs."""
         leaves = tuple(tape.leaf(p) for p in self.params.all_params())
         return tape._record(self.value, leaves, self.vjp)
@@ -93,7 +100,7 @@ def fuse_batch(tape, xs, params):
     """Fuse per-modality feature blocks (d_m, N), arrays, into (H: d x N,
     Fusion).
 
-    Recorded as one tape node whose parents are the 4M+1 weight leaves: the
+    Recorded as one tape node whose parents are the M+2 weight leaves: the
     inputs are constants, and the VJP returns the weights' gradients only. The
     returned Fusion holds the attention maps and can record the node again on
     another tape. Q, K and V come from one GEMM per modality,
@@ -101,27 +108,25 @@ def fuse_batch(tape, xs, params):
     (M, heads, d_h, N); the scores S[h, i, j] = <q_i, k_j> / tau are
     normalised in place by `numcore.softmax` over the queries i ("column") or
     the keys j ("row");
-    modality m aggregates v_m + sum_j P[h, m, j] v_j, and W_m acts on it as one
-    batched matmul over M.
-    The backward mirrors this: one GEMM per modality for the three weight
-    gradients.
+    modality m aggregates v_m + sum_j P[h, m, j] v_j, and the stacked W_m acts
+    on it as one batched matmul over M.
+    The backward mirrors this: one GEMM per modality for [W_q | W_k | W_v]'s
+    gradient.
     """
-    m_count, heads, d_f = len(params.w_q), params.heads, params.d_f
+    m_count, heads, d_f = len(params.w_qkv), params.heads, params.d_f
     if len(xs) != m_count:
         raise DimensionError(f"expected {m_count} modalities, got {len(xs)}")
     xv = [np.atleast_2d(np.asarray(x, dtype=np.float64)) for x in xs]
     n = xv[0].shape[1]
-    for x, w in zip(xv, params.w_q):
+    for x, w in zip(xv, params.w_qkv):
         if x.shape != (w.value.shape[0], n):
             raise DimensionError(
                 f"modality block {x.shape} does not match projection rows "
                 f"{w.value.shape[0]} and {n} patients"
             )
-    wqkv = [np.concatenate((q.value, k.value, v.value), axis=1)
-            for q, k, v in zip(params.w_q, params.w_k, params.w_v)]
     qkv = np.empty((m_count, 3 * d_f, n))
-    for m in range(m_count):
-        np.matmul(wqkv[m].T, xv[m], out=qkv[m])
+    for m, (x, w) in enumerate(zip(xv, params.w_qkv)):
+        np.matmul(w.value.T, x, out=qkv[m])
     shape = (m_count, heads, d_f // heads, n)
     q, k, v = (qkv[:, i * d_f:(i + 1) * d_f].reshape(shape) for i in range(3))
     tau = params.tau
@@ -131,12 +136,11 @@ def fuse_batch(tape, xs, params):
     p = np.einsum("ihcn,jhcn->hijn", q, k)
     nc.softmax(p, axis, tau, out=p)  # (heads, M, M, N)
     u = (v + np.einsum("hmjn,jhcn->mhcn", p, v)).reshape(m_count, d_f, n)
-    wm = np.stack([w.value for w in params.w_m])
-    vhat = (np.swapaxes(wm, 1, 2) @ u).reshape(m_count * d_f, n)
-    # read by reference, unlike wm: the VJP must run before a step moves W_h.
-    # A phase's backward precedes its step, and a handed-on Fusion is
+    # W_m and W_h are read by reference: the VJP must run before a step moves
+    # them. A phase's backward precedes its step, and a handed-on Fusion is
     # differentiated only by the next phase A (train.train_epoch).
-    wh = params.w_h.value
+    wm, wh = params.w_m.value, params.w_h.value
+    vhat = (np.swapaxes(wm, 1, 2) @ u).reshape(m_count * d_f, n)
 
     def vjp(g):
         g_vhat = (wh @ g).reshape(m_count, d_f, n)
@@ -148,9 +152,8 @@ def fuse_batch(tape, xs, params):
         np.einsum("hijn,jhcn->ihcn", g_s, k, out=gq)
         np.einsum("hijn,ihcn->jhcn", g_s, q, out=gk)
         np.add(g_u, np.einsum("hmjn,mhcn->jhcn", p, g_u), out=gv)
-        g_wqkv = [x @ gm.T for x, gm in zip(xv, g_qkv)]
-        g_w = [gw[:, i * d_f:(i + 1) * d_f] for i in range(3) for gw in g_wqkv]
-        return (*g_w, *(u @ np.swapaxes(g_vhat, 1, 2)), vhat @ g.T)
+        return (*(x @ gm.T for x, gm in zip(xv, g_qkv)), u @ np.swapaxes(g_vhat, 1, 2),
+                vhat @ g.T)
 
     fusion = Fusion(p, params, wh.T @ vhat, vjp)
     return fusion.record(tape), fusion

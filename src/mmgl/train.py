@@ -57,6 +57,7 @@ class TrainConfig:
     dropout: float = 0.0
     add_self_loops: bool = False
     per_fold_stats: bool = False  # per-fold imputation/normalisation statistics
+    #   in transductive cv; inductive cv always fits them per fold
 
     def __post_init__(self):
         check_field_types(self)
@@ -271,7 +272,7 @@ def train_epoch(model, mods, labels, mask, opt_a, opt_b, epoch, hand_off=None):
         values = {"task": task, "smooth": smooth, "con": con, "reg": reg,
                   "total": task + lam * (smooth + alpha * con + beta * reg)}
         _check_finite(values, epoch)
-        # the fusion's VJP reads W_h by reference: backward runs before the step
+        # the fusion's VJP reads W_m and W_h by reference: backward runs before the step
         tape.backward(nc.sum_axis(terms * weights[loss_kind], axis=0, keepdims=False))
         opt.step()
         return values, {"fusion": out["fusion"], "edges": out["edges"]}
@@ -485,7 +486,7 @@ class CvResult:
 
 
 def _run_fold(dataset, clean, cfg, f, train_idx, test_idx):
-    ds = Preprocessor.fit(dataset, train_idx).transform(dataset) if cfg.per_fold_stats else clean
+    ds = Preprocessor.fit(dataset, train_idx).transform(dataset) if clean is None else clean
     seed_key = [cfg.seed, 613, f]
     if cfg.eval_mode == "inductive":
         tr_mods = [m[:, train_idx] for m in ds.modalities]
@@ -504,11 +505,15 @@ def _run_fold(dataset, clean, cfg, f, train_idx, test_idx):
 def run_cv(dataset, cfg, k=10, threads=1):
     """Stratified K-fold cross-validation; deterministic under cfg.seed.
 
-    Folds are independent, so `threads` > 1 runs them concurrently; results
-    are reduced in fold order either way.
+    Imputation and z-score statistics are fitted on each fold's training
+    patients when the held-out fold is unseen (inductive) or
+    `cfg.per_fold_stats` is set, else once on the cohort. Folds are
+    independent, so `threads` > 1 runs them concurrently; results are reduced
+    in fold order either way.
     """
     split = stratified_kfold(dataset.labels, k, cfg.seed)
-    clean = None if cfg.per_fold_stats else Preprocessor.fit(dataset).transform(dataset)
+    per_fold = cfg.per_fold_stats or cfg.eval_mode == "inductive"
+    clean = None if per_fold else Preprocessor.fit(dataset).transform(dataset)
     jobs = [
         (f, train_idx, test_idx) for f, (train_idx, test_idx) in enumerate(split.folds)
     ]

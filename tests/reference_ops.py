@@ -105,6 +105,19 @@ def slice_rows(a, start, stop):
     return tape._record(a.value[start:stop], (a,), vjp)
 
 
+def take(a, i):
+    """Block i of a stacked node, a[i], as a node."""
+    tape = _tape_of(a)
+    shape = a.value.shape
+
+    def vjp(g):
+        out = np.zeros(shape)
+        out[i] = g
+        return (out,)
+
+    return tape._record(a.value[i], (a,), vjp)
+
+
 def read_table_walk(path, schema, require_label=True):
     """Cell-by-cell CSV parse (`strip` and `float` per cell, in file order):
     the oracle for `mmgl.data.read_table`, which returns the same values,

@@ -1137,3 +1137,49 @@ def test_predict_with_earlier_artifact(tmp_path):
         assert g[:2] == w[:2]
         np.testing.assert_allclose([float(v) for v in g[2:]], [float(v) for v in w[2:]],
                                    rtol=0, atol=1e-12)
+
+
+def per_matrix_layout(arrays, model):
+    """The arrays of `model`'s artifact with its fusion weights stored as an
+    earlier version stored them: W_q, W_k, W_v and W_m per modality."""
+    out, d_f = dict(arrays), model.cfg.d_f
+    w_m = out.pop("param:w_m")
+    for (name, _), m in zip(model.schema.modalities, w_m, strict=True):
+        qkv = out.pop(f"param:w_qkv.{name}")
+        for i, w in enumerate(("w_q", "w_k", "w_v")):
+            out[f"param:{w}.{name}"] = qkv[:, i * d_f:(i + 1) * d_f]
+        out[f"param:w_m.{name}"] = m
+    return out
+
+
+def test_artifact_in_the_per_matrix_layout_loads_and_predicts_the_same(tmp_path, trained,
+                                                                      synth_dir):
+    path, earlier = trained / "model.npz", tmp_path / "earlier.npz"
+    model, _ = load_model(path)
+    with np.load(path) as z:
+        np.savez(earlier, **per_matrix_layout(z, model))
+    again, _ = load_model(earlier)
+    assert [p.name for p in again.all_params()] == [p.name for p in model.all_params()]
+    for p, q in zip(again.all_params(), model.all_params()):
+        assert p.value.tobytes() == q.value.tobytes()
+    for name, m in (("now", path), ("earlier", earlier)):
+        assert run("predict", "--model", str(m), "--features", str(synth_dir / "features.csv"),
+                   "--out", str(tmp_path / f"{name}.csv")) == 0
+    assert (tmp_path / "now.csv").read_bytes() == (tmp_path / "earlier.csv").read_bytes()
+
+
+def test_per_matrix_artifact_missing_a_matrix_exit_3(tmp_path, trained, synth_dir):
+    model, _ = load_model(trained / "model.npz")
+    with np.load(trained / "model.npz") as z:
+        arrays = per_matrix_layout(z, model)
+    name = model.schema.modalities[1][0]
+    del arrays[f"param:w_k.{name}"]
+    bad = tmp_path / "bad.npz"
+    np.savez(bad, **arrays)
+    for argv in (["predict", "--features", str(synth_dir / "features.csv")],
+                 ["export", "--what", "graph"]):
+        proc = run_subprocess(*argv, "--model", str(bad), "--out", str(tmp_path / "out.csv"),
+                              cwd=tmp_path)
+        assert proc.returncode == 3
+        assert f"param:w_k.{name}" in proc.stderr and "Traceback" not in proc.stderr
+    assert not (tmp_path / "out.csv").exists()

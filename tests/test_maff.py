@@ -6,7 +6,7 @@ from mmgl import numcore as nc
 from mmgl.data import ModalitySchema
 from mmgl.errors import DimensionError, ParameterError
 from mmgl.maff import MaffParams, fuse_batch, fuse_one, init_maff
-from reference_ops import concat_rows, slice_rows, sum_all
+from reference_ops import concat_rows, slice_rows, sum_all, take
 
 
 def schema3(dims=(3, 4, 5)):
@@ -17,14 +17,16 @@ def random_params(dims=(3, 4, 5), d_f=4, d=4, heads=1, seed=0, axis="column"):
     return init_maff(schema3(dims), d_f, d, heads, np.random.default_rng(seed), axis)
 
 
-def manual_params(w_q, w_k, w_v, w_m, w_h, d_f, d, heads=1, axis="column"):
-    return MaffParams(
-        [nc.Param(w, f"wq{i}") for i, w in enumerate(w_q)],
-        [nc.Param(w, f"wk{i}") for i, w in enumerate(w_k)],
-        [nc.Param(w, f"wv{i}") for i, w in enumerate(w_v)],
-        [nc.Param(w, f"wm{i}") for i, w in enumerate(w_m)],
-        nc.Param(w_h, "wh"), d_f, d, heads, axis,
-    )
+def manual_params(w_qkv, w_m, w_h, d_f, d, heads=1, axis="column"):
+    return MaffParams([nc.Param(w, f"wqkv{i}") for i, w in enumerate(w_qkv)],
+                      nc.Param(w_m, "wm"), nc.Param(w_h, "wh"), d_f, d, heads, axis)
+
+
+def proj(p, which, m):
+    """Modality m's W_q, W_k or W_v (`which` is "q", "k" or "v"): a view of
+    its columns of w_qkv."""
+    i = "qkv".index(which)
+    return p.w_qkv[m].value[:, i * p.d_f:(i + 1) * p.d_f]
 
 
 # ------------------------------------------------------------------- init
@@ -36,6 +38,26 @@ def test_init_validation():
         init_maff(schema3(), 4, 4, 1, np.random.default_rng(0), "diagonal")
 
 
+@pytest.mark.parametrize("dims", [(3, 4, 5), (7,)])
+def test_init_joins_the_per_matrix_draws(dims):
+    # a seed gives the weights that one Param per matrix drew: glorot draws
+    # of W_q, W_k, W_v and W_m per modality in that order, then W_h, joined
+    # into each [W_q | W_k | W_v] and the stacked W_m bit for bit
+    d_f, d = 4, 3
+    p = init_maff(schema3(dims), d_f, d, 2, np.random.default_rng(31))
+    rng = np.random.default_rng(31)
+    draws = [[nc.glorot(rng, rows, d_f).value for rows in (dim, dim, dim, d_f)] for dim in dims]
+    w_h = nc.glorot(rng, len(dims) * d_f, d).value
+    assert [q.name for q in p.all_params()] == [f"w_qkv.m{i}" for i in range(len(dims))] + [
+        "w_m", "w_h"]
+    for w, (q, k, v, _) in zip(p.w_qkv, draws, strict=True):
+        assert w.value.shape == (q.shape[0], 3 * d_f)
+        assert w.value.tobytes() == np.concatenate((q, k, v), axis=1).tobytes()
+    assert p.w_m.value.shape == (len(dims), d_f, d_f)
+    assert p.w_m.value.tobytes() == np.stack([m for *_, m in draws]).tobytes()
+    assert p.w_h.value.tobytes() == w_h.tobytes()
+
+
 def test_tau_per_head():
     p = random_params(d_f=16, heads=4)
     assert p.tau == 2.0  # sqrt(16 / 4)
@@ -44,13 +66,13 @@ def test_tau_per_head():
 # ------------------------------------------------------- loop reference
 
 def loop_project(tape, xs, params):
-    """Per-modality q/k/v projections, one matmul node each."""
+    """Per-modality q/k/v projections, sliced from one matmul node each."""
     qs, ks, vs = [], [], []
-    for x, wq, wk, wv in zip(xs, params.w_q, params.w_k, params.w_v):
-        x = tape.const(np.atleast_2d(x))
-        qs.append(tape.leaf(wq).T @ x)
-        ks.append(tape.leaf(wk).T @ x)
-        vs.append(tape.leaf(wv).T @ x)
+    d_f = params.d_f
+    for x, w in zip(xs, params.w_qkv):
+        qkv = tape.leaf(w).T @ tape.const(np.atleast_2d(x))
+        for out, i in ((qs, 0), (ks, 1), (vs, 2)):
+            out.append(slice_rows(qkv, i * d_f, (i + 1) * d_f))
     return qs, ks, vs
 
 
@@ -97,6 +119,7 @@ def loop_fuse_batch(tape, xs, params):
     m_count = len(xs)
     heads, dh = params.heads, params.d_f // params.heads
     coeff, tensor = loop_attention_rows(qs, ks, params)
+    w_m = tape.leaf(params.w_m)
     vhats = []
     for m in range(m_count):
         head_parts = []
@@ -107,7 +130,7 @@ def loop_fuse_batch(tape, xs, params):
                 agg = agg + coeff[h][(m, j)] * vh[j]
             head_parts.append(agg)
         merged = head_parts[0] if heads == 1 else concat_rows(head_parts)
-        vhats.append(tape.leaf(params.w_m[m]).T @ merged)
+        vhats.append(take(w_m, m).T @ merged)
     h_out = tape.leaf(params.w_h).T @ concat_rows(vhats)
     return h_out, tensor
 
@@ -124,7 +147,7 @@ def batch_tensor(tape, xs, params):
 
 
 def fused_grads(fuse, xs, p, r):
-    """H, attention tensor and the 4M+1 weight gradients of sum(H * r); `fuse`
+    """H, attention tensor and the M+2 weight gradients of sum(H * r); `fuse`
     returns H and the tensor."""
     params = p.all_params()
     for q in params:
@@ -147,7 +170,7 @@ def test_fuse_batch_matches_loop_reference(axis, heads, dims, n):
     h_ref, tensor_ref, grads_ref = fused_grads(loop_fuse_batch, xs, p, r)
     assert_rel_close(h, h_ref)
     assert_rel_close(tensor, tensor_ref)
-    assert len(grads) == len(grads_ref) == 4 * len(dims) + 1
+    assert len(grads) == len(grads_ref) == len(dims) + 2
     for g, g_ref in zip(grads, grads_ref):
         assert_rel_close(g, g_ref)
 
@@ -155,8 +178,8 @@ def test_fuse_batch_matches_loop_reference(axis, heads, dims, n):
 def permuted_params(p, perm):
     """The same fusion with its modalities listed in the order `perm`."""
     blocks = p.w_h.value.reshape(len(perm), p.d_f, p.d)[perm].reshape(p.w_h.value.shape)
-    return manual_params(*([ws[i].value for i in perm] for ws in (p.w_q, p.w_k, p.w_v, p.w_m)),
-                         blocks, p.d_f, p.d, p.heads, p.attention_axis)
+    return manual_params([p.w_qkv[i].value for i in perm], p.w_m.value[perm], blocks,
+                         p.d_f, p.d, p.heads, p.attention_axis)
 
 
 @pytest.mark.parametrize("axis", ["column", "row"])
@@ -177,11 +200,11 @@ def test_fuse_modality_permutation(axis, heads, dims):
     assert_rel_close(hp, h)
     assert_rel_close(tensor_p, tensor[:, perm][:, :, perm])
     m = len(dims)
-    for start in (0, m, 2 * m, 3 * m):  # w_q, w_k, w_v, w_m
-        for i, j in enumerate(perm):
-            assert_rel_close(grads_p[start + i], grads[start + j])
-    g_wh = grads[4 * m].reshape(m, 4, 3)
-    assert_rel_close(grads_p[4 * m], g_wh[perm].reshape(4 * m, 3))
+    for i, j in enumerate(perm):  # w_qkv
+        assert_rel_close(grads_p[i], grads[j])
+    assert_rel_close(grads_p[m], grads[m][perm])  # w_m
+    g_wh = grads[m + 1].reshape(m, 4, 3)
+    assert_rel_close(grads_p[m + 1], g_wh[perm].reshape(4 * m, 3))
 
 
 def test_fuse_batch_tape_nodes_independent_of_heads():
@@ -192,13 +215,13 @@ def test_fuse_batch_tape_nodes_independent_of_heads():
         tape = nc.Tape()
         fuse_batch(tape, xs, random_params(d_f=8, heads=heads))
         counts.add(len(tape.nodes))
-    assert counts == {4 * 3 + 2}  # the weight leaves and one fused node
+    assert counts == {3 + 3}  # the M+2 weight leaves and one fused node
 
 
 @pytest.mark.parametrize("m", [1, 3, 8])
 def test_fusion_node_hangs_from_its_weights_alone(m):
     # the inputs are constants: the fused node's parents are exactly the
-    # leaves of the 4M+1 weights, in all_params order, whether fuse_batch
+    # leaves of the M+2 weights, in all_params order, whether fuse_batch
     # records it or a Fusion records it again on another tape
     dims = tuple(range(2, 2 + m))
     p = random_params(dims=dims, d_f=4, d=3, heads=2, seed=26)
@@ -228,8 +251,8 @@ def test_attention_uniform_when_scores_equal():
     p = random_params(dims=(2, 2, 2), d_f=2, d=2)
     x = np.ones((2, 1))
     for m in range(3):  # identical projections for every modality
-        p.w_q[m].value[...] = np.eye(2)
-        p.w_k[m].value[...] = np.eye(2)
+        proj(p, "q", m)[...] = np.eye(2)
+        proj(p, "k", m)[...] = np.eye(2)
     pm = fuse_one(nc.Tape(), [x, x, x], p)[1].tensor[..., 0].mean(axis=0)
     assert np.allclose(pm, 1 / 3)
 
@@ -238,10 +261,10 @@ def test_attention_hand_softmax_two_modalities():
     # scores S = [[ln2, 0], [0, 0]] at tau=1 -> column 0 is (2/3, 1/3)
     schema = ModalitySchema((("a", 1), ("b", 1)))
     p = init_maff(schema, 1, 1, 1, np.random.default_rng(0))
-    p.w_q[0].value[...] = np.log(2.0)
-    p.w_q[1].value[...] = 0.0
-    p.w_k[0].value[...] = 1.0
-    p.w_k[1].value[...] = 0.0
+    proj(p, "q", 0)[...] = np.log(2.0)
+    proj(p, "q", 1)[...] = 0.0
+    proj(p, "k", 0)[...] = 1.0
+    proj(p, "k", 1)[...] = 0.0
     assert p.tau == 1.0
     pm = fuse_one(nc.Tape(), [np.ones(1), np.ones(1)], p)[1].tensor[..., 0].mean(axis=0)
     assert np.allclose(pm[:, 0], [2 / 3, 1 / 3])
@@ -287,8 +310,8 @@ def test_fuse_single_modality_residual_doubles():
     p = init_maff(schema, 2, 2, 1, rng)
     x = rng.normal(size=3)
     h, maps = fuse_one(nc.Tape(), [x], p)
-    v = p.w_v[0].value.T @ x
-    expect = p.w_h.value.T @ (p.w_m[0].value.T @ (2.0 * v))
+    v = proj(p, "v", 0).T @ x
+    expect = p.w_h.value.T @ (p.w_m.value[0].T @ (2.0 * v))
     assert np.allclose(h.value[:, 0], expect)
     assert np.allclose(maps.tensor[..., 0].mean(axis=0), [[1.0]])
 
@@ -300,14 +323,14 @@ def test_fuse_matches_straight_line_oracle():
     xs = [rng.normal(size=d) for d in (3, 4, 5)]
     h, maps = fuse_one(nc.Tape(), xs, p)
 
-    q = [p.w_q[m].value.T @ xs[m] for m in range(3)]
-    k = [p.w_k[m].value.T @ xs[m] for m in range(3)]
-    v = [p.w_v[m].value.T @ xs[m] for m in range(3)]
+    q = [proj(p, "q", m).T @ xs[m] for m in range(3)]
+    k = [proj(p, "k", m).T @ xs[m] for m in range(3)]
+    v = [proj(p, "v", m).T @ xs[m] for m in range(3)]
     s = np.array([[q[i] @ k[j] for j in range(3)] for i in range(3)])
     e = np.exp(s / p.tau - (s / p.tau).max(axis=0, keepdims=True))
     att = e / e.sum(axis=0, keepdims=True)  # normalised over the query index
     assert np.allclose(att, maps.tensor[..., 0].mean(axis=0))
-    vhat = [p.w_m[m].value.T @ (v[m] + sum(att[m, j] * v[j] for j in range(3)))
+    vhat = [p.w_m.value[m].T @ (v[m] + sum(att[m, j] * v[j] for j in range(3)))
             for m in range(3)]
     expect = p.w_h.value.T @ np.concatenate(vhat)
     assert np.allclose(h.value[:, 0], expect)
@@ -320,9 +343,9 @@ def test_fuse_multi_head_segments():
     xs = [rng.normal(size=d) for d in (3, 4, 5)]
     h, maps = fuse_one(nc.Tape(), xs, p)
     assert maps.tensor.shape == (2, 3, 3, 1)
-    q = [p.w_q[m].value.T @ xs[m] for m in range(3)]
-    k = [p.w_k[m].value.T @ xs[m] for m in range(3)]
-    v = [p.w_v[m].value.T @ xs[m] for m in range(3)]
+    q = [proj(p, "q", m).T @ xs[m] for m in range(3)]
+    k = [proj(p, "k", m).T @ xs[m] for m in range(3)]
+    v = [proj(p, "v", m).T @ xs[m] for m in range(3)]
     tau = np.sqrt(8 / 2)
     merged = []
     for m in range(3):
@@ -333,7 +356,7 @@ def test_fuse_multi_head_segments():
             att = e / e.sum(axis=0, keepdims=True)
             assert np.allclose(att, maps.tensor[hd, :, :, 0])
             parts.append(v[m][sl] + sum(att[m, j] * v[j][sl] for j in range(3)))
-        merged.append(p.w_m[m].value.T @ np.concatenate(parts))
+        merged.append(p.w_m.value[m].T @ np.concatenate(parts))
     expect = p.w_h.value.T @ np.concatenate(merged)
     assert np.allclose(h.value[:, 0], expect)
 
@@ -360,16 +383,22 @@ def test_batch_permutation_equivariance():
     assert np.allclose(maps.tensor[:, :, :, perm], maps_p.tensor)
 
 
-def test_batch_gradients_pass_finite_differences():
-    rng = np.random.default_rng(15)
-    p = random_params(dims=(2, 3, 2), d_f=4, d=3, heads=2, seed=16)
-    xs = [rng.normal(size=(d, 4)) for d in (2, 3, 2)]
+@pytest.mark.parametrize("axis", ["column", "row"])
+@pytest.mark.parametrize("heads", [1, 2])
+@pytest.mark.parametrize("dims", [(3,), (2, 3, 2)], ids=["M1", "M3"])
+def test_batch_gradients_pass_finite_differences(axis, heads, dims):
+    # grad_check samples at most max_coords coordinates of a Param; here it
+    # checks every coordinate of the M+2 weights
+    rng = np.random.default_rng(28)
+    p = random_params(dims=dims, d_f=4, d=3, heads=heads, seed=29, axis=axis)
+    xs = [rng.normal(size=(d, 4)) for d in dims]
 
     def build(tape):
         h, _ = fuse_batch(tape, xs, p)
         return sum_all(h * h)
 
-    assert nc.grad_check(build, p.all_params(), rng=rng) < 1e-4
+    size = max(q.value.size for q in p.all_params())
+    assert nc.grad_check(build, p.all_params(), rng=rng, max_coords=size) < 1e-4
 
 
 # ---------------------------------------------------- global attention map
@@ -409,8 +438,8 @@ def shift_patient(xs, params, block, delta, patient):
     has full row rank when d_m >= 3 d_f."""
     d_f = params.d_f
     out = [x.copy() for x in xs]
-    for x, q, k, v in zip(out, params.w_q, params.w_k, params.w_v):
-        w = np.concatenate((q.value, k.value, v.value), axis=1)
+    for x, w in zip(out, params.w_qkv):
+        w = w.value  # [W_q | W_k | W_v]
         target = np.zeros(3 * d_f)
         target[block * d_f:(block + 1) * d_f] = delta
         step = np.linalg.lstsq(w.T, target, rcond=None)[0]

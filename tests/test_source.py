@@ -1,8 +1,10 @@
 """Source hygiene of the package: no module imports a name it never reads,
 every tape made outside numcore names the Params it trains, only numcore
-asks whether a node needs a gradient or whether a value is a node, and the
-dense reference layers record no tape node of their own."""
+asks whether a node needs a gradient or whether a value is a node, the
+dense reference layers record no tape node of their own, and only maff
+spells the keys of its weights."""
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -189,3 +191,30 @@ def test_exp_check_sees_every_form():
               "w = np.exp2(1) + math.exp(1) + np.log(1)\n")
     assert exp_uses(source) == [(None, 3), (None, 4), ("softmax", 6), ("f", 8), ("f", 9),
                                 ("f", 10), ("f", 10)]
+
+
+MAFF_KEY = re.compile(r"\bw_(?:qkv|q|k|v|m|h)\b")
+
+
+def maff_key_spellings(source):
+    """Lines of each string literal in `source`, f-string parts included,
+    that spells a MAFF weight key (`w_qkv`, `w_q`, `w_k`, `w_v`, `w_m` or
+    `w_h`): maff owns the layout of its weights, earlier artifacts' included,
+    so the artifact reader names a Param only through the Param."""
+    return sorted({node.lineno for node in ast.walk(ast.parse(source))
+                   if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                   and MAFF_KEY.search(node.value)})
+
+
+@pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py") if p.name != "maff.py"),
+                         ids=lambda p: p.name)
+def test_only_maff_spells_its_weight_keys(path):
+    assert maff_key_spellings(path.read_text()) == []
+
+
+def test_maff_key_check_sees_every_form():
+    source = ('a = z["param:w_qkv.m1"]\nb = f"w_q.{name}"\nc = "w_m"\n'
+              'd = ("w_k", "w_v")\ne = model.maff.w_m.name\nf = "mlp.w1" + "w_a" + "w_mx"\n'
+              'g = f"{w}.w_h"\n')
+    assert maff_key_spellings(source) == [1, 2, 3, 4, 7]
+    assert maff_key_spellings((SRC / "maff.py").read_text()) != []

@@ -269,9 +269,9 @@ def test_fit_holds_one_fusion_at_a_time(monkeypatch):
     assert type(fitted.cache["fuse_map"]) is np.ndarray and fitted.cache["fuse_map"].shape == (m, m)
 
 
-@pytest.mark.parametrize("m,graph,size", [(4, "learned", 32), (8, "learned", 48), (4, "knn", 24)])
+@pytest.mark.parametrize("m,graph,size", [(4, "learned", 21), (8, "learned", 25), (4, "knn", 13)])
 def test_maff_phase_tapes_hold_the_fusion_weights_and_one_node(monkeypatch, m, graph, size):
-    # the modalities are constants: a phase tape opens with the 4M+1 fusion
+    # the modalities are constants: a phase tape opens with the M+2 fusion
     # weight leaves and the fused node, and records no input of the fusion,
     # whether phase B fuses or phase A records the fusion handed on to it
     tapes = []
@@ -281,9 +281,9 @@ def test_maff_phase_tapes_hold_the_fusion_weights_and_one_node(monkeypatch, m, g
     model, _ = fit_tiny(tiny_dataset(dims=(3,) * m), tiny_cfg(epochs=2, graph=graph))
     assert len(tapes) == 4  # two phases per epoch
     for nodes in tapes:
-        fused = nodes[4 * m + 1]
-        assert [node._param for node in nodes[:4 * m + 1]] == model.fusion_params()
-        assert list(fused._parents) == nodes[:4 * m + 1]
+        fused = nodes[m + 2]
+        assert [node._param for node in nodes[:m + 2]] == model.fusion_params()
+        assert list(fused._parents) == nodes[:m + 2]
         assert len(nodes) == size
 
 
@@ -566,6 +566,22 @@ def test_per_fold_preprocess_ignores_test_fold_cells():
     for a, b in zip(base.modalities, moved.modalities):
         assert np.array_equal(a[:, train_idx], b[:, train_idx])
         assert not np.array_equal(a[:, test_idx], b[:, test_idx])
+
+
+@pytest.mark.parametrize("per_fold_stats", [False, True])
+def test_inductive_cv_fits_preprocessing_on_the_training_fold(per_fold_stats):
+    # an inductive fold's held-out patients are unseen: imputation means and
+    # z-score statistics come from its training patients, per_fold_stats or
+    # not, so moving the held-out features leaves the fold's training unchanged
+    ds = synth_generate(SynthConfig(n=60, classes=2, modality_dims=(3, 3),
+                                    missing_rate=0.1, seed=14))
+    _, test_idx = stratified_kfold(ds.labels, 2, 0).folds[0]
+    edited = ds.x.copy()
+    edited[:, test_idx] += 50.0
+    cfg = tiny_cfg(epochs=3, eval_mode="inductive", per_fold_stats=per_fold_stats)
+    base, moved = run_cv(ds, cfg, k=2), run_cv(replace(ds, x=edited), cfg, k=2)
+    assert moved.folds[0].history == base.folds[0].history
+    assert moved.folds[1].history != base.folds[1].history  # fold 1 trains on them
 
 
 # ------------------------------------------------------------- ablation

@@ -33,10 +33,9 @@ from .data import (  # noqa: F401
 )
 from .errors import ConfigError, DataError, ParameterError, SchemaError, TrainingDiverged
 from .maff import earlier_layout
-from .numcore import softmax_rows_values
 from .train import (
-    Model, TrainConfig, accuracy, auc, fit, meta_rows, predict_inductive_batch, run_ablation,
-    run_cv, write_ablation_csv, write_history_csv, write_metrics_csv,
+    Model, TrainConfig, evaluate, fit, meta_rows, predict_inductive_batch, run_ablation, run_cv,
+    write_ablation_csv, write_history_csv, write_metrics_csv,
 )
 
 TADPOLE_LIKE = {"n": 685, "classes": 3, "modality_dims": [200, 100, 50, 16], "separation": 3.0}
@@ -266,9 +265,8 @@ def cmd_train(args):
                          cfg, clean.n_classes, meta=meta_rows(clean, cfg))
     save_model(model, clean.labels, prep, clean.feature_names, outputs["model.npz"])
     write_history_csv(history, outputs["history.csv"])
-    probs = softmax_rows_values(model.cache["logits"])
-    write_csv(outputs["metrics.csv"], ["split", "acc", "auc"],
-              [["train", repr(accuracy(probs, clean.labels)), repr(auc(probs, clean.labels))]])
+    acc, auc = evaluate(model, clean.labels, np.arange(clean.n))
+    write_csv(outputs["metrics.csv"], ["split", "acc", "auc"], [["train", repr(acc), repr(auc)]])
     finish()
     print(f"trained on {clean.n} patients; artifacts in {args.out}")
     return 0

@@ -424,17 +424,10 @@ def zscore(ds, train_idx=None):
     return Preprocessor.fit(ds, train_idx).transform(ds)
 
 
-@dataclass(frozen=True)
-class SplitPlan:
-    """K disjoint (train, test) index pairs covering [0, N)."""
-
-    folds: tuple  # ((train, test), ...)
-    k: int
-    seed: int
-
-
 def stratified_kfold(labels, k, seed):
-    """Deterministic stratified K-fold; per-fold class counts within +-1."""
+    """Deterministic stratified K-fold: k (train, test) index pairs covering
+    [0, N). Each class, shuffled, is dealt round the folds from where the class
+    before stopped, so per-fold class counts are within +-1."""
     labels = np.asarray(labels)
     n = labels.size
     if k < 2:
@@ -442,7 +435,7 @@ def stratified_kfold(labels, k, seed):
     if k > n:
         raise ParameterError(f"k={k} exceeds sample count {n}")
     rng = np.random.default_rng(seed)
-    test_buckets = [[] for _ in range(k)]
+    fold = np.full(n, -1)
     offset = 0
     for cls in np.unique(labels):
         idx = np.flatnonzero(labels == cls)
@@ -450,17 +443,9 @@ def stratified_kfold(labels, k, seed):
             warnings.warn(
                 f"class {cls} has {idx.size} < {k} members; stratification is best-effort"
             )
-        idx = rng.permutation(idx)
-        for i, sample in enumerate(idx):
-            test_buckets[(offset + i) % k].append(int(sample))
+        fold[rng.permutation(idx)] = (offset + np.arange(idx.size)) % k
         offset = (offset + idx.size) % k
-    folds = []
-    everything = np.arange(n)
-    for bucket in test_buckets:
-        test = np.array(sorted(bucket), dtype=np.int64)
-        train = np.setdiff1d(everything, test)
-        folds.append((train, test))
-    return SplitPlan(tuple(folds), k, seed)
+    return tuple((np.flatnonzero(fold != f), np.flatnonzero(fold == f)) for f in range(k))
 
 
 @dataclass(frozen=True)
@@ -599,10 +584,15 @@ def synth_generate(cfg):
     schema = _synth_schema(cfg)
     n_mods = len(cfg.modality_dims)
     rng = np.random.default_rng([cfg.seed, 29])
-    labels = np.resize(np.arange(cfg.classes), cfg.n)
+    try:
+        labels = np.resize(np.arange(cfg.classes), cfg.n)
+        x = np.empty((schema.d_in, cfg.n))
+    # numpy raises ValueError or OverflowError for a dimension past its index range
+    except (MemoryError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"synthetic config asks for a table of {schema.d_in} features x "
+                          f"{cfg.n} patients, more than numpy can allocate") from exc
     labels = rng.permutation(labels).astype(np.int64)
 
-    x = np.empty((schema.d_in, cfg.n))
     mods = schema.split(x)
     centers = synth_centers(cfg)
     for m, d in enumerate(cfg.modality_dims):

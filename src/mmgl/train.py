@@ -121,15 +121,21 @@ class Model:
         d, d_a = cfg.dim_fused, cfg.dim_graph
         key = list(seed_key) if seed_key is not None else [cfg.seed, 101]
         rng = np.random.default_rng(key)
-        if cfg.fusion == "maff":
-            self.maff = maff.init_maff(schema, cfg.d_f, d, cfg.heads, rng, cfg.attention_axis)
-        elif cfg.fusion == "mlp":
-            self.mlp_w1 = nc.glorot(rng, schema.d_in, cfg.d_f, "mlp.w1")
-            self.mlp_w2 = nc.glorot(rng, cfg.d_f, d, "mlp.w2")
-        else:  # concat
-            self.concat_w = nc.glorot(rng, schema.d_in, d, "concat.w")
-        self.agl = agl.init_agl(d, d_a, rng) if cfg.graph == "learned" else None
-        self.gcn = gcn.init_gcn(d, cfg.d_h, n_classes, rng)
+        try:
+            if cfg.fusion == "maff":
+                self.maff = maff.init_maff(schema, cfg.d_f, d, cfg.heads, rng, cfg.attention_axis)
+            elif cfg.fusion == "mlp":
+                self.mlp_w1 = nc.glorot(rng, schema.d_in, cfg.d_f, "mlp.w1")
+                self.mlp_w2 = nc.glorot(rng, cfg.d_f, d, "mlp.w2")
+            else:  # concat
+                self.concat_w = nc.glorot(rng, schema.d_in, d, "concat.w")
+            self.agl = agl.init_agl(d, d_a, rng) if cfg.graph == "learned" else None
+            self.gcn = gcn.init_gcn(d, cfg.d_h, n_classes, rng)
+        # numpy raises ValueError or OverflowError for a dimension past its index range
+        except (MemoryError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"config asks for weights numpy cannot allocate: modality widths "
+                              f"{schema.dims}, d_f={cfg.d_f}, d={d}, d_a={d_a}, d_h={cfg.d_h}, "
+                              f"{n_classes} classes") from exc
         self.meta = None if cfg.graph != "meta" or meta is None else np.asarray(meta, float)
         self._drop_rng = np.random.default_rng(key + [977])
         self.cache = {}
@@ -473,7 +479,6 @@ class FoldResult:
     fold: int
     acc: float
     auc: float
-    losses: dict  # final-epoch loss breakdown
     history: list
 
 
@@ -481,8 +486,7 @@ class FoldResult:
 class CvResult:
     metrics: Metrics
     folds: list  # FoldResult
-    split: object
-    config: TrainConfig
+    split: tuple  # stratified_kfold's (train, test) pairs
 
 
 def _run_fold(dataset, clean, cfg, f, train_idx, test_idx):
@@ -499,7 +503,7 @@ def _run_fold(dataset, clean, cfg, f, train_idx, test_idx):
         model, history = fit(ds.schema, ds.modalities, ds.labels, train_idx, cfg, ds.n_classes,
                              seed_key=seed_key, meta=meta_rows(ds, cfg))
         acc, auc_v = evaluate(model, ds.labels, test_idx)
-    return FoldResult(fold=f, acc=acc, auc=auc_v, losses=history[-1], history=history)
+    return FoldResult(fold=f, acc=acc, auc=auc_v, history=history)
 
 
 def run_cv(dataset, cfg, k=10, threads=1):
@@ -514,9 +518,7 @@ def run_cv(dataset, cfg, k=10, threads=1):
     split = stratified_kfold(dataset.labels, k, cfg.seed)
     per_fold = cfg.per_fold_stats or cfg.eval_mode == "inductive"
     clean = None if per_fold else Preprocessor.fit(dataset).transform(dataset)
-    jobs = [
-        (f, train_idx, test_idx) for f, (train_idx, test_idx) in enumerate(split.folds)
-    ]
+    jobs = [(f, train_idx, test_idx) for f, (train_idx, test_idx) in enumerate(split)]
     if threads > 1:
         from concurrent.futures import ThreadPoolExecutor
 
@@ -525,7 +527,7 @@ def run_cv(dataset, cfg, k=10, threads=1):
     else:
         folds = [_run_fold(dataset, clean, cfg, *job) for job in jobs]
     metrics = Metrics([fr.acc for fr in folds], [fr.auc for fr in folds])
-    return CvResult(metrics, folds, split, cfg)
+    return CvResult(metrics, folds, split)
 
 
 def meta_rows(ds, cfg):
@@ -564,7 +566,7 @@ def _fmt(x):
 def write_metrics_csv(res, path):
     """Per-fold metrics plus aggregate rows; byte-stable for a fixed seed."""
     losses = ("task", "smooth", "con", "reg")
-    rows = [[fr.fold, _fmt(fr.acc), _fmt(fr.auc)] + [_fmt(fr.losses[k]) for k in losses]
+    rows = [[fr.fold, _fmt(fr.acc), _fmt(fr.auc)] + [_fmt(fr.history[-1][k]) for k in losses]
             for fr in res.folds]
     m = res.metrics
     rows.append(["mean", _fmt(m.mean_acc), _fmt(m.mean_auc), "", "", "", ""])

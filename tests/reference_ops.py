@@ -1,13 +1,15 @@
 """Reference implementations that only the tests use. Differentiable ops:
 reference constructions (per-head attention loops, term-by-term graph losses,
 loss reductions) built from these and the `numcore` primitives serve as
-oracles for the tape layers in `mmgl`. Loops: the per-Param Adam step and
-the cell-by-cell CSV parse are oracles for their whole-array versions. CSV
+oracles for the tape layers in `mmgl`. Loops: the per-Param Adam step, the
+cell-by-cell CSV parse and the patient-by-patient fold buckets are oracles
+for their whole-array versions. CSV
 writing: the csv module's writer is the oracle for the streaming table and
 graph writers. Dense graphs: the kNN and meta graphs built whole are oracles for
 their edge rules' row tiles, and `dense_graph` stacks those tiles for the
 tests to inspect."""
 import csv
+import warnings
 
 import numpy as np
 
@@ -164,6 +166,39 @@ def read_table_walk(path, schema, require_label=True):
         raise ParseError(f"row {r + 2}, column {header[feat_cols[j]]!r}: "
                          f"non-finite cell {rows[r][feat_cols[j]].strip()!r}")
     return values, missing, raw_labels if has_label else None, [header[c] for c in feat_cols]
+
+
+def kfold_buckets(labels, k, seed):
+    """Stratified K-fold dealt patient by patient into k test buckets, each
+    sorted, with the rest of [0, N) as its training set: the oracle for
+    `mmgl.data.stratified_kfold`, which returns the same index arrays, dtypes
+    included, and raises and warns the same."""
+    labels = np.asarray(labels)
+    n = labels.size
+    if k < 2:
+        raise ParameterError(f"need at least 2 folds, got {k}")
+    if k > n:
+        raise ParameterError(f"k={k} exceeds sample count {n}")
+    rng = np.random.default_rng(seed)
+    test_buckets = [[] for _ in range(k)]
+    offset = 0
+    for cls in np.unique(labels):
+        idx = np.flatnonzero(labels == cls)
+        if idx.size < k:
+            warnings.warn(
+                f"class {cls} has {idx.size} < {k} members; stratification is best-effort"
+            )
+        idx = rng.permutation(idx)
+        for i, sample in enumerate(idx):
+            test_buckets[(offset + i) % k].append(int(sample))
+        offset = (offset + idx.size) % k
+    folds = []
+    everything = np.arange(n)
+    for bucket in test_buckets:
+        test = np.array(sorted(bucket), dtype=np.int64)
+        train = np.setdiff1d(everything, test)
+        folds.append((train, test))
+    return tuple(folds)
 
 
 def write_features_csv(ds, path):

@@ -114,17 +114,32 @@ def test_train_bad_config_exit_2(tmp_path, synth_dir):
                "--out", str(tmp_path / "o")) == 2
 
 
+# widths past any 64-bit address space: numpy refuses them without touching memory
+UNALLOCATABLE_WEIGHTS = [{"d": 2**70}, {"d_f": 2**70, "heads": 2**70}, {"d_h": 10**15}]
+
+
 @pytest.mark.parametrize("text", [
     json.dumps({"heads": 0}),
     json.dumps({"epochs": "5"}),
     '{"epochs": 3,',
     json.dumps(5),
+    *map(json.dumps, UNALLOCATABLE_WEIGHTS),
 ])
-def test_train_invalid_config_exit_2(tmp_path, synth_dir, text):
+def test_train_invalid_config_exit_2(tmp_path, synth_dir, capsys, text):
     bad = tmp_path / "bad.json"
     bad.write_text(text)
     assert run("train", "--config", str(bad), "--data", str(synth_dir),
                "--out", str(tmp_path / "o")) == 2
+    assert capsys.readouterr().err.count("error:") == 1
+
+
+@pytest.mark.parametrize("cfg", UNALLOCATABLE_WEIGHTS)
+def test_cv_unallocatable_weights_exit_2(tmp_path, synth_dir, capsys, cfg):
+    path = write_train_cfg(tmp_path, **cfg)
+    assert run("cv", "--config", str(path), "--data", str(synth_dir),
+               "--out", str(tmp_path / "o"), "--folds", "2") == 2
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and "numpy cannot allocate" in err
 
 
 CONFIG_JUNK = st.one_of(
@@ -224,11 +239,14 @@ def test_cv_exit_code_contract_fuzzed_schema(tmp_path, synth_dir, data):
 @pytest.mark.parametrize("cfg", [
     {"modality_dims": ["x"]}, {"seed": -1}, {"meta_dims": "2"}, {"pattern": 5}, {"n": 10.5},
     {"pattern": ["mod9"]},
+    # tables past any 64-bit address space
+    {"n": 2**70}, {"modality_dims": [2**70]}, {"n": 10**15}, {"modality_dims": [10**15]},
 ])
-def test_synth_malformed_config_exit_2(tmp_path, cfg):
+def test_synth_malformed_config_exit_2(tmp_path, capsys, cfg):
     path = tmp_path / "synth.json"
     path.write_text(json.dumps(cfg))
     assert run("synth", "--config", str(path), "--out", str(tmp_path / "o")) == 2
+    assert capsys.readouterr().err.count("error:") == 1
 
 
 def test_synth_non_finite_output_exit_2(tmp_path):
@@ -849,6 +867,28 @@ def test_predict_shape_inconsistent_artifact_exit_3(tmp_path, trained, synth_dir
     assert run("predict", "--model", str(bad), "--features",
                str(synth_dir / "features.csv"), "--out", str(tmp_path / "p.csv")) == 3
     assert f"artifact array {key!r} has shape" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edit", [
+    {"n_classes": np.array(10**15)},
+    {"schema_json": {"modalities": [{"name": "mod1", "dim": 10**15}, {"name": "mod2", "dim": 3}]}},
+    {"config_json": {"d_h": 10**15}},
+])
+def test_unallocatable_artifact_exit_3(tmp_path, trained, synth_dir, capsys, edit):
+    # widths past any 64-bit address space, which the model's weights are drawn at
+    with np.load(trained / "model.npz") as z:
+        arrays = dict(z)
+    for key, value in edit.items():
+        if key.endswith("_json"):
+            value = np.array(json.dumps(json.loads(str(arrays[key])) | value))
+        arrays[key] = value
+    bad = tmp_path / "bad.npz"
+    np.savez(bad, **arrays)
+    for argv in (["predict", "--features", str(synth_dir / "features.csv")],
+                 ["export", "--what", "graph"]):
+        assert run(*argv, "--model", str(bad), "--out", str(tmp_path / "o.csv")) == 3
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and "numpy cannot allocate" in err
 
 
 def predict_rows(trained, features, out):

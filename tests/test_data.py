@@ -13,12 +13,11 @@ from hypothesis import strategies as st
 
 from mmgl import data
 from mmgl.data import (
-    ModalitySchema, MultiModalDataset, Preprocessor, SplitPlan, SynthConfig, impute_mean,
-    load_csv, read_table, save_dataset, stratified_kfold, synth_centers, synth_generate,
-    zscore,
+    ModalitySchema, MultiModalDataset, Preprocessor, SynthConfig, impute_mean, load_csv,
+    read_table, save_dataset, stratified_kfold, synth_centers, synth_generate, zscore,
 )
 from mmgl.errors import ConfigError, DataError, ParameterError, ParseError, SchemaError
-from reference_ops import read_table_walk, write_features_csv
+from reference_ops import kfold_buckets, read_table_walk, write_features_csv
 
 
 def small_schema():
@@ -582,7 +581,7 @@ def reference_preprocess(ds, rows=None):
 @pytest.mark.parametrize("fold", [None, 0, 1])
 def test_preprocessor_matches_reference_on_missing_cells(tmp_path, fold):
     ds = synth_generate(SynthConfig(n=40, modality_dims=(3, 4, 2), missing_rate=0.2, seed=7))
-    rows = None if fold is None else stratified_kfold(ds.labels, 3, 0).folds[fold][0]
+    rows = None if fold is None else stratified_kfold(ds.labels, 3, 0)[fold][0]
     prep = Preprocessor.fit(ds, rows)
     clean = prep.transform(ds)
     assert clean.missing.shape == clean.x.shape and not clean.missing.any()
@@ -630,7 +629,7 @@ def test_preprocessor_invariant_to_positive_affine_rescale(col, scale, shift, fo
     # z-scoring undoes a x + b (a > 0) of a raw column, missing cells included:
     # the imputation mean and the statistics move with the column
     ds = synth_generate(SynthConfig(n=40, modality_dims=(3, 4, 2), missing_rate=0.2, seed=9))
-    rows = None if fold is None else stratified_kfold(ds.labels, 3, 0).folds[fold][0]
+    rows = None if fold is None else stratified_kfold(ds.labels, 3, 0)[fold][0]
     x = ds.x.copy()
     ref = x if rows is None else x[:, rows]
     assert ref[col].std() > 0.1  # far above the 1e-12 zero-spread floor
@@ -667,8 +666,7 @@ def test_schema_split():
 
 def test_kfold_exact_stratification():
     labels = np.array([0] * 50 + [1] * 50)
-    plan = stratified_kfold(labels, 10, 0)
-    for _, test in plan.folds:
+    for _, test in stratified_kfold(labels, 10, 0):
         assert (labels[test] == 0).sum() == 5
         assert (labels[test] == 1).sum() == 5
 
@@ -679,15 +677,14 @@ def test_kfold_deterministic():
     b = stratified_kfold(labels, 5, 42)
     assert all(
         np.array_equal(x[0], y[0]) and np.array_equal(x[1], y[1])
-        for x, y in zip(a.folds, b.folds)
+        for x, y in zip(a, b)
     )
 
 
 def test_kfold_histogram_within_one():
     # class sizes mirroring a 685-patient 3-class cohort split 245/360/80
     labels = np.array([0] * 245 + [1] * 360 + [2] * 80)
-    plan = stratified_kfold(labels, 10, 1)
-    for _, test in plan.folds:
+    for _, test in stratified_kfold(labels, 10, 1):
         for cls, total in ((0, 245), (1, 360), (2, 80)):
             share = total / 10
             count = (labels[test] == cls).sum()
@@ -721,12 +718,58 @@ def test_kfold_partition_property(labels, k, seed):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         plan = stratified_kfold(labels, k, seed)
-    assert isinstance(plan, SplitPlan)
-    all_test = np.concatenate([test for _, test in plan.folds])
+    assert isinstance(plan, tuple) and len(plan) == k
+    assert all(len(pair) == 2 and all(a.dtype == np.int64 and a.ndim == 1 for a in pair)
+               for pair in plan)
+    all_test = np.concatenate([test for _, test in plan])
     assert np.array_equal(np.sort(all_test), np.arange(labels.size))
-    for train, test in plan.folds:
+    for train, test in plan:
         assert np.intersect1d(train, test).size == 0
         assert train.size + test.size == labels.size
+
+
+def kfold_case(i):
+    """Labels, k and seed of the i-th seeded random case: 1 to 5 classes of
+    random sizes, integer or string labels, k from 2 to 12, k = N or k < 2."""
+    rng = np.random.default_rng([7, i])
+    n = int(rng.integers(1, 41))
+    labels = rng.integers(0, rng.integers(1, 6), size=n) * 3 - 1  # gaps and a negative class
+    if i % 2:
+        labels = np.array([f"c{v}" for v in labels])
+    k = n if i % 5 == 0 else int(rng.integers(-1, 2)) if i % 7 == 0 else int(rng.integers(2, 13))
+    return labels, k, int(rng.integers(2**32))
+
+
+def kfold_outcome(split, labels, k, seed):
+    """The folds, or the ParameterError text, and every warning of a split."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = split(labels, k, seed)
+        except ParameterError as exc:
+            result = str(exc)
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+def test_kfold_matches_bucket_oracle():
+    seen = set()
+    for i in range(1400):
+        labels, k, seed = kfold_case(i)
+        got, got_warnings = kfold_outcome(stratified_kfold, labels, k, seed)
+        want, want_warnings = kfold_outcome(kfold_buckets, labels, k, seed)
+        assert got_warnings == want_warnings, i
+        if isinstance(want, str):
+            assert got == want, i
+            seen.add("k < 2" if k < 2 else "k > N")
+            continue
+        assert len(got) == len(want) == k, i
+        for pair, want_pair in zip(got, want):
+            for a, b in zip(pair, want_pair):
+                assert a.dtype == b.dtype and np.array_equal(a, b), i
+        counts = np.unique(labels, return_counts=True)[1]
+        seen.update({labels.dtype.kind, len(counts) == 1 and "one class",
+                     counts.min() < k and "class < k", k == labels.size and "k = N"})
+    assert seen >= {"i", "U", "one class", "class < k", "k = N", "k < 2", "k > N"}
 
 
 # --------------------------------------------------------- synth_generate

@@ -501,7 +501,7 @@ def test_metrics_nan_auc_folds():
 def test_run_cv_covers_every_sample_once():
     ds = synth_generate(SynthConfig(n=30, classes=2, modality_dims=(3, 3), seed=6))
     res = run_cv(ds, tiny_cfg(epochs=2), k=5)
-    tests = np.concatenate([test for _, test in res.split.folds])
+    tests = np.concatenate([test for _, test in res.split])
     assert np.array_equal(np.sort(tests), np.arange(30))
     assert len(res.folds) == 5
     for fr in res.folds:
@@ -515,7 +515,7 @@ def test_run_cv_deterministic_bitwise():
     b = run_cv(ds, cfg, k=3)
     assert a.metrics.acc_folds == b.metrics.acc_folds
     assert a.metrics.auc_folds == b.metrics.auc_folds
-    assert all(fa.losses == fb.losses for fa, fb in zip(a.folds, b.folds))
+    assert all(fa.history[-1] == fb.history[-1] for fa, fb in zip(a.folds, b.folds))
 
 
 def test_run_cv_threads_match_serial():
@@ -556,7 +556,7 @@ def test_per_fold_preprocess_ignores_test_fold_cells():
     # fold, so editing held-out cells leaves every training input unchanged
     ds = synth_generate(SynthConfig(n=24, classes=2, modality_dims=(3, 3),
                                     missing_rate=0.2, seed=11))
-    train_idx, test_idx = stratified_kfold(ds.labels, 3, 0).folds[0]
+    train_idx, test_idx = stratified_kfold(ds.labels, 3, 0)[0]
     assert ds.missing[:, train_idx].any()
     edited = ds.x.copy()
     edited[:, test_idx] += 100.0
@@ -575,7 +575,7 @@ def test_inductive_cv_fits_preprocessing_on_the_training_fold(per_fold_stats):
     # not, so moving the held-out features leaves the fold's training unchanged
     ds = synth_generate(SynthConfig(n=60, classes=2, modality_dims=(3, 3),
                                     missing_rate=0.1, seed=14))
-    _, test_idx = stratified_kfold(ds.labels, 2, 0).folds[0]
+    _, test_idx = stratified_kfold(ds.labels, 2, 0)[0]
     edited = ds.x.copy()
     edited[:, test_idx] += 50.0
     cfg = tiny_cfg(epochs=3, eval_mode="inductive", per_fold_stats=per_fold_stats)

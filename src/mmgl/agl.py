@@ -50,10 +50,9 @@ def init_agl(d, d_a, rng):
 
 @dataclass
 class LearnedGraph:
-    """An adjacency; `pre_relu` kept for learned graphs."""
+    """A learned graph's dense adjacency."""
 
     a: np.ndarray
-    pre_relu: np.ndarray = None
 
 
 def cosine_normalize(z):
@@ -85,8 +84,8 @@ def learned_adjacency(tape, h, params):
 def learned_graph(h, params):
     """Non-differentiable wrapper: numpy features in, LearnedGraph out."""
     tape = nc.Tape(trainable=())
-    a, zn = learned_adjacency(tape, tape.const(np.asarray(h, dtype=np.float64)), params)
-    return LearnedGraph(a.value, zn.value.T @ zn.value)
+    a, _ = learned_adjacency(tape, tape.const(np.asarray(h, dtype=np.float64)), params)
+    return LearnedGraph(a.value)
 
 
 def _total(x):

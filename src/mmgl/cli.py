@@ -340,18 +340,18 @@ def _load_new_patients(path, schema, names):
     """Feature table for unseen patients; the label column is optional. The
     feature columns must be `names`, the training table's, in order (None:
     not checked)."""
-    x, miss, _, header = read_table(path, schema, require_label=False)
+    x, _, header = read_table(path, schema, require_label=False)
     if names is not None and header != names:
         j = next(j for j, (got, want) in enumerate(zip(header, names)) if got != want)
         raise SchemaError(f"{path}: feature column {j + 1} is {header[j]!r}, but the model "
                           f"was trained with {names[j]!r} there")
-    return x, miss
+    return x
 
 
 def cmd_predict(args):
     model, extras = load_model(args.model)
-    x, miss = _load_new_patients(args.features, model.schema, extras["feature_names"])
-    x = extras["preprocessor"].apply(x, miss)  # the training run's transform
+    x = _load_new_patients(args.features, model.schema, extras["feature_names"])
+    x = extras["preprocessor"].apply(x)  # the training run's transform
     probs = predict_inductive_batch(model, model.schema.split(x))
     classes = model.schema.class_names or tuple(str(c) for c in range(model.n_classes))
     write_csv(args.out, ["patient", "prediction"] + [f"p_{c}" for c in classes],

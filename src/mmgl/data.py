@@ -142,22 +142,19 @@ def read_json(path, error):
 
 @dataclass
 class MultiModalDataset:
-    """One (d_in, N) feature table, modalities in schema order, with labels,
-    its missing mask and its column names. `modalities` views the table as
-    the schema's per-modality (d_m, N) row blocks, without copying."""
+    """One (d_in, N) feature table, modalities in schema order, with labels
+    and its column names; a NaN cell is missing. `modalities` views the table
+    as the schema's per-modality (d_m, N) row blocks, without copying."""
 
     schema: ModalitySchema
-    x: np.ndarray  # (d_in, N) float64
+    x: np.ndarray  # (d_in, N) float64, NaN where a cell is missing
     labels: np.ndarray  # (N,) int
-    missing: np.ndarray = None  # (d_in, N) bool; None is read as all False
     feature_names: list = None  # d_in column names
 
     def __post_init__(self):
         if self.x.ndim != 2 or len(self.x) != self.schema.d_in:
             raise SchemaError(f"schema dimensions sum to {self.schema.d_in} but the feature "
                               f"table has shape {self.x.shape}")
-        if self.missing is None:
-            self.missing = np.zeros(self.x.shape, dtype=bool)
         if self.labels.shape != (self.n,):
             raise DataError(f"labels shape {self.labels.shape} != ({self.n},)")
         if self.feature_names is None:
@@ -189,15 +186,16 @@ class MultiModalDataset:
 
 
 def read_table(path, schema, require_label=True):
-    """Parse a feature CSV against `schema`; empty cells become missing entries.
+    """Parse a feature CSV against `schema`; a blank cell is read as NaN.
 
-    Returns (values (d_in, N), missing mask, raw label strings, feature column
-    names). The raw labels are None when the label column is absent, which is
-    an error unless `require_label` is false. A regular table, blank cells
-    included, is read by numpy in one pass (`_read_regular`); any other, and
-    input that cannot rewind, is walked one cell at a time (`_walk_cells`),
-    where a short or long row or a non-numeric cell stops the parse, and a
-    non-finite cell is reported once every row has parsed.
+    Returns (values (d_in, N), raw label strings, feature column names). A
+    literal non-finite cell is refused, so a NaN value is a blank cell. The
+    raw labels are None when the label column is absent, which is an error
+    unless `require_label` is false. A regular table, blank cells included,
+    is read by numpy in one pass (`_read_regular`); any other, and input that
+    cannot rewind, is walked one cell at a time (`_walk_cells`), where a short
+    or long row or a non-numeric cell stops the parse, and a non-finite cell
+    is reported once every row has parsed.
     """
     try:
         with open(path, newline="") as f:
@@ -221,24 +219,23 @@ def read_table(path, schema, require_label=True):
                     return (*regular, names)
                 f.seek(0)
                 next(reader)
-            values, missing, labels = _walk_cells(reader, header, label_idx, feat_cols)
+            values, labels = _walk_cells(reader, header, label_idx, feat_cols)
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     if not values.shape[1]:
         raise DataError(f"no data rows in {path}")
-    return values, missing, labels, names
+    return values, labels, names
 
 
 def _read_regular(f, n_cells, k, d_in):
-    """(values, missing, stripped labels of column k or None) of the rest of
-    `f` in one streaming np.loadtxt pass, with column k cut from each line;
-    None if the table needs the walk: if a line is blank, holds a quote or is
-    longer than csv's field limit, a row has other than `n_cells` cells, or a
-    feature cell is whitespace only, non-finite or a number only float() reads
-    ("1_0", non-ASCII digits). A cell numpy's parser reads, float() reads to
-    the same bits. A blank cell is fed to numpy as "nan" and marked missing; as
-    a non-finite cell sends the table to the walk, the nan values must number
-    exactly the blank cells."""
+    """(values, stripped labels of column k or None) of the rest of `f` in one
+    streaming np.loadtxt pass, with column k cut from each line; None if the
+    table needs the walk: if a line is blank, holds a quote or is longer than
+    csv's field limit, a row has other than `n_cells` cells, or a feature cell
+    is whitespace only, non-finite or a number only float() reads ("1_0",
+    non-ASCII digits). A cell numpy's parser reads, float() reads to the same
+    bits. A blank cell is fed to numpy as "nan"; as a non-finite cell sends
+    the table to the walk, the nan values must number exactly the blank cells."""
     first, labels, limit, blanks = next(f, None), [], csv.field_size_limit(), 0
     if first is None:
         return None
@@ -271,19 +268,17 @@ def _read_regular(f, n_cells, k, d_in):
                                                  delimiter=",", ndmin=2).T)
     except ValueError:  # also a UTF-8 decoding error, which the walk reports
         return None
-    missing = np.isnan(values)
     # np.loadtxt has checked that all rows are as long
-    if len(values) != d_in or np.count_nonzero(missing) != blanks or np.isinf(values).any():
+    if len(values) != d_in or np.isnan(values).sum() != blanks or np.isinf(values).any():
         return None
-    values[missing] = 0.0
-    return values, missing, labels if k is not None else None
+    return values, labels if k is not None else None
 
 
 def _walk_cells(reader, header, label_idx, feat_cols):
-    """(values, missing, stripped labels or None) of the rows of `reader`,
-    parsed cell by cell in file order with one row's strings held at a time;
-    raises ParseError at the first short or long row or non-numeric cell,
-    and at the first non-finite cell once every row has parsed."""
+    """(values, stripped labels or None) of the rows of `reader`, parsed cell
+    by cell in file order with one row's strings held at a time, a blank cell
+    as NaN; raises ParseError at the first short or long row or non-numeric
+    cell, and at the first non-finite cell once every row has parsed."""
     values, labels, non_finite = array("d"), [], None
     for r, row in enumerate(reader, 2):
         if len(row) != len(header):
@@ -291,7 +286,7 @@ def _walk_cells(reader, header, label_idx, feat_cols):
         for c in feat_cols:
             cell = row[c].strip()
             try:
-                values.append(float(cell or "nan"))  # a blank cell is nan until marked
+                values.append(float(cell or "nan"))
             except ValueError:
                 raise ParseError(f"row {r}, column {header[c]!r}: "
                                  f"non-numeric cell {cell!r}") from None
@@ -302,9 +297,7 @@ def _walk_cells(reader, header, label_idx, feat_cols):
     if non_finite is not None:
         raise ParseError(non_finite)
     values = np.frombuffer(values).reshape(-1, len(feat_cols)).T.copy()
-    missing = np.isnan(values)
-    values[missing] = 0.0
-    return values, missing, labels if label_idx is not None else None
+    return values, labels if label_idx is not None else None
 
 
 def write_csv(path, header, rows):
@@ -317,10 +310,10 @@ def write_csv(path, header, rows):
 
 def load_csv(features_path, schema_path):
     """Load a labelled feature table and its schema into a dataset, whose
-    table, mask and names are `read_table`'s, not copies."""
+    table and names are `read_table`'s, not copies."""
     schema = ModalitySchema.load(schema_path)
-    values, missing, raw_labels, names = read_table(features_path, schema)
-    return MultiModalDataset(schema, values, _encode_labels(raw_labels, schema), missing, names)
+    values, raw_labels, names = read_table(features_path, schema)
+    return MultiModalDataset(schema, values, _encode_labels(raw_labels, schema), names)
 
 
 def _encode_labels(raw, schema):
@@ -362,8 +355,8 @@ def _encode_labels(raw, schema):
 
 def _impute(ds, rows=None):
     """(means, imputed (d_in, N) table): each feature's mean over its observed
-    cells among `rows` (all rows if None) fills its missing cells."""
-    x, missing = ds.x, ds.missing
+    cells among `rows` (all rows if None) fills its NaN cells."""
+    x, missing = ds.x, np.isnan(ds.x)
     ref = np.ones(ds.n, dtype=bool) if rows is None else np.isin(np.arange(ds.n), rows)
     # one 1-D mean per row: a 2-D mean(axis=1) sums in another order
     means = np.array([row.mean() for row in (x if rows is None else x[:, ref])])
@@ -394,9 +387,9 @@ class Preprocessor:
         ref = x if rows is None else x[:, np.asarray(rows)]
         return cls(means, ref.mean(axis=1), ref.std(axis=1))
 
-    def apply(self, x, missing):
-        """Transformed copy of a raw (d_in, N) table with its missing mask."""
-        x = np.where(missing, self.impute_means[:, None], x)
+    def apply(self, x):
+        """Transformed copy of a raw (d_in, N) table; NaN cells are imputed."""
+        x = np.where(np.isnan(x), self.impute_means[:, None], x)
         const = self.z_sd < 1e-12
         x -= self.z_mu[:, None]
         x /= np.where(const, 1.0, self.z_sd)[:, None]
@@ -405,13 +398,13 @@ class Preprocessor:
 
     def transform(self, ds):
         """`ds` with its table transformed and no cell missing."""
-        return replace(ds, x=self.apply(ds.x, ds.missing), missing=None)
+        return replace(ds, x=self.apply(ds.x))
 
 
 def impute_mean(ds, train_idx=None):
     """Replace every missing entry by its feature's observed mean; the means
     come from the `train_idx` columns if given."""
-    return replace(ds, x=_impute(ds, train_idx)[1], missing=None)
+    return replace(ds, x=_impute(ds, train_idx)[1])
 
 
 def zscore(ds, train_idx=None):
@@ -419,7 +412,7 @@ def zscore(ds, train_idx=None):
 
     Features with near-zero spread are zeroed out.
     """
-    if ds.missing.any():
+    if np.isnan(ds.x).any():
         raise DataError("zscore requires an imputed dataset (missing values remain)")
     return Preprocessor.fit(ds, train_idx).transform(ds)
 
@@ -581,16 +574,17 @@ def _is_informative(pattern, m, n_mods):
 def synth_generate(cfg):
     """Draw a MultiModalDataset per the generator config; deterministic in seed.
     Each modality, and the meta columns, are drawn into their rows of one table."""
-    schema = _synth_schema(cfg)
+    d_in = sum(cfg.modality_dims) + cfg.meta_dims
     n_mods = len(cfg.modality_dims)
     rng = np.random.default_rng([cfg.seed, 29])
     try:
         labels = np.resize(np.arange(cfg.classes), cfg.n)
-        x = np.empty((schema.d_in, cfg.n))
+        x = np.empty((d_in, cfg.n))
     # numpy raises ValueError or OverflowError for a dimension past its index range
     except (MemoryError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"synthetic config asks for a table of {schema.d_in} features x "
+        raise ConfigError(f"synthetic config asks for a table of {d_in} features x "
                           f"{cfg.n} patients, more than numpy can allocate") from exc
+    schema = _synth_schema(cfg)  # one name per class and meta column: after the size check
     labels = rng.permutation(labels).astype(np.int64)
 
     mods = schema.split(x)
@@ -618,15 +612,13 @@ def synth_generate(cfg):
     if not np.isfinite(x).all():
         raise ConfigError("synthetic config gives non-finite features; "
                           "lower separation, noise or corruption")
-
-    missing = None
     if cfg.missing_rate > 0:
-        missing = np.random.default_rng([cfg.seed, 41]).random(x.shape) < cfg.missing_rate
-    return MultiModalDataset(schema, x, labels, missing)
+        x[np.random.default_rng([cfg.seed, 41]).random(x.shape) < cfg.missing_rate] = np.nan
+    return MultiModalDataset(schema, x, labels)
 
 
 def save_dataset(ds, features_path, schema_path):
-    """Write features CSV (empty cell = missing) and the schema JSON.
+    """Write features CSV (empty cell = NaN) and the schema JSON.
 
     The table is written one patient at a time, each feature cell as its
     value's repr. That is what the csv module writes for a Python float, and
@@ -638,11 +630,9 @@ def save_dataset(ds, features_path, schema_path):
     ends = {y: _line_end(classes[y] if classes else str(y)) for y in set(ds.labels.tolist())}
     with open(features_path, "w", newline="") as f:
         csv.writer(f).writerow(ds.feature_names + [ds.schema.label_column])
-        for values, missed, y in zip(ds.x.T, ds.missing.T, ds.labels.tolist()):
-            cells = list(map(repr, values.tolist()))
-            for j in np.flatnonzero(missed):
-                cells[j] = ""
-            f.write(",".join(cells) + ends[y])
+        for values, y in zip(ds.x.T, ds.labels.tolist()):
+            # no other float's repr holds "nan"
+            f.write(",".join(map(repr, values.tolist())).replace("nan", "") + ends[y])
 
 
 def _line_end(label):

@@ -55,10 +55,6 @@ class Node:
         self._param = param
 
     @property
-    def shape(self):
-        return self.value.shape
-
-    @property
     def T(self):
         return transpose(self)
 
@@ -70,9 +66,6 @@ class Node:
     def __sub__(self, other):
         return sub(self, other)
 
-    def __rsub__(self, other):
-        return sub(other, self)
-
     def __mul__(self, other):
         return mul(self, other)
 
@@ -83,9 +76,6 @@ class Node:
 
     def __rtruediv__(self, other):
         return div(other, self)
-
-    def __neg__(self):
-        return mul(self, -1.0)
 
     def __matmul__(self, other):
         return matmul(self, other)

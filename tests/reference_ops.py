@@ -122,8 +122,9 @@ def take(a, i):
 
 def read_table_walk(path, schema, require_label=True):
     """Cell-by-cell CSV parse (`strip` and `float` per cell, in file order):
-    the oracle for `mmgl.data.read_table`, which returns the same values,
-    mask and labels and raises the same first error."""
+    the oracle for `mmgl.data.read_table`, which returns the same values
+    (NaN where a cell is blank), labels and names and raises the same first
+    error."""
     with open(path, newline="") as f:
         reader = csv.reader(f)
         header = next(reader, None)
@@ -142,7 +143,7 @@ def read_table_walk(path, schema, require_label=True):
     if n == 0:
         raise DataError(f"no data rows in {path}")
     values = np.zeros((schema.d_in, n))
-    missing = np.zeros((schema.d_in, n), dtype=bool)
+    blank = np.zeros((schema.d_in, n), dtype=bool)
     raw_labels = []
     for r, row in enumerate(rows):
         if len(row) != len(header):
@@ -152,7 +153,7 @@ def read_table_walk(path, schema, require_label=True):
         for j, c in enumerate(feat_cols):
             cell = row[c].strip()
             if cell == "":
-                missing[j, r] = True
+                blank[j, r] = True
             else:
                 try:
                     values[j, r] = float(cell)
@@ -165,7 +166,8 @@ def read_table_walk(path, schema, require_label=True):
         r, j = bad[0]
         raise ParseError(f"row {r + 2}, column {header[feat_cols[j]]!r}: "
                          f"non-finite cell {rows[r][feat_cols[j]].strip()!r}")
-    return values, missing, raw_labels if has_label else None, [header[c] for c in feat_cols]
+    values[blank] = np.nan
+    return values, raw_labels if has_label else None, [header[c] for c in feat_cols]
 
 
 def kfold_buckets(labels, k, seed):
@@ -210,8 +212,8 @@ def write_features_csv(ds, path):
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(ds.feature_names + [ds.schema.label_column])
-        w.writerows(["" if m else v for v, m in zip(values, missed)] + [y]
-                    for values, missed, y in zip(ds.x.T.tolist(), ds.missing.T.tolist(), labels))
+        w.writerows(["" if np.isnan(v) else v for v in values] + [y]
+                    for values, y in zip(ds.x.T.tolist(), labels))
 
 
 def write_graph_csv(n, edges, path):

@@ -30,11 +30,11 @@ def run(*argv):
     return main(list(argv))
 
 
-def run_subprocess(*argv, cwd):
+def run_subprocess(*argv, cwd, timeout=None):
     env = os.environ | {"PYTHONPATH": os.pathsep.join(
         [str(Path(mmgl.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
     return subprocess.run([sys.executable, "-m", "mmgl", *argv], env=env, cwd=cwd,
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, timeout=timeout)
 
 
 @pytest.fixture()
@@ -247,6 +247,19 @@ def test_synth_malformed_config_exit_2(tmp_path, capsys, cfg):
     path.write_text(json.dumps(cfg))
     assert run("synth", "--config", str(path), "--out", str(tmp_path / "o")) == 2
     assert capsys.readouterr().err.count("error:") == 1
+
+
+@pytest.mark.parametrize("cfg", [{"classes": 10**15, "n": 10**15}, {"meta_dims": 10**15}],
+                         ids=["classes", "meta-columns"])
+def test_synth_sizes_table_before_naming_columns_exit_2(tmp_path, cfg):
+    # the schema holds one name per class and meta column; a table too large
+    # to allocate is refused before any name is built, so the command ends
+    # at once, whatever the host's memory
+    (tmp_path / "synth.json").write_text(json.dumps(cfg))
+    res = run_subprocess("synth", "--config", "synth.json", "--out", "o", cwd=tmp_path,
+                         timeout=30)
+    assert res.returncode == 2 and res.stderr.count("error:") == 1
+    assert "Traceback" not in res.stderr and not (tmp_path / "o").exists()
 
 
 def test_synth_non_finite_output_exit_2(tmp_path):

@@ -133,30 +133,30 @@ def test_load_csv_non_finite(tmp_path, cell):
 def test_load_csv_missing_cells(tmp_path):
     text = "a_0,a_1,b_0,b_1,b_2,label\n1,,3,4,5,x\n2,2,3,,5,y\n"
     ds = load_csv(*write_csv(tmp_path, text, small_schema()))
-    assert ds.missing.any()
-    assert ds.missing[1, 0] and ds.missing[3, 1]
+    assert np.isnan(ds.x).sum() == 2
+    assert np.isnan(ds.x[1, 0]) and np.isnan(ds.x[3, 1])
 
 
 def test_dataset_is_one_table(tmp_path, monkeypatch):
-    # load_csv keeps read_table's table and mask, each modality is a row
-    # block of that table, and a transform leaves no cell missing
+    # load_csv keeps read_table's table, each modality is a row block of
+    # that table, and a transform leaves no cell missing
     ds = synth_generate(SynthConfig(n=12, modality_dims=(3, 2), missing_rate=0.2, meta_dims=1,
                                     seed=3))
     save_dataset(ds, tmp_path / "features.csv", tmp_path / "schema.json")
     read = []
     monkeypatch.setattr(data, "read_table", lambda *a: read.append(read_table(*a)) or read[-1])
     loaded = load_csv(str(tmp_path / "features.csv"), str(tmp_path / "schema.json"))
-    values, missing, _, names = read[0]
-    assert np.shares_memory(loaded.x, values) and np.shares_memory(loaded.missing, missing)
+    values, _, names = read[0]
+    assert np.shares_memory(loaded.x, values)
     assert loaded.feature_names == names == ["mod1_0", "mod1_1", "mod1_2", "mod2_0", "mod2_1",
                                              "meta_0"]
     for table in (ds, loaded):
-        assert table.x.shape == table.missing.shape == (6, 12) and table.missing.any()
+        assert table.x.shape == (6, 12) and np.isnan(table.x).any()
         for block, (lo, hi) in zip(table.modalities, [(0, 3), (3, 5), (5, 6)]):
             assert np.shares_memory(block, table.x)
-            assert np.array_equal(block, table.x[lo:hi])
+            assert np.array_equal(block, table.x[lo:hi], equal_nan=True)
     clean = Preprocessor.fit(loaded).transform(loaded)
-    assert clean.missing.shape == clean.x.shape and not clean.missing.any()
+    assert clean.x.shape == (6, 12) and not np.isnan(clean.x).any()
     for rows in (5, 7):  # a table without d_in rows fails the schema
         with pytest.raises(SchemaError, match="sum to 6"):
             MultiModalDataset(ds.schema, np.zeros((rows, 12)), ds.labels)
@@ -219,8 +219,7 @@ def assert_same_parse(got, want):
     assert not isinstance(got, str), got
     assert got[0].dtype == want[0].dtype and got[0].flags.c_contiguous
     assert np.array_equal(got[0].view(np.int64), want[0].view(np.int64))  # bit for bit
-    assert np.array_equal(got[1], want[1]) and got[1].flags.c_contiguous
-    assert got[2:] == want[2:]
+    assert got[1:] == want[1:]
 
 
 @pytest.mark.parametrize("label_at", [0, 2, 5])
@@ -233,14 +232,14 @@ def test_read_table_matches_cell_walk(tmp_path, label_at, blanks):
     got, want = parse_both(tmp_path, table_text(rows, label_at))
     assert not isinstance(want, str), want
     assert_same_parse(got, want)
-    assert want[1].sum() == sum(row.count(b) for row in rows for b in blanks)
+    assert np.isnan(want[0]).sum() == sum(row.count(b) for row in rows for b in blanks)
 
 
 def test_read_table_without_label_column(tmp_path):
     text = "a_0,a_1,b_0,b_1,b_2\n1,,3, 4 ,5\n6,7,8,9,1e5\n"
     got, want = parse_both(tmp_path, text, require_label=False)
     assert_same_parse(got, want)
-    assert got[2] is None
+    assert got[1] is None
 
 
 @pytest.mark.parametrize("rows,message", [
@@ -328,7 +327,7 @@ def test_read_table_where_numpy_and_csv_differ(tmp_path, body, want):
     if isinstance(want, str):
         assert got == want
     else:
-        assert np.array_equal(got[0], want[0]) and got[2] == want[1]
+        assert np.array_equal(got[0], want[0]) and got[1] == want[1]
 
 
 # the cells of ODD_CELLS that numpy's parser reads too: no underscore, and
@@ -349,12 +348,12 @@ def test_complete_tables_take_numpy_reader(tmp_path, monkeypatch, eol, last_eol,
                 for r, row in enumerate(cells)]
         text = table_text(rows, label_at, eol)
         want = parse_both(tmp_path, text if last_eol else text.removesuffix(eol))[1]
-        assert want[1].sum() == 4 * len(blank)
+        assert np.isnan(want[0]).sum() == 4 * len(blank)
         with monkeypatch.context() as mp:
             mp.setattr(data, "_walk_cells", None)
             got = read_table(tmp_path / "f.csv", small_schema())
         assert_same_parse(got, want)
-        assert got[2] == [" xy"[1 + i % 2] for i in range(7)]
+        assert got[1] == [" xy"[1 + i % 2] for i in range(7)]
 
 
 # a whitespace-only cell is blank to the walk, but numpy's parser refuses it
@@ -387,7 +386,7 @@ def test_one_column_table_blank_lines(tmp_path, body):
 @pytest.mark.parametrize("header", ["a_0,label", "label,a_0"])
 def test_one_feature_table_blank_cells(tmp_path, monkeypatch, header, eol):
     # with the label cut out, a blank cell is the whole line numpy is given,
-    # which it would skip were the cell not marked
+    # which it would skip were the cell not fed to it as "nan"
     schema = ModalitySchema((("a", 1),))
     rows = [["", "x"], ["1", "y"], ["", "z"]]
     path = tmp_path / "f.csv"
@@ -397,7 +396,28 @@ def test_one_feature_table_blank_cells(tmp_path, monkeypatch, header, eol):
     monkeypatch.setattr(data, "_walk_cells", None)
     got = read_table(path, schema)
     assert_same_parse(got, want)
-    assert got[1].tolist() == [[True, False, True]] and got[2] == ["x", "y", "z"]
+    assert np.isnan(got[0]).tolist() == [[True, False, True]] and got[1] == ["x", "y", "z"]
+
+
+@pytest.mark.parametrize("label_at", [0, 2, 5])
+def test_blank_cells_are_the_same_nan_in_both_readers(tmp_path, monkeypatch, label_at):
+    # numpy's pass and the cell walk each read a blank cell as np.nan, bit
+    # for bit, and no other cell as NaN
+    rows = [["1", "", "3", "", "5"], ["", "", "", "", ""], ["6", "7", "8", "9", ""]]
+    path = tmp_path / "f.csv"
+    path.write_text(table_text(rows, label_at))
+    with monkeypatch.context() as mp:
+        mp.setattr(data, "_walk_cells", None)
+        regular = read_table(path, small_schema())
+    with monkeypatch.context() as mp:
+        mp.setattr(data, "_read_regular", lambda *a: None)
+        walked = read_table(path, small_schema())
+    blank = np.array([[c == "" for c in row] for row in rows]).T
+    nan_bits = np.array(np.nan).view(np.int64)
+    for values, *_ in (regular, walked):
+        assert np.array_equal(np.isnan(values), blank)
+        assert (values.view(np.int64)[blank] == nan_bits).all()
+    assert_same_parse(regular, walked)
 
 
 @pytest.mark.parametrize("body", ["1,2,3,4,5,x\n", "1,,3,4,5,x\n"], ids=["complete", "blank"])
@@ -442,8 +462,10 @@ def test_save_load_round_trip_with_missing(tmp_path):
     ds = synth_generate(cfg)
     save_dataset(ds, tmp_path / "features.csv", tmp_path / "schema.json")
     loaded = load_csv(str(tmp_path / "features.csv"), str(tmp_path / "schema.json"))
-    assert np.array_equal(loaded.x[~ds.missing], ds.x[~ds.missing])
-    assert np.array_equal(loaded.missing, ds.missing)
+    # the same table bit for bit, NaN in the same cells
+    assert np.isnan(ds.x).any()
+    assert np.array_equal(loaded.x.view(np.int64), ds.x.view(np.int64))
+    assert np.array_equal(loaded.labels, ds.labels)
 
 
 QUOTED_CLASSES = ("a,b", 'say "hi"', "two\nlines", "")  # csv quotes all but the last
@@ -457,7 +479,7 @@ def cohort_to_write(classes, missing_rate, meta_dims):
     ds.modalities[0][:, 1] = [-0.0, 5e-324, 1.7976931348623157e308]
     ds.modalities[1][:, 2] = [0.1 + 0.2, -1e-7]
     if missing_rate:
-        ds.missing[:, 3] = True
+        ds.x[:, 3] = np.nan
     schema = replace(ds.schema, class_names=classes)
     return replace(ds, schema=schema)
 
@@ -481,12 +503,10 @@ def test_save_dataset_writes_the_csv_modules_bytes(tmp_path, classes, missing_ra
 
 def test_impute_mean_of_two():
     schema = ModalitySchema((("a", 1),), class_names=("c0", "c1"))
-    x = np.array([[1.0, 0.0, 3.0]])
-    miss = np.array([[False, True, False]])
-    ds = MultiModalDataset(schema, x, np.array([0, 1, 0]), miss)
+    x = np.array([[1.0, np.nan, 3.0]])
+    ds = MultiModalDataset(schema, x, np.array([0, 1, 0]))
     out = impute_mean(ds)
     assert np.array_equal(out.x, [[1.0, 2.0, 3.0]])
-    assert not out.missing.any()
 
 
 def test_impute_mean_identity_when_complete():
@@ -501,7 +521,7 @@ def test_impute_mean_observed_means_oracle():
     x = rng.normal(size=(10, 6))
     miss = rng.random((10, 6)) < 0.2
     miss[:, 0] = False  # keep every feature observed somewhere
-    ds = MultiModalDataset(schema, x.copy(), np.zeros(6, dtype=int), miss)
+    ds = MultiModalDataset(schema, np.where(miss, np.nan, x), np.zeros(6, dtype=int))
     out = impute_mean(ds)
     for j in range(10):
         expect = x[j, ~miss[j]].mean()
@@ -512,7 +532,7 @@ def test_impute_mean_observed_means_oracle():
 def test_impute_mean_fully_missing_feature():
     schema = ModalitySchema((("a", 2),), class_names=("c0",))
     miss = np.array([[True, True], [False, False]])
-    ds = MultiModalDataset(schema, np.zeros((2, 2)), np.zeros(2, dtype=int), miss)
+    ds = MultiModalDataset(schema, np.where(miss, np.nan, 0.0), np.zeros(2, dtype=int))
     with pytest.raises(DataError, match="a_0"):
         impute_mean(ds)
 
@@ -557,6 +577,12 @@ def test_zscore_requires_imputation():
     ds = synth_generate(SynthConfig(n=20, missing_rate=0.1, seed=6))
     with pytest.raises(DataError):
         zscore(ds)
+    # one NaN cell is a missing cell
+    one = MultiModalDataset(ModalitySchema((("a", 2),)), np.array([[1.0, 2.0], [3.0, np.nan]]),
+                            np.zeros(2, dtype=int))
+    with pytest.raises(DataError, match="missing values remain"):
+        zscore(one)
+    assert not np.isnan(zscore(impute_mean(one)).x).any()
 
 
 # ----------------------------------------------------------- Preprocessor
@@ -567,8 +593,8 @@ def reference_preprocess(ds, rows=None):
     ref = np.ones(ds.n, dtype=bool) if rows is None else np.isin(np.arange(ds.n), rows)
     cols = slice(None) if rows is None else rows
     out = []
-    for x, mask in zip(ds.modalities, ds.schema.split(ds.missing)):
-        x = x.copy()
+    for x in ds.modalities:
+        x, mask = x.copy(), np.isnan(x)
         for j in range(len(x)):
             if mask[j].any():
                 x[j, mask[j]] = x[j, ref & ~mask[j]].mean()
@@ -584,19 +610,19 @@ def test_preprocessor_matches_reference_on_missing_cells(tmp_path, fold):
     rows = None if fold is None else stratified_kfold(ds.labels, 3, 0)[fold][0]
     prep = Preprocessor.fit(ds, rows)
     clean = prep.transform(ds)
-    assert clean.missing.shape == clean.x.shape and not clean.missing.any()
+    assert np.isnan(ds.x).any() and not np.isnan(clean.x).any()
     for got, want in zip(clean.modalities, reference_preprocess(ds, rows)):
         assert np.array_equal(got, want)
-    # the raw table and mask as predict reads them give the same features
+    # the raw table as predict reads it gives the same features
     save_dataset(ds, tmp_path / "f.csv", tmp_path / "s.json")
-    values, missing, _, _ = read_table(tmp_path / "f.csv", ds.schema)
-    assert np.array_equal(prep.apply(values, missing), clean.x)
+    values, _, _ = read_table(tmp_path / "f.csv", ds.schema)
+    assert np.array_equal(prep.apply(values), clean.x)
 
 
 def test_preprocessor_means_cover_fully_observed_features():
     # an unseen patient may miss a feature every training patient had
     ds = synth_generate(SynthConfig(n=30, modality_dims=(3, 3), missing_rate=0.2, seed=8))
-    ds.missing[3:] = False
+    ds.x[3:] = synth_generate(SynthConfig(n=30, modality_dims=(3, 3), seed=8)).x[3:]
     prep = Preprocessor.fit(ds)
     assert np.array_equal(prep.impute_means[3:], [row.mean() for row in ds.x[3:]])
     imputed = impute_mean(ds).x
@@ -604,10 +630,27 @@ def test_preprocessor_means_cover_fully_observed_features():
     assert np.array_equal(prep.z_sd, imputed.std(axis=1))
 
 
+@pytest.mark.parametrize("rows", [None, np.arange(10)], ids=["all", "first-ten"])
+def test_preprocessor_apply_leaves_no_nan(rows):
+    # every NaN cell of a new table is imputed, in a feature with blank cells
+    # in training and in one without, and a patient missing every cell
+    ds = synth_generate(SynthConfig(n=30, modality_dims=(3, 3), missing_rate=0.2, seed=8))
+    ds.x[3:] = synth_generate(SynthConfig(n=30, modality_dims=(3, 3), seed=8)).x[3:]
+    prep = Preprocessor.fit(ds, rows)
+    new = synth_generate(SynthConfig(n=9, modality_dims=(3, 3), missing_rate=0.4, seed=9)).x
+    new[:, 0] = np.nan
+    assert np.isnan(new[:3]).any() and np.isnan(new[3:]).any()
+    out = prep.apply(new)
+    assert out.shape == new.shape and np.isfinite(out).all()
+    assert np.isnan(new).any()  # the raw table is not written to
+    want = (prep.impute_means - prep.z_mu) / prep.z_sd
+    assert np.array_equal(out[:, 0], want)
+
+
 def test_preprocessor_fully_missing_feature_in_rows():
     schema = ModalitySchema((("a", 2),), class_names=("c0",))
     miss = np.array([[True, True, False], [False, False, False]])
-    ds = MultiModalDataset(schema, np.ones((2, 3)), np.zeros(3, dtype=int), miss)
+    ds = MultiModalDataset(schema, np.where(miss, np.nan, 1.0), np.zeros(3, dtype=int))
     with pytest.raises(DataError, match="a_0"):
         Preprocessor.fit(ds, np.array([0, 1]))
     assert Preprocessor.fit(ds).impute_means[0] == 1.0
@@ -618,7 +661,7 @@ def test_preprocessor_zeroes_constant_feature_of_new_patients():
     ds = MultiModalDataset(schema, np.array([[5.0, 5.0, 5.0], [1.0, 2.0, 3.0]]),
                            np.zeros(3, dtype=int))
     prep = Preprocessor.fit(ds)
-    out = prep.apply(np.array([[7.0], [2.0]]), np.zeros((2, 1), dtype=bool))
+    out = prep.apply(np.array([[7.0], [2.0]]))
     assert np.array_equal(out, [[0.0], [0.0]])
 
 
@@ -632,7 +675,7 @@ def test_preprocessor_invariant_to_positive_affine_rescale(col, scale, shift, fo
     rows = None if fold is None else stratified_kfold(ds.labels, 3, 0)[fold][0]
     x = ds.x.copy()
     ref = x if rows is None else x[:, rows]
-    assert ref[col].std() > 0.1  # far above the 1e-12 zero-spread floor
+    assert np.nanstd(ref[col]) > 0.1  # far above the 1e-12 zero-spread floor
     x[col] = scale * x[col] + shift
     moved = replace(ds, x=x)
     want = Preprocessor.fit(ds, rows).transform(ds).x
@@ -645,12 +688,12 @@ def test_read_table_strips_a_byte_order_mark(tmp_path):
     text = "a_0,a_1,b_0,b_1,b_2,label\n1,2,3,4,5,x\n"
     plain = read_table(write_csv(tmp_path, text, schema)[0], schema)
     marked = read_table(write_csv(tmp_path, "\ufeff" + text, schema)[0], schema)
-    assert marked[3] == plain[3] == ["a_0", "a_1", "b_0", "b_1", "b_2"]
-    assert np.array_equal(marked[0], plain[0]) and marked[2] == plain[2]
+    assert marked[2] == plain[2] == ["a_0", "a_1", "b_0", "b_1", "b_2"]
+    assert np.array_equal(marked[0], plain[0]) and marked[1] == plain[1]
     # a mark before the label column's name still finds the label
     labelled_first = read_table(write_csv(tmp_path, "\ufefflabel,a_0,a_1,b_0,b_1,b_2\n"
                                           "x,1,2,3,4,5\n", schema)[0], schema)
-    assert labelled_first[2] == ["x"]
+    assert labelled_first[1] == ["x"]
 
 
 def test_schema_split():
@@ -893,7 +936,7 @@ def test_synth_complementary_class_means():
 
 def test_synth_missing_rate():
     ds = synth_generate(SynthConfig(n=400, missing_rate=0.3, seed=16))
-    frac = ds.missing.mean()
+    frac = np.isnan(ds.x).mean()
     assert abs(frac - 0.3) < 0.03
 
 

@@ -160,8 +160,8 @@ def read_table_peak(tmp_path, blanks):
         path.write_text(lines[0] + "".join("," + line.split(",", 1)[1] for line in lines[1:]))
     got = []
     peak = traced_peak(lambda: got.append(read_table(path, schema)))
-    values, missing = got[0][:2]
-    assert values.shape == (366, 685) and missing.sum() == 685 * blanks
+    values = got[0][0]
+    assert values.shape == (366, 685) and np.isnan(values).sum() == 685 * blanks
     return peak, values.nbytes
 
 
@@ -173,8 +173,8 @@ def test_read_table_peak_near_its_values(tmp_path):
 
 
 def test_read_table_peak_with_blank_cells(tmp_path):
-    # numpy reads a table with blank cells in the same one pass, and the
-    # missing mask is built where it is kept: 2.05 times the values
+    # numpy reads a table with blank cells in the same one pass, and they
+    # stay NaN, counted by a passing mask: 2.05 times the values
     peak, nbytes = read_table_peak(tmp_path, blanks=True)
     assert peak < 2.5 * nbytes, f"peak {peak / 2**20:.1f} MiB"
 

@@ -557,7 +557,7 @@ def test_per_fold_preprocess_ignores_test_fold_cells():
     ds = synth_generate(SynthConfig(n=24, classes=2, modality_dims=(3, 3),
                                     missing_rate=0.2, seed=11))
     train_idx, test_idx = stratified_kfold(ds.labels, 3, 0)[0]
-    assert ds.missing[:, train_idx].any()
+    assert np.isnan(ds.x[:, train_idx]).any()
     edited = ds.x.copy()
     edited[:, test_idx] += 100.0
     base = Preprocessor.fit(ds, train_idx).transform(ds)

@@ -234,14 +234,14 @@ def _read_regular(f, n_cells, k, d_in):
     csv's field limit, a row has other than `n_cells` cells, or a feature cell
     is whitespace only, non-finite or a number only float() reads ("1_0",
     non-ASCII digits). A cell numpy's parser reads, float() reads to the same
-    bits. A blank cell is fed to numpy as "nan"; as a non-finite cell sends
-    the table to the walk, the nan values must number exactly the blank cells."""
-    first, labels, limit, blanks = next(f, None), [], csv.field_size_limit(), 0
+    bits. A blank cell is fed to numpy as "nan". Every spelling of nan or inf
+    holds an "n" or "N", and no finite number's does, so a line holding either
+    outside its label goes to the walk; "1e400" overflows to inf and does too."""
+    first, labels, limit = next(f, None), [], csv.field_size_limit()
     if first is None:
         return None
 
     def lines():
-        nonlocal blanks
         for line in chain([first], f):
             if '"' in line or line.isspace() or len(line) > limit:
                 raise ValueError("irregular line")
@@ -253,14 +253,14 @@ def _read_regular(f, n_cells, k, d_in):
                     head, label, *tail = line.rsplit(",", n_cells - k)
                     line = ",".join([head, *tail])
                 labels.append(label.strip())
+            if "n" in line or "N" in line:
+                raise ValueError("non-finite cell")
             # a blank cell: a line of nothing but its end, or a comma first, last
             # or next to another (re finds ",," in about 2/3 of the time `in` takes)
             if line[:1] in ",\r\n" or line.endswith((",", ",\n", ",\r", ",\r\n")) \
                     or re.search(",,", line):
                 line = line.rstrip("\r\n")
-                padded = f",{line},".replace(",,", ",nan,").replace(",,", ",nan,")
-                blanks += (len(padded) - len(line) - 2) // 3
-                line = padded[1:-1]
+                line = f",{line},".replace(",,", ",nan,").replace(",,", ",nan,")[1:-1]
             yield line
 
     try:
@@ -269,7 +269,7 @@ def _read_regular(f, n_cells, k, d_in):
     except ValueError:  # also a UTF-8 decoding error, which the walk reports
         return None
     # np.loadtxt has checked that all rows are as long
-    if len(values) != d_in or np.isnan(values).sum() != blanks or np.isinf(values).any():
+    if len(values) != d_in or np.isinf(values).any():
         return None
     return values, labels if k is not None else None
 
@@ -353,22 +353,6 @@ def _encode_labels(raw, schema):
     return out
 
 
-def _impute(ds, rows=None):
-    """(means, imputed (d_in, N) table): each feature's mean over its observed
-    cells among `rows` (all rows if None) fills its NaN cells."""
-    x, missing = ds.x, np.isnan(ds.x)
-    ref = np.ones(ds.n, dtype=bool) if rows is None else np.isin(np.arange(ds.n), rows)
-    # one 1-D mean per row: a 2-D mean(axis=1) sums in another order
-    means = np.array([row.mean() for row in (x if rows is None else x[:, ref])])
-    for j in np.flatnonzero(missing.any(axis=1)):
-        observed = ref & ~missing[j]
-        if not observed.any():
-            raise DataError(f"feature {ds.feature_names[j]!r} has no observed values "
-                            f"to impute from")
-        means[j] = x[j, observed].mean()
-    return means, np.where(missing, means[:, None], x)
-
-
 @dataclass(frozen=True, eq=False)
 class Preprocessor:
     """Mean imputation then z-scoring, with per-feature (d_in,) statistics
@@ -381,11 +365,21 @@ class Preprocessor:
 
     @classmethod
     def fit(cls, ds, rows=None):
-        """Imputation means from the observed cells among `rows` (all rows if
-        None), then z-score statistics of the imputed `rows`."""
-        means, x = _impute(ds, rows)
-        ref = x if rows is None else x[:, np.asarray(rows)]
-        return cls(means, ref.mean(axis=1), ref.std(axis=1))
+        """Statistics of the patients `rows` (all if None): imputation means over
+        each feature's observed cells among the distinct patients in index order,
+        then z-score statistics of the imputed cells of `rows` as given."""
+        ref = ds.x if rows is None else ds.x[:, np.isin(np.arange(ds.n), rows)]
+        holes = np.isnan(ref)
+        if (empty := np.flatnonzero(holes.all(axis=1))).size:
+            among = "" if rows is None else " among the patients the statistics are fitted on"
+            raise DataError(f"feature {ds.feature_names[empty[0]]!r} has no observed values "
+                            f"to impute from{among}")
+        # one 1-D mean per row: a 2-D mean(axis=1) sums in another order
+        means = np.array([row[~np.isnan(row)].mean() if gap else row.mean()
+                          for row, gap in zip(ref, holes.any(axis=1))])
+        x = ref if rows is None else ds.x[:, np.asarray(rows)]
+        x = np.where(holes if x is ref else np.isnan(x), means[:, None], x)
+        return cls(means, x.mean(axis=1), x.std(axis=1))
 
     def apply(self, x):
         """Transformed copy of a raw (d_in, N) table; NaN cells are imputed."""
@@ -402,9 +396,9 @@ class Preprocessor:
 
 
 def impute_mean(ds, train_idx=None):
-    """Replace every missing entry by its feature's observed mean; the means
-    come from the `train_idx` columns if given."""
-    return replace(ds, x=_impute(ds, train_idx)[1])
+    """`ds` with each NaN cell filled by `Preprocessor.fit(ds, train_idx)`'s mean."""
+    means = Preprocessor.fit(ds, train_idx).impute_means[:, None]
+    return replace(ds, x=np.where(np.isnan(ds.x), means, ds.x))
 
 
 def zscore(ds, train_idx=None):

@@ -486,7 +486,6 @@ class FoldResult:
 class CvResult:
     metrics: Metrics
     folds: list  # FoldResult
-    split: tuple  # stratified_kfold's (train, test) pairs
 
 
 def _run_fold(dataset, clean, cfg, f, train_idx, test_idx):
@@ -527,7 +526,7 @@ def run_cv(dataset, cfg, k=10, threads=1):
     else:
         folds = [_run_fold(dataset, clean, cfg, *job) for job in jobs]
     metrics = Metrics([fr.acc for fr in folds], [fr.auc for fr in folds])
-    return CvResult(metrics, folds, split)
+    return CvResult(metrics, folds)
 
 
 def meta_rows(ds, cfg):

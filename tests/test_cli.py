@@ -375,6 +375,27 @@ def test_cv_non_finite_cell_exit_3(tmp_path, synth_dir, cell, capsys):
     assert "row 3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mode", [["--eval-mode", "inductive"], []],
+                         ids=["inductive", "per-fold-stats"])
+def test_cv_feature_observed_only_in_held_out_patient_exit_3(tmp_path, synth_dir, mode):
+    # a feature filled in for one patient only has an observed cell, but none
+    # among the training patients of the fold that holds that patient out
+    with open(synth_dir / "features.csv", newline="") as f:
+        rows = list(csv.reader(f))
+    j = rows[0].index("mod1_0")
+    for row in rows[2:]:
+        row[j] = ""
+    with open(synth_dir / "features.csv", "w", newline="") as f:
+        csv.writer(f).writerows(rows)
+    cfg = write_train_cfg(tmp_path, per_fold_stats=not mode)
+    res = run_subprocess("cv", "--config", str(cfg), "--data", str(synth_dir), "--out", "o",
+                         "--folds", "3", *mode, cwd=tmp_path, timeout=120)
+    assert res.returncode == 3 and res.stderr.count("error:") == 1
+    assert ("error: feature 'mod1_0' has no observed values to impute from among the "
+            "patients the statistics are fitted on") in res.stderr
+    assert "Traceback" not in res.stderr
+
+
 def test_train_divergence_exit_4(tmp_path, synth_dir):
     cfg = write_train_cfg(tmp_path, lr=1e155, epochs=10)
     assert run("train", "--config", str(cfg), "--data", str(synth_dir),

@@ -180,7 +180,8 @@ ODD_CELLS = [" 1.5 ", "1e5", "+.5", "-0", "1_0", "\u0663", "\u0661\u0662.\u0665"
              "\t-3.25", "4.9e-325", "0.1234567890123456789"]
 BLANK_CELLS = ["", " ", "\t"]
 BAD_CELLS = ["oops", "0x10", "1,5", "1\x00", "\x00", "1 2", "_1"]
-NON_FINITE_CELLS = ["nan", "inf", "-Infinity", "NaN", "1e400"]
+NON_FINITE_CELLS = ["nan", "inf", "-Infinity", "NaN", "1e400", "iNf", "-nan", "+NAN", "Infinity",
+                    "-INFINITY"]
 
 
 def table_text(rows, label_at=5, eol="\r\n"):
@@ -357,7 +358,8 @@ def test_complete_tables_take_numpy_reader(tmp_path, monkeypatch, eol, last_eol,
 
 
 # a whitespace-only cell is blank to the walk, but numpy's parser refuses it
-@pytest.mark.parametrize("cell", [" ", "\t", "1_0", "\u0663", "nan", "1e400", "oops", '"1"'])
+@pytest.mark.parametrize("cell", [" ", "\t", "1_0", "\u0663", "nan", "1e400", "oops", '"1"', "iNf",
+                                  "-nan", "+NAN", "Infinity", "-INFINITY"])
 def test_other_tables_take_csv_path(tmp_path, cell):
     path = tmp_path / "f.csv"
     path.write_text(table_text([["1", "2", "3", "4", "5"], ["1", cell, "3", "4", "5"]], eol="\n"))
@@ -533,7 +535,7 @@ def test_impute_mean_fully_missing_feature():
     schema = ModalitySchema((("a", 2),), class_names=("c0",))
     miss = np.array([[True, True], [False, False]])
     ds = MultiModalDataset(schema, np.where(miss, np.nan, 0.0), np.zeros(2, dtype=int))
-    with pytest.raises(DataError, match="a_0"):
+    with pytest.raises(DataError, match="feature 'a_0' has no observed values to impute from$"):
         impute_mean(ds)
 
 
@@ -607,16 +609,19 @@ def reference_preprocess(ds, rows=None):
 @pytest.mark.parametrize("fold", [None, 0, 1])
 def test_preprocessor_matches_reference_on_missing_cells(tmp_path, fold):
     ds = synth_generate(SynthConfig(n=40, modality_dims=(3, 4, 2), missing_rate=0.2, seed=7))
-    rows = None if fold is None else stratified_kfold(ds.labels, 3, 0)[fold][0]
-    prep = Preprocessor.fit(ds, rows)
-    clean = prep.transform(ds)
-    assert np.isnan(ds.x).any() and not np.isnan(clean.x).any()
-    for got, want in zip(clean.modalities, reference_preprocess(ds, rows)):
-        assert np.array_equal(got, want)
-    # the raw table as predict reads it gives the same features
     save_dataset(ds, tmp_path / "f.csv", tmp_path / "s.json")
     values, _, _ = read_table(tmp_path / "f.csv", ds.schema)
-    assert np.array_equal(prep.apply(values), clean.x)
+    train = None if fold is None else stratified_kfold(ds.labels, 3, 0)[fold][0]
+    # imputation means come from the distinct patients of `rows`; z statistics
+    # from its cells as given, so reversed and repeated rows are inputs too
+    for rows in [None] if train is None else [train, train[::-1], np.r_[train, train[:5]]]:
+        prep = Preprocessor.fit(ds, rows)
+        clean = prep.transform(ds)
+        assert np.isnan(ds.x).any() and not np.isnan(clean.x).any()
+        for got, want in zip(clean.modalities, reference_preprocess(ds, rows)):
+            assert np.array_equal(got, want)
+        # the raw table as predict reads it gives the same features
+        assert np.array_equal(prep.apply(values), clean.x)
 
 
 def test_preprocessor_means_cover_fully_observed_features():
@@ -651,7 +656,9 @@ def test_preprocessor_fully_missing_feature_in_rows():
     schema = ModalitySchema((("a", 2),), class_names=("c0",))
     miss = np.array([[True, True, False], [False, False, False]])
     ds = MultiModalDataset(schema, np.where(miss, np.nan, 1.0), np.zeros(3, dtype=int))
-    with pytest.raises(DataError, match="a_0"):
+    # a_0 is observed, but not among the patients the statistics are fitted on
+    with pytest.raises(DataError, match="feature 'a_0' has no observed values to impute from "
+                                        "among the patients the statistics are fitted on$"):
         Preprocessor.fit(ds, np.array([0, 1]))
     assert Preprocessor.fit(ds).impute_means[0] == 1.0
 
